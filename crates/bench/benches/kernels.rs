@@ -60,9 +60,8 @@ fn bench_match_kernel(c: &mut Criterion) {
 
     // Pattern-set scans: K patterns over one series — the per-pattern
     // rolling loop (K RollingStats builds, K full window sweeps) vs one
-    // batched cascade pass (stats shared, most exact loops pruned by the
-    // lower-bound tiers). The acceptance gate is batched ≥ 3× per-pattern
-    // on the multi-pattern transform (see BENCH.md).
+    // batched pass (stats shared, most exact loops pruned by the
+    // sliding-dot-product lower bound).
     for &(k, m, n) in &[
         (8usize, 64usize, 2048usize),
         (16, 64, 8192),
@@ -71,8 +70,8 @@ fn bench_match_kernel(c: &mut Criterion) {
         let series = synthetic_series(n, 7);
         // Patterns are staggered subsequences of the series itself —
         // mined patterns come from the data they later scan, so every
-        // pattern has a (near-)perfect window somewhere and the cascade's
-        // bounds are exercised at realistic best-so-far levels.
+        // pattern has a (near-)perfect window somewhere and the bound is
+        // exercised at realistic best-so-far levels.
         let patterns: Vec<Vec<f64>> = (0..k)
             .map(|i| {
                 let at = (i * (n - m)) / k;
@@ -108,7 +107,7 @@ fn bench_match_kernel(c: &mut Criterion) {
     // the K-pattern feature space — what `predict_batch` pays per batch.
     // Mined patterns recur across instances (that is what makes them
     // patterns), so each batch series embeds the pattern set at
-    // staggered, per-series-shuffled offsets: the cascade runs at the
+    // staggered, per-series-shuffled offsets: the bound prunes at the
     // tight best-so-far levels the real pipeline sees once a pattern
     // finds its occurrence.
     for (k, n) in [(16usize, 2048usize), (32, 4096)] {

@@ -17,7 +17,7 @@ use crate::transform::pattern_distance_plans;
 use rpm_cluster::{bisect_refine, centroid, medoid};
 use rpm_grammar::{infer_repair, Sequitur, Token};
 use rpm_sax::{SaxConfig, SaxWord};
-use rpm_ts::{znorm, BatchedMatch, Label, MatchKernel, MatchPlan};
+use rpm_ts::{znorm, Label, MatchPlan};
 use std::collections::HashMap;
 
 /// A candidate representative pattern for one class.
@@ -196,17 +196,11 @@ pub(crate) fn find_candidates_for_class_ctx(
             .map(|s| MatchPlan::with_kernel(s, config.kernel))
             .collect();
 
-        // Under the batched kernel the full u×u distance matrix is filled
-        // up front: for each subsequence j, every strictly-shorter (or
-        // equal-length, scanned directionally) subsequence slides over it
-        // in one pattern-set cascade scan. Refinement, the τ pool, and
-        // medoid selection then read the matrix instead of re-scanning.
-        let matrix: Option<Vec<f64>> = (config.kernel == MatchKernel::Batched)
-            .then(|| pairwise_matrix(&subs, &plans, config.early_abandon));
-        let dist = |i: usize, j: usize| match &matrix {
-            Some(m) => m[i * plans.len() + j],
-            None => pattern_distance_plans(&plans[i], &plans[j], config.early_abandon),
-        };
+        // The full u×u distance matrix is filled up front; refinement, the
+        // τ pool, and medoid selection then read the matrix instead of
+        // re-scanning.
+        let matrix = pairwise_matrix(&plans, config.early_abandon);
+        let dist = |i: usize, j: usize| matrix[i * plans.len() + j];
 
         // --- Refinement: iterative bisection with complete linkage over
         //     closest-match distances.
@@ -249,36 +243,25 @@ pub(crate) fn find_candidates_for_class_ctx(
     out
 }
 
-/// Full u×u pairwise closest-match distance matrix (row-major), filled
-/// with pattern-set scans. For each subsequence `j`, every other
-/// subsequence no longer than it slides over `subs[j]` in one batched
-/// cascade pass, which preserves the exact orientation rule of
-/// [`pattern_distance_plans`]: the shorter side is the pattern, and on
-/// equal lengths the first argument slides — so equal-length pairs get
-/// their own directional scan per cell while strictly-shorter results
-/// are mirrored. The diagonal is left 0.0 and never queried (both
+/// Full u×u pairwise closest-match distance matrix (row-major): cell
+/// `(i, j)` holds [`pattern_distance_plans`]`(plans[i], plans[j])`.
+/// Pairs of different lengths are symmetric and scanned once; on equal
+/// lengths the first argument slides, so each order gets its own scan.
+/// Occurrences of one rule have near-equal lengths, so each cell is a
+/// scan of a window or two, too short for a pattern-set scan to repay
+/// building its set. The diagonal is left 0.0 and never queried (both
 /// `bisect_refine` and `medoid` skip self-pairs).
-fn pairwise_matrix(subs: &[&[f64]], plans: &[MatchPlan], early_abandon: bool) -> Vec<f64> {
+fn pairwise_matrix(plans: &[MatchPlan], early_abandon: bool) -> Vec<f64> {
     let u = plans.len();
     let mut m = vec![0.0; u * u];
-    for j in 0..u {
-        let idx: Vec<usize> = (0..u)
-            .filter(|&i| i != j && plans[i].len() <= plans[j].len())
-            .collect();
-        if idx.is_empty() {
-            continue;
-        }
-        let refs: Vec<&MatchPlan> = idx.iter().map(|&i| &plans[i]).collect();
-        let set = BatchedMatch::from_refs(&refs);
-        for (k, best) in set
-            .match_all(subs[j], early_abandon, None)
-            .iter()
-            .enumerate()
-        {
-            let i = idx[k];
-            let d = best.map_or(f64::INFINITY, |b| b.distance);
+    for (i, a) in plans.iter().enumerate() {
+        for (j, b) in plans.iter().enumerate() {
+            if i == j || a.len() > b.len() {
+                continue;
+            }
+            let d = pattern_distance_plans(a, b, early_abandon);
             m[i * u + j] = d;
-            if plans[i].len() < plans[j].len() {
+            if a.len() < b.len() {
                 m[j * u + i] = d;
             }
         }

@@ -154,7 +154,7 @@ pub struct RpmConfig {
     /// ablation benchmark; results are identical either way.
     pub early_abandon: bool,
     /// Closest-match kernel implementation: the batched pattern-set ×
-    /// series cascade (default; bit-identical to `Rolling`, with shared
+    /// series kernel (default; bit-identical to `Rolling`, with shared
     /// per-series statistics and admissible lower-bound pruning), the
     /// fused rolling-statistics kernel, or the pre-optimization
     /// per-window re-normalizing scan. `Rolling` and `Naive` are
@@ -341,7 +341,7 @@ impl RpmConfigBuilder {
         self
     }
 
-    /// Closest-match kernel implementation (batched-cascade default,
+    /// Closest-match kernel implementation (batched-kernel default,
     /// naive re-normalizing scan for differential tests and ablations).
     pub fn kernel(mut self, kernel: MatchKernel) -> Self {
         self.config.kernel = kernel;

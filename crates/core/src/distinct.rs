@@ -13,7 +13,7 @@ use crate::config::RpmConfig;
 use crate::engine::{Engine, EngineError};
 use crate::transform::{pattern_distance_plans, transform_set_ctx};
 use rpm_ml::cfs_select;
-use rpm_ts::{percentile, BatchedMatch, Label, MatchKernel, MatchPlan};
+use rpm_ts::{percentile, Label, MatchKernel, MatchPlan};
 
 /// The τ similarity threshold: the configured percentile of the pooled
 /// intra-cluster distances. Returns 0.0 when the pool is empty (no
@@ -48,31 +48,9 @@ pub fn remove_similar_kernel(
     let mut kept_plans: Vec<MatchPlan> = Vec::new();
     for c in candidates {
         let plan = MatchPlan::with_kernel(&c.values, kernel);
-        let similar = if kernel == MatchKernel::Batched {
-            // Pattern-set path: every kept plan strictly shorter than
-            // the candidate slides over it — one cascade scan covers
-            // them all. Equal-or-longer kept plans keep the per-pattern
-            // orientation (the candidate slides over *them*), so every
-            // pairwise distance is bit-identical to the per-pattern
-            // scan above.
-            let shorter: Vec<&MatchPlan> =
-                kept_plans.iter().filter(|k| k.len() < plan.len()).collect();
-            let batched_hit = !shorter.is_empty() && {
-                let set = BatchedMatch::from_refs(&shorter);
-                set.match_all(&c.values, early_abandon, None)
-                    .iter()
-                    .any(|m| m.is_some_and(|m| m.distance < tau))
-            };
-            batched_hit
-                || kept_plans
-                    .iter()
-                    .filter(|k| k.len() >= plan.len())
-                    .any(|k| pattern_distance_plans(&plan, k, early_abandon) < tau)
-        } else {
-            kept_plans
-                .iter()
-                .any(|k| pattern_distance_plans(&plan, k, early_abandon) < tau)
-        };
+        let similar = kept_plans
+            .iter()
+            .any(|k| pattern_distance_plans(&plan, k, early_abandon) < tau);
         if !similar {
             kept.push(c);
             kept_plans.push(plan);

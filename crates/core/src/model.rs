@@ -80,8 +80,8 @@ pub struct RpmClassifier {
     /// strategy, not part of the persisted model.
     pub(crate) plans: Vec<MatchPlan>,
     /// Prebuilt pattern-set scanner backing `plans` when they use the
-    /// batched kernel (`None` otherwise): the per-pattern envelope and
-    /// tier-1 streams are computed once here and shared by every
+    /// batched kernel (`None` otherwise): the per-pattern sums its lower
+    /// bound needs are computed once here and shared by every
     /// `transform`/`predict` call on this model.
     pub(crate) batched: Option<BatchedMatch>,
     pub(crate) svm: LinearSvm,

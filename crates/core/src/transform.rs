@@ -174,7 +174,7 @@ fn transform_series_inner(
         .collect()
 }
 
-/// True when `plans` should run through the pattern-set cascade: the
+/// True when `plans` should run through the pattern-set kernel: the
 /// pipeline prepares every plan with one kernel, so the first grouped
 /// plan speaks for the set (fallback-only sets gain nothing and keep
 /// the per-pattern path).
@@ -189,7 +189,7 @@ pub fn batched_match(plans: &[MatchPlan]) -> Option<BatchedMatch> {
     wants_batched(plans).then(|| BatchedMatch::new(plans))
 }
 
-/// One series' feature row through the batched cascade: a single
+/// One series' feature row through the batched kernel: a single
 /// `match_all` per view (plus one for the rotated view), with the same
 /// resampling fallback [`feature_distance_plan`] applies to patterns
 /// longer than the series. Distances are bit-identical to the
@@ -436,7 +436,7 @@ pub(crate) fn transform_set_ctx(
 
 /// The batched-kernel arm of [`transform_set_ctx`]: instead of a
 /// closest-match scan per (pattern, series) pair, the *missing* columns
-/// are computed in one pattern-set cascade per series — one shared
+/// are computed in one pattern-set scan per series — one shared
 /// `RollingStats` per (series, pattern length) — and the workers fan
 /// out over series (rows) rather than patterns (columns). Cache
 /// semantics are unchanged: one recorded hit or miss per pattern
@@ -698,7 +698,7 @@ mod tests {
     fn batched_transform_builds_stats_once_per_series() {
         // The CFS-scoring fix: with K same-length patterns, the batched
         // path computes the per-series rolling statistics ONCE and shares
-        // them across all K cascade scans, where the per-pattern rolling
+        // them across all K member scans, where the per-pattern rolling
         // path rebuilds them K times. The `stats_builds` counter is the
         // contract: series.len() × length-groups for batched, series.len()
         // × K for rolling.
@@ -724,9 +724,9 @@ mod tests {
             "one RollingStats build per (series, length-group)"
         );
         // Pair accounting is preserved: still one search per (series,
-        // pattern), and the cascade pruned at least something.
+        // pattern), and the bound pruned at least something.
         assert_eq!(batched_stats.searches, (set.len() * pats.len()) as u64);
-        assert!(batched_stats.pruned_total() > 0, "{batched_stats:?}");
+        assert!(batched_stats.pruned_envelope > 0, "{batched_stats:?}");
 
         let rolling_plans = prepare_patterns(&pats, MatchKernel::Rolling);
         let rolling_counters = ScanCounters::new();

@@ -358,15 +358,10 @@ pub struct Metrics {
     /// abandoning; `abandoned / windows` is the kernel's cumulative
     /// early-abandon rate.
     pub match_abandoned: Counter,
-    /// `match.pruned_first_last` — windows killed by the batched
-    /// cascade's O(1) first/last z-value bound (tier 1).
-    pub match_pruned_first_last: Counter,
-    /// `match.pruned_envelope` — windows killed by the PAA envelope
-    /// bound (tier 2).
+    /// `match.pruned_envelope` — windows the batched kernel's
+    /// sliding-dot-product lower bound pruned before the exact loop (the
+    /// name predates the bound; it was a PAA envelope).
     pub match_pruned_envelope: Counter,
-    /// `match.pruned_sax` — windows killed by the optional SAX MINDIST
-    /// bound (tier 3).
-    pub match_pruned_sax: Counter,
     /// `match.stats_builds` — `RollingStats` constructions; the batched
     /// kernel's sharing shows up as `stats_builds ≪ searches`.
     pub match_stats_builds: Counter,
@@ -478,9 +473,7 @@ impl Metrics {
             match_searches: Counter::new(),
             match_windows: Counter::new(),
             match_abandoned: Counter::new(),
-            match_pruned_first_last: Counter::new(),
             match_pruned_envelope: Counter::new(),
-            match_pruned_sax: Counter::new(),
             match_stats_builds: Counter::new(),
             cache_frames: CacheFamilyMetrics::new(),
             cache_words: CacheFamilyMetrics::new(),
@@ -515,7 +508,7 @@ impl Metrics {
         }
     }
 
-    fn counter_entries(&self) -> [(&'static str, &Counter); 41] {
+    fn counter_entries(&self) -> [(&'static str, &Counter); 39] {
         [
             ("engine.runs", &self.engine_runs),
             ("engine.jobs", &self.engine_jobs),
@@ -535,9 +528,7 @@ impl Metrics {
             ("match.searches", &self.match_searches),
             ("match.windows", &self.match_windows),
             ("match.abandoned", &self.match_abandoned),
-            ("match.pruned_first_last", &self.match_pruned_first_last),
             ("match.pruned_envelope", &self.match_pruned_envelope),
-            ("match.pruned_sax", &self.match_pruned_sax),
             ("match.stats_builds", &self.match_stats_builds),
             ("ml.svm_trains", &self.ml_svm_trains),
             ("ml.cv_splits", &self.ml_cv_splits),

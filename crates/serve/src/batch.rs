@@ -289,9 +289,7 @@ pub(crate) fn process_batch(
                 ("windows", stats.windows.to_string()),
                 ("abandoned", stats.abandoned.to_string()),
                 ("abandon_rate", format!("{:.4}", stats.abandon_rate())),
-                ("pruned_first_last", stats.pruned_first_last.to_string()),
                 ("pruned_envelope", stats.pruned_envelope.to_string()),
-                ("pruned_sax", stats.pruned_sax.to_string()),
                 ("prune_rate", format!("{:.4}", stats.prune_rate())),
                 ("stats_builds", stats.stats_builds.to_string()),
                 ("match_ns", stats.match_ns.to_string()),

@@ -1,134 +1,86 @@
-//! Batched pattern-set × series closest-match kernel with an admissible
-//! lower-bound cascade.
+//! Batched pattern-set × series closest-match kernel with one admissible
+//! lower bound.
 //!
 //! The per-pattern kernels in [`crate::matching`] rebuild the same
-//! [`RollingStats`] for every pattern matched against a series: K
-//! patterns × S series = K·S O(n) statistics passes over identical
-//! data, plus K·S full window scans. [`BatchedMatch`] restructures the
-//! search around the *series*: statistics are built once per (series,
-//! pattern length), and every window position is pushed through a
-//! cascade of increasingly expensive admissible lower bounds before the
-//! exact distance loop runs:
+//! [`RollingStats`] for every pattern matched against a series, and run
+//! the exact distance loop at every window they cannot abandon.
+//! [`BatchedMatch`] restructures the search around the *series*:
+//! statistics are built once per (series, pattern length), and every
+//! window is priced by a lower bound before the exact loop may run.
 //!
-//! 1. **First/last z-value bound** — O(1) per (pattern, window):
-//!    `(zp₀−zw₀)² + (zpₙ₋₁−zwₙ₋₁)² ≤ Σᵢ(zpᵢ−zwᵢ)²` because the right
-//!    side sums those two squares plus other non-negative terms
-//!    (LB_Kim's cheap core). The per-pattern first/last coefficients
-//!    live in contiguous arrays so the K-wide evaluation is a
-//!    branch-free, f64x4-shaped pass.
-//! 2. **PAA envelope bound** — O(B) per (pattern, window), B = 8
-//!    segments: `Σⱼ lenⱼ·(p̄ⱼ−w̄ⱼ)² ≤ Σᵢ(zpᵢ−zwᵢ)²` by per-segment
-//!    Cauchy–Schwarz (`Σ_{i∈j}(aᵢ−bᵢ)² ≥ (Σ_{i∈j}(aᵢ−bᵢ))²/lenⱼ`) —
-//!    LB_Keogh with a zero warping radius. Window segment means come
-//!    from rolling per-segment sums, re-initialized with a compensated
-//!    pass every [`BLOCK`] positions so drift never approaches the
-//!    pruning safety margin.
-//! 3. **SAX MINDIST bound** (optional) — the symbolic bound from the
-//!    Extreme-SAX line of work: per segment, the breakpoint-gap
-//!    distance between the pattern's and the window's SAX symbols
-//!    lower-bounds `|p̄ⱼ−w̄ⱼ|`, so `Σⱼ lenⱼ·cellⱼ² ` is admissible. It
-//!    is dominated by tier 2 under the shared segmentation (the gap
-//!    between two symbols' intervals never exceeds the distance between
-//!    values inside them), so it is off by default and exists for
-//!    ablation and as a property-tested bridge to `rpm-sax`.
-//! 4. **Exact distance** — the *same* fused accumulation the rolling
-//!    kernel runs ([`MatchPlan::fused_early_abandon`] /
-//!    [`MatchPlan::fused_exhaustive`]), against the same per-pattern
-//!    best-so-far cutoff.
+//! # The bound
+//!
+//! For a z-normalized pattern `zp` of length `n` and a window `x` of the
+//! centered series (window mean `μ`, `inv = 1/σ`), `inv²·Σ(xᵢ−μ)² = n`
+//! turns the squared distance into
+//!
+//! ```text
+//! d² = Σ(zpᵢ − (xᵢ−μ)·inv)² = Σzp² + n − 2·inv·(qt − μ·Σzp),   qt = Σ zpᵢ·xᵢ
+//! ```
+//!
+//! The sliding dot products `qt` of one member against every window come
+//! from one dense pass over the series ([`sliding_dot`]): no gather, no
+//! branch, blocked so it vectorizes. The expanded form cancels hard at
+//! d ≈ 0, which is why the exact loop never uses it. Here it only has to
+//! bound `d²` from below, so an explicit rounding margin is subtracted
+//! (see [`Windows`]; the derivation is in DESIGN.md, "Batched match
+//! kernel").
+//!
+//! # The scan
+//!
+//! Per member, the exact loop runs once at the window with the smallest
+//! bound (the approximate argmin), so best-so-far is tight from the
+//! start. The sweep then visits positions in increasing order and prunes
+//! a window when its bound exceeds best-so-far. Survivors run the rolling
+//! kernel's own [`MatchPlan::fused_early_abandon`] /
+//! [`MatchPlan::fused_exhaustive`] against best-so-far.
 //!
 //! # Bit-identity with the rolling kernel
 //!
-//! The cascade is not "close to" the rolling kernel — it is
-//! bit-identical, which is what lets training pipelines flip kernels
-//! without re-validating models:
+//! The rolling kernel returns the first position minimizing the exact
+//! loop's float `d²`: its updates are strict (`<`), and a minimizing
+//! window is never abandoned, because partial sums of non-negative terms
+//! never exceed the full sum. The batched scan returns the same position
+//! and the same float:
 //!
-//! * The sweep visits window positions in increasing order, exactly
-//!   like [`MatchPlan::best_match`]. A strided *seed pass* probes a
-//!   sparse subset of positions with the exact kernel first — out of
-//!   order, but outcome-free: a probe only tightens the best-so-far
-//!   with a true window distance, every probed position is re-visited
-//!   by the sweep (admissible bounds cannot prune a window equal to
-//!   the current best under strict `>`), and bit-equal distances
-//!   resolve to the earliest position via an explicit tie-break — the
-//!   same winner the increasing-order scan picks.
-//! * A window is pruned only when `lb · DEFLATE > best_sq` for that
-//!   pattern. The bounds are admissible in exact arithmetic
-//!   (`lb ≤ d²`), and the deflation factors absorb the floating-point
-//!   slack between a bound and the exact loop's rounding (≤ ~(n+2)·ε
-//!   relative for tier 1, whose terms are bitwise addends of the exact
-//!   sum; tiers 2–3 carry independent rounding and get a wider margin).
-//!   So a pruned window satisfies `d²_fl ≥ best_sq` — and since the
-//!   rolling kernel updates its best strictly (`d_sq < best_sq`), that
-//!   window could not have changed the best there either.
-//! * Surviving windows run the identical exact code with the identical
-//!   cutoff, producing identical floats and identical abandon
-//!   decisions.
+//! * A pruned window has `lb > best_sq`, and the margin and deflation
+//!   make `lb` no larger than the window's float `d²`, so it is not a
+//!   minimizer.
+//! * Every minimizer therefore reaches the exact loop, with a cutoff no
+//!   smaller than its distance, and is evaluated by the same code on the
+//!   same floats as in the rolling scan.
+//! * The seed is a true window distance, evaluated out of order. Equal
+//!   distances resolve to the earliest position through an explicit
+//!   tie-break, the winner of the in-order rolling scan.
 //!
-//! By induction over positions the per-pattern best trajectory — and
-//! hence the final [`BestMatch`] — is the one the rolling kernel
-//! produces. `tests/kernel_diff.rs` pins this differentially;
-//! `tests/lb_admissibility.rs` property-tests each bound (through
-//! [`BatchedMatch::audit`], i.e. against the production bound
-//! computation including its rolling segment sums) on random and
-//! adversarial inputs.
+//! `tests/kernel_diff.rs` pins this differentially;
+//! `tests/lb_admissibility.rs` property-tests the bound through
+//! [`BatchedMatch::audit`], which reports the production bound.
 
 use crate::matching::{BestMatch, MatchKernel, MatchPlan, ScanCounters};
 use crate::norm::ZNORM_EPSILON;
-use crate::stats::{CompensatedSum, RollingStats};
+use crate::stats::{CompensatedSum, RollingStats, VAR_REL_ERR};
 use std::sync::atomic::Ordering;
 
-/// Number of PAA segments for the envelope (and SAX) bound.
-pub const ENVELOPE_SEGMENTS: usize = 8;
+/// Window starts per register block of [`sliding_dot`]: independent
+/// accumulators keep the adds pipelined and fill whole vector registers.
+const LANES: usize = 8;
 
-/// Patterns shorter than this skip tiers 2–3: with fewer than two
-/// points per segment the envelope degenerates toward the exact
-/// distance it is supposed to be cheaper than.
-pub const MIN_ENVELOPE_LEN: usize = 16;
-
-/// Rolling segment sums are rebuilt with a compensated pass every this
-/// many positions, bounding the incremental add/subtract drift.
-const BLOCK: usize = 256;
-
-/// Tier-1 deflation: the bound's two terms are bitwise addends of the
-/// exact sum, so the only slack is summation rounding (≤ ~(n+2)·ε
-/// relative); 1e-9 covers patterns up to ~10⁶ points.
-const TIER1_DEFLATE: f64 = 1.0 - 1e-9;
-
-/// Tier-2/3 deflation: segment means come from independently rounded
-/// rolling sums, so the margin is wider. Pruning power lost is
-/// negligible (a bound this close to the best is about to be beaten by
-/// the exact loop anyway).
-const TIER23_DEFLATE: f64 = 1.0 - 1e-7;
-
-/// Plans of one shared length, flattened into contiguous per-pattern
-/// arrays for the cascade's inner loops.
+/// Plans of one shared length, with the per-member sums the bound needs.
 #[derive(Clone, Debug)]
 struct LengthGroup {
     /// Pattern length.
     n: usize,
     /// Index of each member in the original plan slice.
     idx: Vec<u32>,
-    /// The member plans (exact tier + `sq_norm` for σ=0 windows).
+    /// The member plans (the exact loop, and `sq_norm` for σ = 0 windows).
     plans: Vec<MatchPlan>,
-    /// `zp[0]` per member (tier-1 stream).
-    first: Vec<f64>,
-    /// `zp[n-1]` per member (tier-1 stream).
-    last: Vec<f64>,
-    /// Segment boundaries `[start, end)` shared by every member.
-    /// Empty when `n < MIN_ENVELOPE_LEN` (tiers 2–3 skipped).
-    seg: Vec<(u32, u32)>,
-    /// Segment lengths as f64, aligned with `seg`.
-    seg_len: Vec<f64>,
-    /// Reciprocal segment lengths: the hot loops multiply by these
-    /// instead of dividing (8 divisions per surviving position dominate
-    /// the tier-2 cost otherwise). The ≤1-ulp difference vs division is
-    /// absorbed by `TIER23_DEFLATE`.
-    seg_inv_len: Vec<f64>,
-    /// PAA means of `zp`, `seg.len()` per member, row-major.
-    paa: Vec<f64>,
-    /// SAX symbol per segment per member, row-major; empty when the
-    /// SAX tier is disabled.
-    sax: Vec<u8>,
+    /// `Σzp² + n` per member, compensated.
+    base: Vec<f64>,
+    /// `Σzp` per member, compensated.
+    sum: Vec<f64>,
+    /// Largest member `‖zp‖`, rounded up; sizes the rounding margin.
+    zp_norm: f64,
 }
 
 /// A pattern set prepared for batched closest-match scans. Build once
@@ -138,67 +90,36 @@ struct LengthGroup {
 #[derive(Clone, Debug)]
 pub struct BatchedMatch {
     groups: Vec<LengthGroup>,
-    /// (original index, plan) pairs the cascade cannot serve —
-    /// degenerate (constant) patterns and plans pinned to the `Naive`
-    /// kernel — scanned per-pattern through `best_match_counted` so
-    /// their semantics (naive tie-breaking) are preserved exactly.
+    /// (original index, plan) pairs the bound cannot serve — degenerate
+    /// (constant) patterns and plans pinned to the `Naive` kernel —
+    /// scanned per-pattern through `best_match_counted` so their
+    /// semantics (naive tie-breaking) are preserved exactly.
     fallback: Vec<(u32, MatchPlan)>,
     /// Total patterns (group members + fallbacks).
     count: usize,
-    /// Ascending SAX breakpoint cuts enabling tier 3; `None` disables
-    /// it. Injected (rather than imported from `rpm-sax`) because
-    /// `rpm-sax` depends on this crate.
-    sax_cuts: Option<Vec<f64>>,
 }
 
-/// Per-(pattern, window) bound/exact observations from
-/// [`BatchedMatch::audit`] — the raw material of the admissibility
-/// property tests.
+/// One (pattern, window) observation from [`BatchedMatch::audit`] — the
+/// raw material of the admissibility property tests.
 #[derive(Clone, Copy, Debug)]
 pub struct LbAudit {
     /// Pattern index in the original plan slice.
     pub pattern: usize,
     /// Window start position.
     pub position: usize,
-    /// Tier-1 squared bound (un-normalized), as the cascade computes it.
-    pub lb_first_last: f64,
-    /// Tier-2 squared bound, `None` when the tier is skipped for this
-    /// pattern length.
-    pub lb_envelope: Option<f64>,
-    /// Tier-3 squared bound, `None` when SAX cuts are absent or the
-    /// tier is skipped.
-    pub lb_sax: Option<f64>,
+    /// The squared (un-normalized) bound the scan prunes with: a window
+    /// is skipped when `lb` exceeds the pattern's best-so-far.
+    pub lb: f64,
     /// The exact squared distance (exhaustive fused accumulation).
     pub exact: f64,
 }
 
 impl BatchedMatch {
-    /// Prepares `plans` for batched scans, SAX tier disabled.
+    /// Prepares `plans` for batched scans.
     pub fn new(plans: &[MatchPlan]) -> Self {
-        Self::with_sax_cuts(plans, None)
-    }
-
-    /// [`new`](Self::new) over borrowed plans — for callers batching a
-    /// filtered subset (e.g. the dedup scan) without cloning it into a
-    /// contiguous slice first.
-    pub fn from_refs(plans: &[&MatchPlan]) -> Self {
-        Self::build(plans.iter().copied(), plans.len(), None)
-    }
-
-    /// Prepares `plans` with an optional SAX tier defined by ascending
-    /// breakpoint `cuts` (as produced by `rpm_sax::breakpoints`).
-    pub fn with_sax_cuts(plans: &[MatchPlan], cuts: Option<Vec<f64>>) -> Self {
-        Self::build(plans.iter(), plans.len(), cuts)
-    }
-
-    fn build<'a>(
-        plans: impl Iterator<Item = &'a MatchPlan>,
-        count: usize,
-        cuts: Option<Vec<f64>>,
-    ) -> Self {
         let mut groups: Vec<LengthGroup> = Vec::new();
         let mut fallback = Vec::new();
-        for (i, plan) in plans.enumerate() {
+        for (i, plan) in plans.iter().enumerate() {
             if plan.is_empty() {
                 continue; // matches per-pattern behavior: None at call time
             }
@@ -210,17 +131,16 @@ impl BatchedMatch {
             let group = match groups.iter_mut().find(|g| g.n == n) {
                 Some(g) => g,
                 None => {
-                    groups.push(LengthGroup::empty(n, cuts.is_some()));
-                    groups.last_mut().unwrap()
+                    groups.push(LengthGroup::empty(n));
+                    groups.last_mut().expect("just pushed")
                 }
             };
-            group.push(i as u32, plan, cuts.as_deref());
+            group.push(i as u32, plan);
         }
         Self {
             groups,
             fallback,
-            count,
-            sax_cuts: cuts,
+            count: plans.len(),
         }
     }
 
@@ -233,11 +153,6 @@ impl BatchedMatch {
     /// True when the set holds no patterns.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// True when the SAX MINDIST tier is active.
-    pub fn sax_enabled(&self) -> bool {
-        self.sax_cuts.is_some()
     }
 
     /// Finds the closest match of every pattern inside `series` in one
@@ -263,38 +178,42 @@ impl BatchedMatch {
         let started = counters.map(|_| std::time::Instant::now());
         let mut tally = Tally::default();
         for group in &self.groups {
-            if group.plans.len() == 1 {
-                // Singleton length group: the cascade's shared costs
-                // (segment-sum slides, K-wide tier passes) amortize over
-                // zero siblings, and measured end-to-end they cost more
-                // than they prune. The rolling kernel — the cascade's
-                // bit-identical oracle — is the faster engine here.
-                out[group.idx[0] as usize] =
-                    group.plans[0].best_match_counted(series, early_abandon, counters);
-                continue;
-            }
-            group.scan(
-                series,
-                early_abandon,
-                self.sax_cuts.as_deref(),
-                &mut tally,
-                &mut out,
-            );
+            group.scan(series, early_abandon, &mut tally, &mut out);
         }
         tally.publish(counters, started);
         out
     }
 
-    /// Recomputes every cascade bound alongside the exhaustive exact
-    /// distance for every (grouped pattern, window) pair — the bounds
-    /// come from the same code paths (including the rolling segment
-    /// sums) the pruning scan uses, so the admissibility property tests
-    /// exercise production arithmetic, not a reference reimplementation.
-    /// Fallback patterns have no bounds and are omitted.
+    /// Reports the bound the scan prunes with alongside the exhaustive
+    /// exact distance, for every (grouped pattern, window) pair with
+    /// σ > 0 (the scan decides σ = 0 windows exactly). The bounds come
+    /// from the production code path, so the admissibility property
+    /// tests exercise the scan's own arithmetic. Fallback patterns have
+    /// no bound and are omitted.
     pub fn audit(&self, series: &[f64]) -> Vec<LbAudit> {
         let mut rows = Vec::new();
         for group in &self.groups {
-            group.audit(series, self.sax_cuts.as_deref(), &mut rows);
+            if group.n > series.len() {
+                continue;
+            }
+            let stats = RollingStats::new(series, group.n).expect("bounds checked above");
+            let windows = Windows::new(&stats, group.zp_norm);
+            let mut lb = vec![0.0; stats.count()];
+            for (k, plan) in group.plans.iter().enumerate() {
+                group.bound(k, &windows, &mut lb);
+                for (p, &l) in lb.iter().enumerate() {
+                    if stats.std(p) < ZNORM_EPSILON {
+                        continue;
+                    }
+                    let w = &stats.centered()[p..p + group.n];
+                    rows.push(LbAudit {
+                        pattern: group.idx[k] as usize,
+                        position: p,
+                        lb: l,
+                        exact: plan.fused_exhaustive(w, stats.mean_centered(p), windows.inv[p]),
+                    });
+                }
+            }
         }
         rows
     }
@@ -306,9 +225,7 @@ struct Tally {
     searches: u64,
     windows: u64,
     abandoned: u64,
-    pruned_first_last: u64,
-    pruned_envelope: u64,
-    pruned_sax: u64,
+    pruned: u64,
     stats_builds: u64,
 }
 
@@ -318,19 +235,13 @@ impl Tally {
         m.match_searches.add(self.searches);
         m.match_windows.add(self.windows);
         m.match_abandoned.add(self.abandoned);
-        m.match_pruned_first_last.add(self.pruned_first_last);
-        m.match_pruned_envelope.add(self.pruned_envelope);
-        m.match_pruned_sax.add(self.pruned_sax);
+        m.match_pruned_envelope.add(self.pruned);
         m.match_stats_builds.add(self.stats_builds);
         if let (Some(c), Some(t0)) = (counters, started) {
             c.searches.fetch_add(self.searches, Ordering::Relaxed);
             c.windows.fetch_add(self.windows, Ordering::Relaxed);
             c.abandoned.fetch_add(self.abandoned, Ordering::Relaxed);
-            c.pruned_first_last
-                .fetch_add(self.pruned_first_last, Ordering::Relaxed);
-            c.pruned_envelope
-                .fetch_add(self.pruned_envelope, Ordering::Relaxed);
-            c.pruned_sax.fetch_add(self.pruned_sax, Ordering::Relaxed);
+            c.pruned_envelope.fetch_add(self.pruned, Ordering::Relaxed);
             c.stats_builds
                 .fetch_add(self.stats_builds, Ordering::Relaxed);
             c.match_ns
@@ -339,413 +250,220 @@ impl Tally {
     }
 }
 
+/// Per-window quantities every member of a length group shares: the
+/// exact loop's `inv` and the bound's rounding margin. At a window with
+/// `r = μ·inv` the scan prunes against
+/// `lb = (approx − fixed − dot·(1 + 2|r|)) · deflate`, where `approx` is
+/// the float evaluation of the expanded `d²`. DESIGN.md ("Batched match
+/// kernel") derives each term; each is at least twice its derivation.
+struct Windows<'a> {
+    stats: &'a RollingStats,
+    /// `1/σ`, the exact loop's inverse deviation; 0 for σ = 0 windows.
+    inv: Vec<f64>,
+    /// `fixed + dot·(1 + 2|r|)` at each window; +∞ where the bound does
+    /// not apply (σ = 0, or statistics that overflowed).
+    margin: Vec<f64>,
+    /// Positions of σ = 0 windows, whose distance is the member's
+    /// `sq_norm` (the `crate::norm` convention).
+    constant: Vec<usize>,
+    /// Covers the exact loop's relative rounding: its float `d²` is at
+    /// least `deflate` times the real one, less an absolute part that
+    /// `fixed` covers.
+    deflate: f64,
+}
+
+impl<'a> Windows<'a> {
+    /// The windows of `stats` for members whose `‖zp‖` is at most
+    /// `zp_norm`.
+    fn new(stats: &'a RollingStats, zp_norm: f64) -> Self {
+        let nf = stats.window() as f64;
+        let u = f64::EPSILON / 2.0;
+        let gamma = (nf + 2.0) * u / (1.0 - (nf + 2.0) * u);
+        // Window-independent: `RollingStats`' variance error (the
+        // expansion takes `inv²·Σ(xᵢ−μ)² = n`), the rounding of `inv` and
+        // of assembling `approx`, and the exact loop's absolute error at
+        // d ≈ 0.
+        let fixed = 2.0 * nf * (VAR_REL_ERR + 32.0 * u);
+        // The dot products' `γ·‖zp‖·‖x‖` error and `μ·Σzp`'s, per unit of
+        // `1 + 2|r|`, since `inv·‖x‖ ≤ √n·(1 + |r|)`.
+        let dot = 4.0 * gamma * zp_norm * nf.sqrt();
+        let count = stats.count();
+        let mut inv = Vec::with_capacity(count);
+        let mut margin = Vec::with_capacity(count);
+        let mut constant = Vec::new();
+        for (p, (&sd, &mu)) in stats.stds().iter().zip(stats.means_centered()).enumerate() {
+            if sd < ZNORM_EPSILON {
+                constant.push(p);
+                inv.push(0.0);
+                margin.push(f64::INFINITY);
+                continue;
+            }
+            let i = 1.0 / sd;
+            let r = (mu * i).abs();
+            inv.push(i);
+            margin.push(if sd.is_finite() && r.is_finite() {
+                fixed + dot * (1.0 + 2.0 * r)
+            } else {
+                f64::INFINITY
+            });
+        }
+        Self {
+            stats,
+            inv,
+            margin,
+            constant,
+            deflate: 1.0 - 2.0 * (nf + 4.0) * f64::EPSILON,
+        }
+    }
+}
+
 impl LengthGroup {
-    fn empty(n: usize, sax: bool) -> Self {
-        let seg = if n >= MIN_ENVELOPE_LEN {
-            segment_bounds(n, ENVELOPE_SEGMENTS)
-        } else {
-            Vec::new()
-        };
-        let seg_len: Vec<f64> = seg.iter().map(|&(s, e)| (e - s) as f64).collect();
-        let seg_inv_len: Vec<f64> = seg_len.iter().map(|&l| 1.0 / l).collect();
-        let _ = sax;
+    fn empty(n: usize) -> Self {
         Self {
             n,
             idx: Vec::new(),
             plans: Vec::new(),
-            first: Vec::new(),
-            last: Vec::new(),
-            seg,
-            seg_len,
-            seg_inv_len,
-            paa: Vec::new(),
-            sax: Vec::new(),
+            base: Vec::new(),
+            sum: Vec::new(),
+            zp_norm: 0.0,
         }
     }
 
-    fn push(&mut self, idx: u32, plan: &MatchPlan, cuts: Option<&[f64]>) {
-        let zp = plan.znormed();
-        self.idx.push(idx);
-        self.first.push(zp[0]);
-        self.last.push(zp[self.n - 1]);
-        for &(s, e) in &self.seg {
-            let mut sum = CompensatedSum::new();
-            for &v in &zp[s as usize..e as usize] {
-                sum.add(v);
-            }
-            let mean = sum.value() / (e - s) as f64;
-            self.paa.push(mean);
-            if let Some(cuts) = cuts {
-                self.sax.push(symbol(mean, cuts));
-            }
+    fn push(&mut self, idx: u32, plan: &MatchPlan) {
+        let mut sq = CompensatedSum::new();
+        let mut sum = CompensatedSum::new();
+        for &z in plan.znormed() {
+            sq.add(z * z);
+            sum.add(z);
         }
+        self.idx.push(idx);
+        self.base.push(sq.value() + self.n as f64);
+        self.sum.push(sum.value());
+        self.zp_norm = self.zp_norm.max(sq.value().sqrt() * (1.0 + 1e-6));
         self.plans.push(plan.clone());
     }
 
-    /// The cascade scan: one `RollingStats` build, then per position a
-    /// K-wide tier-1 pass over the contiguous first/last streams,
-    /// falling through per pattern to tiers 2–4.
+    /// Member `k`'s bound at every window of `w`, into `lb`: the
+    /// expanded `d²` less the margin, deflated, and `sq_norm` exactly at
+    /// σ = 0 windows.
+    fn bound(&self, k: usize, w: &Windows, lb: &mut [f64]) {
+        sliding_dot(self.plans[k].znormed(), w.stats.centered(), lb);
+        let (base, sum, deflate) = (self.base[k], self.sum[k], w.deflate);
+        for (((l, &inv), &mu), &margin) in lb
+            .iter_mut()
+            .zip(&w.inv)
+            .zip(w.stats.means_centered())
+            .zip(&w.margin)
+        {
+            *l = (base - 2.0 * inv * (*l - mu * sum) - margin) * deflate;
+        }
+        for &p in &w.constant {
+            lb[p] = self.plans[k].sq_norm;
+        }
+    }
+
+    /// The scan: one `RollingStats` build, then per member a dense bound
+    /// pass, one exact seed at its smallest bound, and the pruned sweep.
     fn scan(
         &self,
         series: &[f64],
         early_abandon: bool,
-        cuts: Option<&[f64]>,
         tally: &mut Tally,
         out: &mut [Option<BestMatch>],
     ) {
         let n = self.n;
-        let k_count = self.plans.len();
-        if k_count == 0 || n > series.len() {
+        if n > series.len() {
             return; // per-pattern kernels return None here; `out` stays None
         }
         let stats = RollingStats::new(series, n).expect("bounds checked above");
-        tally.stats_builds += 1;
-        tally.searches += k_count as u64;
-        tally.windows += (k_count * stats.count()) as u64;
-        let xc = stats.centered();
-        let nf = n as f64;
-        let b = self.seg.len();
-        let mut best_sq = vec![f64::INFINITY; k_count];
-        let mut best_pos = vec![0usize; k_count];
-        // Seed pass: probe a sparse stride of positions with the exact
-        // kernel before the sweep, so best-so-far is tight from the
-        // first position. Without it, a pattern whose occurrence sits
-        // late in the series leaves its best loose across the whole
-        // prefix — a regime where no admissible bound can prune. The
-        // probes change no outcome: probed windows are re-visited by
-        // the sweep (a bound never prunes its own best: lb ≤ d = best
-        // under strict `>`), and exact ties resolve to the earliest
-        // position via the `best_pos` tie-breaks below, exactly like
-        // the increasing-order rolling scan. Probes are not tallied —
-        // counters describe the logical K×count scan.
         let count = stats.count();
-        let stride = (n / 4).max(16);
-        let mut p = stride;
-        while p < count {
-            for k in 0..k_count {
-                self.probe(k, &stats, xc, p, early_abandon, &mut best_sq, &mut best_pos);
-            }
-            p += stride;
-        }
-        // Local refinement: walk each member's best probe neighborhood.
-        // When the pattern actually occurs in the series — the premise
-        // of a classifier matching mined patterns against in-class
-        // series — the nearest strided probe lands within `stride` of
-        // the occurrence, and this walk drives the best to ~0, after
-        // which tier 1 closes almost the entire sweep.
-        for k in 0..k_count {
-            if best_sq[k] == f64::INFINITY {
-                continue;
-            }
-            let lo = best_pos[k].saturating_sub(stride - 1);
-            let hi = (best_pos[k] + stride - 1).min(count - 1);
-            for p in lo..=hi {
-                self.probe(k, &stats, xc, p, early_abandon, &mut best_sq, &mut best_pos);
-            }
-        }
-        let mut seg_sums = SegSums::new(xc, &self.seg);
-        let mut paa_w = vec![0.0; b];
-        let mut lb1 = vec![0.0; k_count];
-        for p in 0..stats.count() {
-            let sd = stats.std(p);
-            if sd < ZNORM_EPSILON {
-                // Constant window: every pattern scores its own norm —
-                // the rolling kernel's σ=0 convention, no bounds needed.
-                for k in 0..k_count {
-                    let d = self.plans[k].sq_norm;
-                    if d < best_sq[k] || (d == best_sq[k] && p < best_pos[k]) {
-                        best_sq[k] = d;
-                        best_pos[k] = p;
-                    }
+        tally.stats_builds += 1;
+        tally.searches += self.plans.len() as u64;
+        tally.windows += (self.plans.len() * count) as u64;
+        let windows = Windows::new(&stats, self.zp_norm);
+        let mut lb = vec![0.0; count];
+        for (k, plan) in self.plans.iter().enumerate() {
+            self.bound(k, &windows, &mut lb);
+            let exact = |p: usize, cutoff: f64| {
+                if stats.std(p) < ZNORM_EPSILON {
+                    return Some(plan.sq_norm);
                 }
-                continue;
+                let (w, mu, inv) = (
+                    &stats.centered()[p..p + n],
+                    stats.mean_centered(p),
+                    windows.inv[p],
+                );
+                if early_abandon {
+                    plan.fused_early_abandon(w, mu, inv, cutoff)
+                } else {
+                    Some(plan.fused_exhaustive(w, mu, inv))
+                }
+            };
+            let seed = argmin(&lb);
+            let mut best_sq = f64::INFINITY;
+            let mut best_pos = 0;
+            if let Some(d) = exact(seed, f64::INFINITY) {
+                if d < best_sq {
+                    best_sq = d;
+                    best_pos = seed;
+                }
             }
-            let mu = stats.mean_centered(p);
-            let inv = 1.0 / sd;
-            let w = &xc[p..p + n];
-            let zw0 = (xc[p] - mu) * inv;
-            let zwl = (xc[p + n - 1] - mu) * inv;
-            // Tier 1, K-wide over the contiguous streams: branch-free
-            // slice zips (no bounds checks), 4 independent f64 lanes
-            // per iteration for the autovectorizer, with the survivor
-            // count fused into the same pass as a popcount-style
-            // boolean reduction.
-            let mut survivors = 0usize;
-            for (((lb, &f), &l), &bs) in lb1
-                .iter_mut()
-                .zip(&self.first)
-                .zip(&self.last)
-                .zip(&best_sq)
-            {
-                let d0 = f - zw0;
-                let dl = l - zwl;
-                let v = d0 * d0 + dl * dl;
-                *lb = v;
-                survivors += (v * TIER1_DEFLATE <= bs) as usize;
-            }
-            // Cheap whole-position exit: if tier 1 prunes every member,
-            // skip the per-pattern dispatch loop — and the segment-sum
-            // slide, which is lazy for the same reason the PAA is.
-            if survivors == 0 {
-                tally.pruned_first_last += k_count as u64;
-                continue;
-            }
-            // Window PAA means are shared by every pattern in the group
-            // but computed lazily: when tier 1 prunes the whole set at
-            // this position (the common case once a good match is found),
-            // the segment divisions are never paid.
-            let mut paa_ready = false;
-            for k in 0..k_count {
-                if lb1[k] * TIER1_DEFLATE > best_sq[k] {
-                    tally.pruned_first_last += 1;
+            for p in (0..seed).chain(seed + 1..count) {
+                if lb[p] > best_sq {
+                    tally.pruned += 1;
                     continue;
                 }
-                if b > 0 {
-                    if !paa_ready {
-                        seg_sums.at(p);
-                        for (j, &inv_len) in self.seg_inv_len.iter().enumerate() {
-                            paa_w[j] = (seg_sums.sums[j] * inv_len - mu) * inv;
-                        }
-                        paa_ready = true;
+                match exact(p, best_sq) {
+                    None => tally.abandoned += 1,
+                    // The position tie-break only fires against the seed:
+                    // the sweep itself visits positions in increasing
+                    // order.
+                    Some(d) if d < best_sq || (d == best_sq && p < best_pos) => {
+                        best_sq = d;
+                        best_pos = p;
                     }
-                    let lb2 = self.envelope_lb(k, &paa_w);
-                    if lb2 * TIER23_DEFLATE > best_sq[k] {
-                        tally.pruned_envelope += 1;
-                        continue;
-                    }
-                    if let Some(cuts) = cuts {
-                        let lb3 = self.sax_lb(k, &paa_w, cuts);
-                        if lb3 * TIER23_DEFLATE > best_sq[k] {
-                            tally.pruned_sax += 1;
-                            continue;
-                        }
-                    }
-                }
-                let plan = &self.plans[k];
-                let d_sq = if early_abandon {
-                    match plan.fused_early_abandon(w, mu, inv, best_sq[k]) {
-                        Some(d) => d,
-                        None => {
-                            tally.abandoned += 1;
-                            continue;
-                        }
-                    }
-                } else {
-                    plan.fused_exhaustive(w, mu, inv)
-                };
-                // The position tie-break only ever fires against a
-                // seed-pass probe: the sweep itself visits positions in
-                // increasing order, so an equal distance at a *lower*
-                // position means the probe got there first.
-                if d_sq < best_sq[k] || (d_sq == best_sq[k] && p < best_pos[k]) {
-                    best_sq[k] = d_sq;
-                    best_pos[k] = p;
+                    Some(_) => {}
                 }
             }
-        }
-        for k in 0..k_count {
             out[self.idx[k] as usize] = Some(BestMatch {
-                position: best_pos[k],
-                distance: (best_sq[k].max(0.0) / nf).sqrt(),
+                position: best_pos,
+                distance: (best_sq.max(0.0) / n as f64).sqrt(),
             });
         }
     }
+}
 
-    /// One exact probe of member `k` at position `p`, updating its
-    /// best-so-far under the sweep's strict-`<` rule (ties keep the
-    /// incumbent; the sweep's position tie-break restores first-argmin
-    /// order). Probes are an outcome-free accelerant — see the
-    /// seed-pass comment in [`scan`](Self::scan).
-    #[inline]
-    #[allow(clippy::too_many_arguments)] // flat hot-path plumbing, crate-private
-    fn probe(
-        &self,
-        k: usize,
-        stats: &RollingStats,
-        xc: &[f64],
-        p: usize,
-        early_abandon: bool,
-        best_sq: &mut [f64],
-        best_pos: &mut [usize],
-    ) {
-        let sd = stats.std(p);
-        let d = if sd < ZNORM_EPSILON {
-            Some(self.plans[k].sq_norm)
-        } else {
-            let mu = stats.mean_centered(p);
-            let inv = 1.0 / sd;
-            let w = &xc[p..p + self.n];
-            if early_abandon {
-                self.plans[k].fused_early_abandon(w, mu, inv, best_sq[k])
-            } else {
-                Some(self.plans[k].fused_exhaustive(w, mu, inv))
-            }
-        };
-        if let Some(d) = d {
-            if d < best_sq[k] {
-                best_sq[k] = d;
-                best_pos[k] = p;
+/// `out[p] = Σᵢ zp[i]·xc[p + i]` for every window start `p < out.len()`,
+/// accumulated in registers over blocks of [`LANES`] starts. Any
+/// summation order meets the `γ·Σ|zpᵢ·xᵢ|` error the margin budgets for.
+fn sliding_dot(zp: &[f64], xc: &[f64], out: &mut [f64]) {
+    let n = zp.len();
+    let start = out.len() - out.len() % LANES;
+    let mut blocks = out.chunks_exact_mut(LANES);
+    for (b, block) in (&mut blocks).enumerate() {
+        let span = &xc[b * LANES..b * LANES + n + LANES - 1];
+        let mut acc = [0.0; LANES];
+        for (x, &z) in span.windows(LANES).zip(zp) {
+            for (a, &v) in acc.iter_mut().zip(x) {
+                *a += z * v;
             }
         }
+        block.copy_from_slice(&acc);
     }
-
-    /// Tier-2 squared bound for member `k` against precomputed window
-    /// PAA means.
-    #[inline]
-    fn envelope_lb(&self, k: usize, paa_w: &[f64]) -> f64 {
-        let b = self.seg.len();
-        let row = &self.paa[k * b..(k + 1) * b];
-        let mut lb = 0.0;
-        for (j, (&pm, &wm)) in row.iter().zip(paa_w).enumerate() {
-            let d = pm - wm;
-            lb += self.seg_len[j] * d * d;
-        }
-        lb
-    }
-
-    /// Tier-3 squared bound for member `k`: per segment, the gap
-    /// between the pattern's symbol interval and the window's.
-    #[inline]
-    fn sax_lb(&self, k: usize, paa_w: &[f64], cuts: &[f64]) -> f64 {
-        let b = self.seg.len();
-        let row = &self.sax[k * b..(k + 1) * b];
-        let mut lb = 0.0;
-        for (j, (&sp, &wm)) in row.iter().zip(paa_w).enumerate() {
-            let sw = symbol(wm, cuts);
-            let cell = symbol_gap(sp, sw, cuts);
-            lb += self.seg_len[j] * cell * cell;
-        }
-        lb
-    }
-
-    fn audit(&self, series: &[f64], cuts: Option<&[f64]>, rows: &mut Vec<LbAudit>) {
-        let n = self.n;
-        if self.plans.is_empty() || n > series.len() {
-            return;
-        }
-        let stats = RollingStats::new(series, n).expect("bounds checked above");
-        let xc = stats.centered();
-        let b = self.seg.len();
-        let mut seg_sums = SegSums::new(xc, &self.seg);
-        let mut paa_w = vec![0.0; b];
-        for p in 0..stats.count() {
-            seg_sums.at(p);
-            let sd = stats.std(p);
-            if sd < ZNORM_EPSILON {
-                continue; // the scan computes no bounds for σ=0 windows
-            }
-            let mu = stats.mean_centered(p);
-            let inv = 1.0 / sd;
-            let w = &xc[p..p + n];
-            let zw0 = (xc[p] - mu) * inv;
-            let zwl = (xc[p + n - 1] - mu) * inv;
-            for (j, &inv_len) in self.seg_inv_len.iter().enumerate() {
-                paa_w[j] = (seg_sums.sums[j] * inv_len - mu) * inv;
-            }
-            for k in 0..self.plans.len() {
-                let d0 = self.first[k] - zw0;
-                let dl = self.last[k] - zwl;
-                rows.push(LbAudit {
-                    pattern: self.idx[k] as usize,
-                    position: p,
-                    lb_first_last: d0 * d0 + dl * dl,
-                    lb_envelope: (b > 0).then(|| self.envelope_lb(k, &paa_w)),
-                    lb_sax: cuts.filter(|_| b > 0).map(|c| self.sax_lb(k, &paa_w, c)),
-                    exact: self.plans[k].fused_exhaustive(w, mu, inv),
-                });
-            }
-        }
+    for (p, o) in (start..).zip(blocks.into_remainder()) {
+        *o = zp.iter().zip(&xc[p..p + n]).map(|(z, x)| z * x).sum();
     }
 }
 
-/// Rolling per-segment window sums over the centered series, rebuilt
-/// exactly every [`BLOCK`] positions and after any skipped positions.
-struct SegSums<'a> {
-    xc: &'a [f64],
-    seg: &'a [(u32, u32)],
-    sums: Vec<f64>,
-    /// Last materialized position; `usize::MAX` before the first call,
-    /// so position 0 takes the rebuild path.
-    pos: usize,
-    /// Largest gap worth closing by repeated slides instead of an
-    /// exact rebuild: a slide step costs ~2 flops per segment, a
-    /// compensated rebuild ~4 per point, so the break-even gap is
-    /// about a quarter of the window span.
-    max_catchup: usize,
-}
-
-impl<'a> SegSums<'a> {
-    fn new(xc: &'a [f64], seg: &'a [(u32, u32)]) -> Self {
-        let span: usize = seg.iter().map(|&(s, e)| (e - s) as usize).sum();
-        Self {
-            xc,
-            seg,
-            sums: vec![0.0; seg.len()],
-            pos: usize::MAX,
-            max_catchup: (span / 4).max(1),
+/// First position of the smallest value (NaNs never win).
+fn argmin(v: &[f64]) -> usize {
+    let mut best = (0, f64::INFINITY);
+    for (p, &x) in v.iter().enumerate() {
+        if x < best.1 {
+            best = (p, x);
         }
     }
-
-    /// Makes `sums` current for position `p`. Callers visit positions
-    /// in increasing order but may skip any of them (the scan only
-    /// materializes sums at positions tier 1 failed to close). Small
-    /// same-block gaps are closed by sliding the sums one step at a
-    /// time; anything else — block starts, long gaps, block-crossing
-    /// gaps — triggers an exact compensated rebuild. Slides therefore
-    /// never span more than [`BLOCK`] consecutive positions between
-    /// rebuilds, which keeps the incremental drift inside the
-    /// [`TIER23_DEFLATE`] pruning margin.
-    #[inline]
-    fn at(&mut self, p: usize) {
-        let catchup = self.pos != usize::MAX
-            && p > self.pos
-            && p - self.pos <= self.max_catchup
-            && p / BLOCK == self.pos / BLOCK;
-        if catchup {
-            for q in self.pos + 1..=p {
-                for (j, &(s, e)) in self.seg.iter().enumerate() {
-                    self.sums[j] += self.xc[q - 1 + e as usize] - self.xc[q - 1 + s as usize];
-                }
-            }
-        } else {
-            for (j, &(s, e)) in self.seg.iter().enumerate() {
-                let mut sum = CompensatedSum::new();
-                for &v in &self.xc[p + s as usize..p + e as usize] {
-                    sum.add(v);
-                }
-                self.sums[j] = sum.value();
-            }
-        }
-        self.pos = p;
-    }
-}
-
-/// Standard PAA segmentation: segment `j` of `b` spans
-/// `[j·n/b, (j+1)·n/b)` — non-empty, contiguous, covering.
-fn segment_bounds(n: usize, b: usize) -> Vec<(u32, u32)> {
-    let b = b.min(n);
-    (0..b)
-        .map(|j| ((j * n / b) as u32, ((j + 1) * n / b) as u32))
-        .collect()
-}
-
-/// SAX symbol of `value` under ascending breakpoint `cuts`: the number
-/// of cuts at or below it.
-#[inline]
-fn symbol(value: f64, cuts: &[f64]) -> u8 {
-    cuts.partition_point(|&c| c <= value) as u8
-}
-
-/// The MINDIST cell: the gap between two symbols' value intervals
-/// (0 for equal or adjacent symbols).
-#[inline]
-fn symbol_gap(a: u8, b: u8, cuts: &[f64]) -> f64 {
-    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-    if hi - lo < 2 {
-        0.0
-    } else {
-        cuts[hi as usize - 1] - cuts[lo as usize]
-    }
+    best.0
 }
 
 #[cfg(test)]
@@ -829,65 +547,25 @@ mod tests {
         let expected_windows = 3 * (500 - 40 + 1) + (500 - 80 + 1);
         assert_eq!(stats.windows, expected_windows as u64);
         assert_eq!(stats.stats_builds, 2, "one RollingStats per length group");
-        assert!(stats.pruned_total() > 0, "cascade must prune: {stats:?}");
-        assert!(
-            stats.pruned_total() + stats.abandoned < stats.windows,
-            "winners are never pruned"
-        );
-        assert!(stats.prune_rate() > 0.0 && stats.prune_rate() < 1.0);
+        // Every pattern occurs in the series, and each seed lands on its
+        // occurrence: the bound leaves the exact loop little else.
+        let decided_exactly = stats.windows - stats.pruned_envelope;
+        assert!(decided_exactly < 8 * stats.searches, "{stats:?}");
+        assert!(stats.prune_rate() > 0.9 && stats.prune_rate() < 1.0);
         assert!(stats.match_ns > 0);
     }
 
     #[test]
-    fn sax_tier_is_admissible_and_preserves_results() {
-        let series = pseudo_random_series(400, 0xCAB);
-        let plans = plans_from(&series, &[(30, 48), (150, 48)]);
-        // Cuts shaped like rpm_sax::breakpoints(4).
-        let cuts = vec![-0.6744897501960817, 0.0, 0.6744897501960817];
-        let plain = BatchedMatch::new(&plans);
-        let saxed = BatchedMatch::with_sax_cuts(&plans, Some(cuts));
-        assert!(saxed.sax_enabled() && !plain.sax_enabled());
-        assert_eq!(
-            plain.match_all(&series, true, None),
-            saxed.match_all(&series, true, None)
-        );
-        for row in saxed.audit(&series) {
-            let slack = 1e-9 * row.exact.max(1.0);
-            assert!(row.lb_first_last <= row.exact + slack, "{row:?}");
-            if let Some(lb) = row.lb_envelope {
-                assert!(lb <= row.exact + 1e-7 * row.exact.max(1.0), "{row:?}");
-            }
-            if let Some(lb) = row.lb_sax {
-                assert!(lb <= row.exact + 1e-7 * row.exact.max(1.0), "{row:?}");
-                assert!(
-                    lb <= row.lb_envelope.unwrap() + 1e-7,
-                    "SAX is dominated by the envelope: {row:?}"
-                );
+    fn sliding_dot_matches_direct_sums() {
+        let xc = pseudo_random_series(100, 3);
+        for n in [1usize, 7, 8, 9, 33, 100] {
+            let zp = pseudo_random_series(n, n as u64);
+            let mut out = vec![0.0; xc.len() - n + 1];
+            sliding_dot(&zp, &xc, &mut out);
+            for (p, &got) in out.iter().enumerate() {
+                let want: f64 = zp.iter().zip(&xc[p..p + n]).map(|(z, x)| z * x).sum();
+                assert!((got - want).abs() <= 1e-12, "n={n} p={p}: {got} vs {want}");
             }
         }
-    }
-
-    #[test]
-    fn segment_bounds_cover_without_gaps() {
-        for n in [16usize, 17, 31, 64, 100] {
-            let seg = segment_bounds(n, ENVELOPE_SEGMENTS);
-            assert_eq!(seg[0].0, 0);
-            assert_eq!(seg.last().unwrap().1 as usize, n);
-            for w in seg.windows(2) {
-                assert_eq!(w[0].1, w[1].0);
-                assert!(w[0].0 < w[0].1);
-            }
-        }
-    }
-
-    #[test]
-    fn symbol_gap_matches_mindist_cells() {
-        let cuts = [-0.5, 0.0, 0.5];
-        assert_eq!(symbol(-1.0, &cuts), 0);
-        assert_eq!(symbol(-0.5, &cuts), 1);
-        assert_eq!(symbol(0.75, &cuts), 3);
-        assert_eq!(symbol_gap(1, 2, &cuts), 0.0);
-        assert_eq!(symbol_gap(0, 2, &cuts), 0.5);
-        assert_eq!(symbol_gap(3, 0, &cuts), 1.0);
     }
 }

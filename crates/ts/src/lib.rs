@@ -10,7 +10,7 @@
 //! * Euclidean distances with early abandoning ([`dist`]),
 //! * sliding-window subsequence extraction ([`windows`]),
 //! * closest-match subsequence search ([`matching`]), and the batched
-//!   pattern-set × series cascade kernel ([`batched`]),
+//!   pattern-set × series kernel with its lower bound ([`batched`]),
 //! * rotation/shift corruption used by the paper's §6.1 case study
 //!   ([`rotate()`]),
 //! * small statistics helpers ([`stats`]).
@@ -28,7 +28,7 @@ pub mod rotate;
 pub mod stats;
 pub mod windows;
 
-pub use batched::{BatchedMatch, LbAudit, ENVELOPE_SEGMENTS, MIN_ENVELOPE_LEN};
+pub use batched::{BatchedMatch, LbAudit};
 pub use classifier::{Classifier, Parallelism};
 pub use dataset::{ClassView, Dataset, Label};
 pub use dist::{euclidean, euclidean_early_abandon, sq_euclidean, sq_euclidean_early_abandon};

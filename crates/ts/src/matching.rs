@@ -70,13 +70,11 @@ pub struct ScanCounters {
     /// Windows abandoned early (distance accumulation crossed the
     /// best-so-far cutoff before finishing).
     pub abandoned: AtomicU64,
-    /// Windows killed by the O(1) first/last z-value bound (tier 1 of
-    /// the batched cascade) before any exact accumulation.
-    pub pruned_first_last: AtomicU64,
-    /// Windows killed by the PAA envelope bound (tier 2).
+    /// Windows the batched kernel's sliding-dot-product lower bound
+    /// pruned before any exact accumulation. (The name is the one the
+    /// `match.pruned_envelope` metric has carried since the bound was a
+    /// PAA envelope; dashboards and the benchmark key on it.)
     pub pruned_envelope: AtomicU64,
-    /// Windows killed by the optional SAX MINDIST bound (tier 3).
-    pub pruned_sax: AtomicU64,
     /// `RollingStats` constructions: once per scan for the rolling
     /// kernel, once per (series, pattern length) for the batched kernel
     /// — the shared-statistics win is visible as `stats_builds` ≪
@@ -98,9 +96,7 @@ impl ScanCounters {
             searches: self.searches.load(Ordering::Relaxed),
             windows: self.windows.load(Ordering::Relaxed),
             abandoned: self.abandoned.load(Ordering::Relaxed),
-            pruned_first_last: self.pruned_first_last.load(Ordering::Relaxed),
             pruned_envelope: self.pruned_envelope.load(Ordering::Relaxed),
-            pruned_sax: self.pruned_sax.load(Ordering::Relaxed),
             stats_builds: self.stats_builds.load(Ordering::Relaxed),
             match_ns: self.match_ns.load(Ordering::Relaxed),
         }
@@ -116,12 +112,8 @@ pub struct ScanStats {
     pub windows: u64,
     /// Windows abandoned before full accumulation.
     pub abandoned: u64,
-    /// Windows killed by the first/last z-value bound (cascade tier 1).
-    pub pruned_first_last: u64,
-    /// Windows killed by the PAA envelope bound (cascade tier 2).
+    /// Windows pruned by the batched kernel's lower bound.
     pub pruned_envelope: u64,
-    /// Windows killed by the SAX MINDIST bound (cascade tier 3).
-    pub pruned_sax: u64,
     /// `RollingStats` constructions performed.
     pub stats_builds: u64,
     /// Wall nanoseconds inside the match kernel.
@@ -139,20 +131,14 @@ impl ScanStats {
         }
     }
 
-    /// Total windows killed by a lower-bound tier before the exact
-    /// distance loop ran.
-    pub fn pruned_total(&self) -> u64 {
-        self.pruned_first_last + self.pruned_envelope + self.pruned_sax
-    }
-
-    /// Fraction of considered windows killed by a lower-bound tier
-    /// (0.0 when nothing was scanned; always 0.0 for the per-pattern
-    /// kernels, which have no cascade).
+    /// Fraction of considered windows the lower bound pruned (0.0 when
+    /// nothing was scanned; always 0.0 for the per-pattern kernels, which
+    /// have no bound).
     pub fn prune_rate(&self) -> f64 {
         if self.windows == 0 {
             0.0
         } else {
-            self.pruned_total() as f64 / self.windows as f64
+            self.pruned_envelope as f64 / self.windows as f64
         }
     }
 }
@@ -176,10 +162,10 @@ pub enum MatchKernel {
     /// The pre-optimization per-window re-normalizing scan — the
     /// differential-test oracle and ablation baseline.
     Naive,
-    /// The pattern-set × series cascade kernel (the default): shared
-    /// `RollingStats` per series, per-window lower-bound pruning
-    /// (first/last z-values, PAA envelope, optional SAX MINDIST)
-    /// before the exact rolling accumulation. Bit-identical to
+    /// The pattern-set × series kernel (the default): shared
+    /// `RollingStats` per series, per-window pruning by a
+    /// sliding-dot-product lower bound before the exact rolling
+    /// accumulation. Bit-identical to
     /// [`Rolling`](Self::Rolling) — a single-pattern scan through a
     /// `Batched` plan dispatches to the rolling scan, and the batched
     /// entry point ([`crate::batched::BatchedMatch`]) only ever prunes
@@ -223,7 +209,7 @@ pub struct MatchPlan {
 impl MatchPlan {
     /// Prepares `pattern` for repeated closest-match searches with the
     /// rolling kernel. (A lone plan gains nothing from `Batched`; the
-    /// cascade needs a pattern *set* — see [`crate::batched`].)
+    /// batched kernel needs a pattern *set* — see [`crate::batched`].)
     pub fn new(pattern: &[f64]) -> Self {
         Self::with_kernel(pattern, MatchKernel::Rolling)
     }
@@ -313,7 +299,7 @@ impl MatchPlan {
         let started = counters.map(|_| std::time::Instant::now());
         // A `Batched` plan scanned alone has no pattern set to share
         // statistics or bounds with: it takes the rolling path, which
-        // the batched cascade is bit-identical to by construction.
+        // the batched kernel is bit-identical to by construction.
         let (best, abandoned) = if self.kernel == MatchKernel::Naive || self.degenerate {
             naive_scan(&self.zp, series, early_abandon)
         } else {
@@ -386,8 +372,10 @@ impl MatchPlan {
     /// subtraction per lane but cancels catastrophically near d ≈ 0
     /// (absolute error ~n·ε on d², i.e. ~√ε on d) — the per-element
     /// form keeps full precision at exact matches, which the 1e-9
-    /// differential tolerance requires. Shared with the batched
-    /// cascade's exact tier, so both kernels produce the same floats.
+    /// differential tolerance requires. (The batched kernel uses that
+    /// expansion only as a lower bound, with an explicit rounding margin.)
+    /// Shared with the batched kernel's exact tier, so both kernels
+    /// produce the same floats.
     #[inline]
     pub(crate) fn fused_exhaustive(&self, w: &[f64], mu: f64, inv: f64) -> f64 {
         let mut acc = 0.0;
@@ -401,7 +389,7 @@ impl MatchPlan {
     /// One window's fused distance, accumulating `(zpᵢ − (xᵢ−μ)/σ)²` in
     /// decreasing-|zp| order and abandoning against `cutoff` every 8
     /// terms (strict `>`, matching [`sq_euclidean_early_abandon`]).
-    /// Shared with the batched cascade's exact tier — identical floats,
+    /// Shared with the batched kernel's exact tier — identical floats,
     /// identical abandon decisions for an identical cutoff.
     ///
     /// [`sq_euclidean_early_abandon`]: crate::dist::sq_euclidean_early_abandon

@@ -31,6 +31,14 @@ pub const ZNORM_EPSILON: f64 = 1e-10;
 /// Compensated mean and population standard deviation of `x` — the
 /// shared two-pass recompute behind both z-normalization and the naive
 /// matching oracle.
+///
+/// An exactly constant `x` reports σ = 0, as
+/// [`RollingStats`](crate::stats::RollingStats) does. The two-pass form
+/// alone does not guarantee it: `n·c` may round, leaving the mean an ulp
+/// off `c`, and at |c| ≳ 5·10⁵ one ulp already exceeds
+/// [`ZNORM_EPSILON`]. Constancy is re-checked only when σ is within a
+/// few ulps of the mean of the threshold, so the common path pays
+/// nothing.
 #[inline]
 fn mean_sd(x: &[f64]) -> (f64, f64) {
     let mean = compensated_mean(x);
@@ -39,7 +47,11 @@ fn mean_sd(x: &[f64]) -> (f64, f64) {
         let d = v - mean;
         acc.add(d * d);
     }
-    (mean, (acc.value() / x.len() as f64).sqrt())
+    let sd = (acc.value() / x.len() as f64).sqrt();
+    if sd < ZNORM_EPSILON + 4.0 * f64::EPSILON * mean.abs() && x.iter().all(|&v| v == x[0]) {
+        return (x[0], 0.0);
+    }
+    (mean, sd)
 }
 
 /// Returns the z-normalized copy of `x`.
@@ -124,6 +136,19 @@ mod tests {
         // past ZNORM_EPSILON.
         assert_eq!(znorm(&[1e8; 16]), vec![0.0; 16]);
         assert_eq!(znorm(&[-3.7e9; 5]), vec![0.0; 5]);
+    }
+
+    #[test]
+    fn constant_plateau_whose_mean_rounds_maps_to_zero() {
+        // 23 copies of this value sum to a number that rounds, so the
+        // two-pass mean lands one ulp (1.16e-10) off the value, and the
+        // two-pass σ is that ulp, which is above ZNORM_EPSILON. The window
+        // is exactly constant and must still map to zeros.
+        let plateau = [954897.5017767096; 23];
+        assert_eq!(znorm(&plateau), vec![0.0; 23]);
+        let mut in_place = plateau.to_vec();
+        znorm_in_place(&mut in_place);
+        assert_eq!(in_place, vec![0.0; 23]);
     }
 
     #[test]

@@ -70,6 +70,12 @@ pub fn compensated_mean(x: &[f64]) -> f64 {
 /// (σ/rms > ~0.3%) never trigger the O(window) fallback.
 const VAR_RELIABLE_FACTOR: f64 = 1e-5;
 
+/// Bound on the relative error of a [`RollingStats`] variance against the
+/// variance about the window mean it reports: `4·ε / VAR_RELIABLE_FACTOR`
+/// on the rolling path (≈ 9·10⁻¹¹), a few ε on the two-pass fallback.
+/// The batched kernel's lower bound budgets for it in its rounding margin.
+pub(crate) const VAR_REL_ERR: f64 = 4.0 * f64::EPSILON / VAR_RELIABLE_FACTOR;
+
 /// Per-window mean and population standard deviation of every sliding
 /// window of a series, computed in O(series) total via rolling
 /// compensated sums of `x` and `x²` — the preprocessing step of the
@@ -192,6 +198,16 @@ impl RollingStats {
     #[inline]
     pub fn mean_centered(&self, p: usize) -> f64 {
         self.mean_c[p]
+    }
+
+    /// Every window's [`mean_centered`](Self::mean_centered), by position.
+    pub(crate) fn means_centered(&self) -> &[f64] {
+        &self.mean_c
+    }
+
+    /// Every window's [`std`](Self::std), by position.
+    pub(crate) fn stds(&self) -> &[f64] {
+        &self.std
     }
 
     /// Mean of window `p` in the series' original units.

@@ -182,7 +182,7 @@ fn report_quarantine(path: &str, q: &Quarantine) {
 
 /// `--kernel batched|rolling|naive` (default batched). The rolling and
 /// naive kernels exist for ablation runs and cross-checking the batched
-/// pattern-set cascade; all three produce bit-identical distances.
+/// pattern-set kernel; all three produce bit-identical distances.
 fn parse_kernel(args: &[String]) -> Result<MatchKernel, String> {
     match flag_value(args, "--kernel")?.as_deref() {
         None | Some("batched") => Ok(MatchKernel::Batched),

@@ -224,17 +224,68 @@ proptest! {
     }
 }
 
-// --- Batched pattern-set cascade -------------------------------------
-//
-// The batched kernel scans all K patterns of a set through the
-// lower-bound cascade in one pass per series. Its contract is stronger
-// than the rolling/naive tolerance above: because every cascade tier is
-// admissible (proved in `lb_admissibility.rs`) and the exact tier shares
-// the rolling kernel's summation code verbatim, the batched result must
-// be **bit-identical** to the per-pattern rolling scan — position and
-// distance bits — for every pattern in the set.
+/// Regression: a window exactly constant at ~9.5e5, where 23 copies of
+/// the value sum to a float that rounds and the two-pass mean lands an
+/// ulp off. Every kernel must score it by the σ = 0 convention
+/// (distance ‖zp‖/√n = 1), so naive and rolling agree; a rolling σ of 0
+/// against a naive σ of one ulp once made their argmins diverge.
+#[test]
+fn constant_plateau_on_large_baseline_agrees() {
+    let pattern = [
+        0.7541337845291338,
+        0.411039116284174,
+        0.38150498613623807,
+        0.6624592493830239,
+        0.8959478924423485,
+        0.03128982795604163,
+        0.2263857947085559,
+        -0.23324891219798016,
+        0.7224235933915719,
+        1.182945193014402,
+        0.3665806710906292,
+        0.07014994418336884,
+        -0.17438340505101957,
+        -0.5712083588057024,
+        0.022928741448277057,
+        0.1364107495121747,
+        0.03019505364820141,
+        -0.0512502478272534,
+        0.032685408530146454,
+        0.6456748786376225,
+        0.6623533656005947,
+        0.46877426516072873,
+        0.7184351119308949,
+    ];
+    let level = 954897.5017767096;
+    let plateau = vec![level; 29];
+    // Ramps on both sides make the windows that overlap the plateau
+    // variable; the plateau's own windows are exactly constant.
+    let mut series: Vec<f64> = (0..6).map(|i| level - 4.0 + 0.8 * i as f64).collect();
+    series.extend_from_slice(&plateau);
+    series.extend((0..6).map(|i| level + 0.1 * (i * i) as f64));
+    for s in [&plateau, &series] {
+        for early_abandon in [true, false] {
+            assert_kernels_agree(&pattern, s, early_abandon);
+            assert_batched_agrees(&[pattern.to_vec()], s, early_abandon);
+        }
+    }
+    let on_plateau = best_match_naive(&pattern, &plateau, true).unwrap();
+    assert_eq!(on_plateau.position, 0);
+    assert!((on_plateau.distance - 1.0).abs() < 1e-12, "{on_plateau:?}");
+}
 
-/// Assert the batched cascade agrees with both per-pattern oracles for
+// --- Batched pattern-set kernel --------------------------------------
+//
+// The batched kernel scans all K patterns of a set in one pass per
+// series, pruning windows with a sliding-dot-product lower bound. Its
+// contract is stronger than the rolling/naive tolerance above: because
+// the bound is admissible in floating point (proved in
+// `lb_admissibility.rs`) and the exact tier shares the rolling kernel's
+// summation code verbatim, the batched result must be **bit-identical**
+// to the per-pattern rolling scan — position and distance bits — for
+// every pattern in the set.
+
+/// Assert the batched kernel agrees with both per-pattern oracles for
 /// every pattern in `patterns`: bit-identical to rolling, and exact
 /// position + `REL_TOL` distance vs naive.
 fn assert_batched_agrees(patterns: &[Vec<f64>], series: &[f64], early_abandon: bool) {

@@ -1,36 +1,24 @@
-//! Admissibility property tests for the batched cascade's lower bounds.
+//! Admissibility property tests for the batched kernel's lower bound.
 //!
-//! The batched kernel prunes a (pattern, window) pair whenever a cheap
-//! lower bound on the squared z-normalized distance exceeds the pattern's
-//! best-so-far. Pruning is sound only if every tier is **admissible**:
-//! `lb(pattern, window) ≤ exact(pattern, window)` on every input the
-//! cascade can see. These tests drive [`rpm::ts::BatchedMatch::audit`] —
-//! which recomputes each tier's bound exactly as the production scan does
-//! alongside the exhaustive exact distance — over random and adversarial
-//! inputs, and assert the inequality for every tier at every window.
+//! The batched kernel prunes a (pattern, window) pair whenever its
+//! sliding-dot-product lower bound on the squared z-normalized distance
+//! exceeds the pattern's best-so-far. Pruning is sound only if the bound
+//! is **admissible in floating point**: the value the scan compares never
+//! exceeds the float distance the exact loop computes for that window.
+//! These tests drive [`rpm::ts::BatchedMatch::audit`] — which reports the
+//! production bound alongside the exhaustive exact distance — over random
+//! and adversarial inputs, and assert `lb ≤ exact` at every window with
+//! no slack: the reported bound already carries its rounding margin and
+//! deflation (`Windows` in `crates/ts/src/batched.rs`).
 //!
 //! All quantities are *squared un-normalized* distances, matching the
-//! cascade's internal accumulator. Tolerance mirrors the production
-//! deflation guards (`TIER1_DEFLATE`/`TIER23_DEFLATE` in
-//! `crates/ts/src/batched.rs`): a bound may exceed the exact value only
-//! by floating-point rounding, never materially.
+//! kernel's internal accumulator.
 //!
 //! Case count is read from `PROPTEST_CASES` (default 256 — the PR-gate
 //! budget); the nightly CI sweep runs with `PROPTEST_CASES=2048`.
 
 use proptest::prelude::*;
-use rpm::sax::breakpoints;
-use rpm::ts::{BatchedMatch, MatchKernel, MatchPlan};
-
-/// Relative slack granted for bound-vs-exact comparison: the production
-/// cascade deflates tier-2/3 bounds by `1e-7` before pruning, so a bound
-/// is admissible-in-practice iff it stays within this band of the exact
-/// value. Tier 1's terms are bitwise addends of the exact sum, but the
-/// audit recomputes them from the same rolling stats the scan uses, so
-/// the same band applies.
-const REL_SLACK: f64 = 1e-7;
-/// Absolute floor for near-zero exact distances.
-const ABS_SLACK: f64 = 1e-9;
+use rpm::ts::{BatchedMatch, MatchKernel, MatchPlan, ScanCounters};
 
 fn cases() -> u32 {
     std::env::var("PROPTEST_CASES")
@@ -39,58 +27,35 @@ fn cases() -> u32 {
         .unwrap_or(256)
 }
 
-fn admissible(lb: f64, exact: f64) -> bool {
-    lb <= exact * (1.0 + REL_SLACK) + ABS_SLACK
-}
-
-/// Build a SAX-enabled batched set and audit it over `series`, asserting
-/// every tier's bound is admissible at every (pattern, window) pair and
-/// that tier 3 never exceeds tier 2 (MINDIST over shared segmentation is
-/// dominated by the envelope bound).
-fn assert_all_tiers_admissible(patterns: &[Vec<f64>], series: &[f64]) {
+fn batched_set(patterns: &[Vec<f64>]) -> BatchedMatch {
     let plans: Vec<MatchPlan> = patterns
         .iter()
         .map(|p| MatchPlan::with_kernel(p, MatchKernel::Batched))
         .collect();
-    let set = BatchedMatch::with_sax_cuts(&plans, Some(breakpoints(8)));
-    for row in set.audit(series) {
+    BatchedMatch::new(&plans)
+}
+
+/// Audit `patterns` over `series`, asserting the bound is admissible at
+/// every (pattern, window) pair.
+fn assert_admissible(patterns: &[Vec<f64>], series: &[f64]) {
+    for row in batched_set(patterns).audit(series) {
         assert!(
-            admissible(row.lb_first_last, row.exact),
-            "tier 1 inadmissible: pattern {} pos {}: lb {:.17e} > exact {:.17e}",
+            row.lb <= row.exact,
+            "inadmissible: pattern {} pos {}: lb {:.17e} > exact {:.17e}",
             row.pattern,
             row.position,
-            row.lb_first_last,
+            row.lb,
             row.exact
         );
-        if let Some(lb2) = row.lb_envelope {
-            assert!(
-                admissible(lb2, row.exact),
-                "tier 2 inadmissible: pattern {} pos {}: lb {:.17e} > exact {:.17e}",
-                row.pattern,
-                row.position,
-                lb2,
-                row.exact
-            );
-            if let Some(lb3) = row.lb_sax {
-                assert!(
-                    admissible(lb3, row.exact),
-                    "tier 3 inadmissible: pattern {} pos {}: lb {:.17e} > exact {:.17e}",
-                    row.pattern,
-                    row.position,
-                    lb3,
-                    row.exact
-                );
-                assert!(
-                    lb3 <= lb2 * (1.0 + REL_SLACK) + ABS_SLACK,
-                    "tier 3 not dominated by tier 2: pattern {} pos {}: sax {:.17e} > envelope {:.17e}",
-                    row.pattern,
-                    row.position,
-                    lb3,
-                    lb2
-                );
-            }
-        }
     }
+}
+
+/// Copies `pattern` verbatim into `series` at `at` (clamped to fit).
+/// Returns the position used.
+fn plant(series: &mut [f64], pattern: &[f64], at: usize) -> usize {
+    let at = at.min(series.len() - pattern.len());
+    series[at..at + pattern.len()].copy_from_slice(pattern);
+    at
 }
 
 /// Random-walk series generator (realistic autocorrelation).
@@ -115,15 +80,14 @@ fn coin() -> impl Strategy<Value = bool> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// Random walks, pattern lengths straddling the envelope-tier
-    /// threshold (`MIN_ENVELOPE_LEN = 16`) so both the tier-1-only and
-    /// full-cascade paths are audited.
+    /// Random walks, pattern lengths on both sides of 16 points, so short
+    /// patterns (few dot-product terms) and longer ones are both audited.
     #[test]
     fn bounds_admissible_on_random_walks(
         patterns in proptest::collection::vec(random_walk(4..48), 1..5),
         series in random_walk(48..224),
     ) {
-        assert_all_tiers_admissible(&patterns, &series);
+        assert_admissible(&patterns, &series);
     }
 
     /// Constant plateaus spliced mid-series create σ = 0 windows right
@@ -131,7 +95,7 @@ proptest! {
     /// cancellation is most dangerous for a bound.
     #[test]
     fn bounds_admissible_with_plateaus(
-        patterns in proptest::collection::vec(random_walk(16..40), 1..4),
+        patterns in proptest::collection::vec(random_walk(4..40), 1..4),
         series in random_walk(64..160),
         start in 0usize..64,
         run in 8usize..48,
@@ -143,39 +107,69 @@ proptest! {
         for v in &mut series[begin..end] {
             *v = level;
         }
-        assert_all_tiers_admissible(&patterns, &series);
+        assert_admissible(&patterns, &series);
     }
 
     /// ±1e5..1e6 vertical offsets: window means dwarf window variance, so
-    /// any bound computed from rolling statistics inherits maximal
-    /// cancellation error. Admissibility must survive.
+    /// the bound inherits maximal cancellation error from the rolling
+    /// statistics. Admissibility must survive.
     #[test]
     fn bounds_admissible_with_large_offsets(
-        patterns in proptest::collection::vec(random_walk(16..40), 1..4),
+        patterns in proptest::collection::vec(random_walk(4..40), 1..4),
         series in random_walk(48..128),
         magnitude in 1.0e5f64..1.0e6,
         negative in coin(),
     ) {
         let offset = if negative { -magnitude } else { magnitude };
         let shifted: Vec<f64> = series.iter().map(|x| x + offset).collect();
-        assert_all_tiers_admissible(&patterns, &shifted);
+        assert_admissible(&patterns, &shifted);
     }
 
     /// Near-constant series: jitter well above the σ = 0 threshold but
     /// small against the level, the other cancellation-heavy regime.
     #[test]
     fn bounds_admissible_on_near_constant_series(
-        patterns in proptest::collection::vec(random_walk(16..32), 1..4),
+        patterns in proptest::collection::vec(random_walk(4..32), 1..4),
         jitter in proptest::collection::vec(-1.0f64..1.0, 48..128),
         amplitude in 1.0e-3f64..10.0,
         level in -1.0e4f64..1.0e4,
     ) {
         let series: Vec<f64> = jitter.iter().map(|j| level + amplitude * j).collect();
-        assert_all_tiers_admissible(&patterns, &series);
+        assert_admissible(&patterns, &series);
     }
 
-    /// The bound at the *matching* window of an embedded pattern must be
-    /// ~0 (it cannot price a perfect match out of the scan), and stay
+    /// Exact planted occurrences: at the planted window d ≈ 0, where the
+    /// dot-product expansion cancels hardest (two ≈ 2n terms subtract to
+    /// ≈ 0). The bound must stay below the exact distance there, with or
+    /// without a large offset under both the pattern and the series.
+    #[test]
+    fn bounds_admissible_at_exact_planted_occurrences(
+        pattern in random_walk(4..48),
+        series in random_walk(64..192),
+        at in 0usize..192,
+        again in 0usize..192,
+        offset in -1.0e6f64..1.0e6,
+        shifted in coin(),
+    ) {
+        let offset = if shifted { offset } else { 0.0 };
+        let pattern: Vec<f64> = pattern.iter().map(|v| v + offset).collect();
+        let mut series: Vec<f64> = series.iter().map(|v| v + offset).collect();
+        plant(&mut series, &pattern, again);
+        let planted = plant(&mut series, &pattern, at);
+        assert_admissible(std::slice::from_ref(&pattern), &series);
+        // The planted window's bound cannot price it out: it is at most
+        // the exact distance, which is ≈ 0.
+        let row = batched_set(std::slice::from_ref(&pattern))
+            .audit(&series)
+            .into_iter()
+            .find(|r| r.position == planted);
+        if let Some(row) = row {
+            prop_assert!(row.lb <= 1e-6 * pattern.len() as f64, "{row:?}");
+        }
+    }
+
+    /// The bound at the *matching* window of an embedded affine copy must
+    /// be ~0 (it cannot price a perfect match out of the scan), and stay
     /// admissible everywhere else.
     #[test]
     fn embedded_pattern_window_is_not_priced_out(
@@ -190,23 +184,43 @@ proptest! {
         // Affine copies z-normalize to the pattern exactly: exact ≈ 0.
         series.extend(pattern.iter().map(|v| v * scale + shift));
         series.extend_from_slice(&suffix);
-        assert_all_tiers_admissible(std::slice::from_ref(&pattern), &series);
+        assert_admissible(std::slice::from_ref(&pattern), &series);
 
-        let plans = vec![MatchPlan::with_kernel(&pattern, MatchKernel::Batched)];
-        let set = BatchedMatch::with_sax_cuts(&plans, Some(breakpoints(8)));
-        let at_match: Vec<_> = set
+        // The embedded window may coincide with a σ = 0 window (audit
+        // skips those), but when present its bound must be ≈ 0.
+        let n = pattern.len() as f64;
+        for row in batched_set(std::slice::from_ref(&pattern))
             .audit(&series)
             .into_iter()
             .filter(|r| r.position == at)
-            .collect();
-        // The embedded window may coincide with a σ = 0 window (audit
-        // skips those), but when present its bounds must be ≈ 0.
-        for row in at_match {
-            let n = pattern.len() as f64;
-            prop_assert!(row.lb_first_last <= 1e-6 * n, "tier 1 at match: {:.3e}", row.lb_first_last);
-            if let Some(lb2) = row.lb_envelope {
-                prop_assert!(lb2 <= 1e-6 * n, "tier 2 at match: {lb2:.3e}");
-            }
+        {
+            prop_assert!(row.lb <= 1e-6 * n, "bound at match: {:.3e}", row.lb);
         }
+    }
+
+    /// A pattern planted in a series is decided with a few exact
+    /// evaluations per scan: the seed lands on the occurrence, and the
+    /// bound prunes nearly every other window. Patterns come from a
+    /// different walk than the background, so the background holds no
+    /// second near-occurrence.
+    #[test]
+    fn planted_patterns_need_few_exact_evaluations(
+        patterns in proptest::collection::vec(random_walk(24..48), 1..4),
+        series in random_walk(400..600),
+        early_abandon in coin(),
+    ) {
+        let mut series = series;
+        let stride = series.len() / patterns.len();
+        for (k, p) in patterns.iter().enumerate() {
+            plant(&mut series, p, k * stride);
+        }
+        let counters = ScanCounters::new();
+        let got = batched_set(&patterns).match_all(&series, early_abandon, Some(&counters));
+        prop_assert!(got.iter().all(|m| m.is_some_and(|m| m.distance < 1e-6)));
+        let stats = counters.snapshot();
+        // Windows the exact loop had to touch: abandoned + completed.
+        let touched = stats.windows - stats.pruned_envelope;
+        prop_assert!(touched <= 4 * stats.searches, "{stats:?}");
+        prop_assert!(50 * touched < stats.windows, "{stats:?}");
     }
 }

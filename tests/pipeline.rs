@@ -159,9 +159,9 @@ fn naive_and_rolling_kernels_train_equivalent_models() {
 
 #[test]
 fn batched_and_rolling_kernels_train_bit_identical_models() {
-    // Stronger than the naive comparison above: the batched cascade's
+    // Stronger than the naive comparison above: the batched kernel's
     // exact tier shares the rolling kernel's summation code verbatim and
-    // every pruning tier is admissible, so a batched-kernel training run
+    // its pruning bound is admissible, so a batched-kernel training run
     // must select **bit-identical** patterns (values compared with
     // `assert_eq!`, not a tolerance) and produce identical predictions.
     use rpm::core::MatchKernel;

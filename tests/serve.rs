@@ -5,8 +5,9 @@
 //! `429`, refuse unverifiable (v1) models at startup, and survive an
 //! armed request-path fault without dying.
 //!
-//! The fault plan is process-global, so the fault test serializes on
-//! [`gate`] like `tests/resilience.rs` does.
+//! The fault plan is process-global: the fault test arms it under an
+//! exclusive hold of [`GATE`], and every other test holds the gate
+//! shared, so none of their requests meets an armed fault.
 
 use rpm::core::{RpmClassifier, RpmConfig};
 use rpm::data::generate;
@@ -16,12 +17,19 @@ use rpm::serve::{load_verified, LoadConfig, ServeConfig, ServeError, Server};
 use rpm::ts::Dataset;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
-fn gate() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
+static GATE: RwLock<()> = RwLock::new(());
+
+/// Held by every test that serves without arming a fault.
+fn shared() -> RwLockReadGuard<'static, ()> {
+    GATE.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Held by the test that arms the process-global fault plan.
+fn exclusive() -> RwLockWriteGuard<'static, ()> {
+    GATE.write().unwrap_or_else(|e| e.into_inner())
 }
 
 fn cbf() -> (Dataset, Dataset) {
@@ -123,6 +131,7 @@ fn label_of(response: &str) -> usize {
 
 #[test]
 fn concurrent_clients_match_offline_predictions_bit_for_bit() {
+    let _g = shared();
     let (model, test) = trained();
     let mut server = Server::start(Arc::clone(&model), &test_config()).expect("start");
     let addr = server.local_addr();
@@ -154,6 +163,7 @@ fn concurrent_clients_match_offline_predictions_bit_for_bit() {
 
 #[test]
 fn multi_series_requests_answer_in_order_with_ids() {
+    let _g = shared();
     let (model, test) = trained();
     let mut server = Server::start(Arc::clone(&model), &test_config()).expect("start");
     let addr = server.local_addr();
@@ -183,6 +193,7 @@ fn multi_series_requests_answer_in_order_with_ids() {
 
 #[test]
 fn expired_deadlines_answer_the_documented_504_code() {
+    let _g = shared();
     let (model, test) = trained();
     let config = ServeConfig {
         deadline: Duration::from_millis(0),
@@ -201,6 +212,7 @@ fn expired_deadlines_answer_the_documented_504_code() {
 
 #[test]
 fn overload_sheds_with_429_and_retry_after() {
+    let _g = shared();
     let (model, test) = trained();
     let config = ServeConfig {
         // One worker holding batches open, a one-series queue: the
@@ -243,6 +255,7 @@ fn overload_sheds_with_429_and_retry_after() {
 
 #[test]
 fn v1_models_are_refused_without_allow_unverified() {
+    let _g = shared();
     let (model, _) = trained();
     let mut v1 = Vec::new();
     model.save_v1(&mut v1).expect("save v1");
@@ -262,7 +275,7 @@ fn v1_models_are_refused_without_allow_unverified() {
 
 #[test]
 fn armed_request_fault_degrades_to_an_error_response_not_a_crash() {
-    let _g = gate();
+    let _g = exclusive();
     let (model, test) = trained();
     let mut server = Server::start(Arc::clone(&model), &test_config()).expect("start");
     let addr = server.local_addr();
@@ -318,6 +331,7 @@ fn trace_dur(trace_line: &str) -> u64 {
 
 #[test]
 fn deadline_miss_leaves_a_retained_trace_with_queue_wait() {
+    let _g = shared();
     let (model, test) = trained();
     let config = ServeConfig {
         // deadline < batch_window < deadline + 50ms handler grace: the
@@ -370,6 +384,7 @@ fn deadline_miss_leaves_a_retained_trace_with_queue_wait() {
 
 #[test]
 fn bad_requests_still_carry_trace_identity() {
+    let _g = shared();
     let (model, _) = trained();
     let mut server = Server::start(Arc::clone(&model), &test_config()).expect("start");
     let addr = server.local_addr();
@@ -397,6 +412,7 @@ fn bad_requests_still_carry_trace_identity() {
 
 #[test]
 fn concurrent_traces_share_a_batch_and_exemplars_resolve() {
+    let _g = shared();
     let (model, test) = trained();
     let config = ServeConfig {
         // One worker and a wide window force the concurrent requests
@@ -499,6 +515,7 @@ fn concurrent_traces_share_a_batch_and_exemplars_resolve() {
 
 #[test]
 fn loadgen_reports_against_a_live_server() {
+    let _g = shared();
     let (model, test) = trained();
     let mut server = Server::start(Arc::clone(&model), &test_config()).expect("start");
     let report = rpm::serve::run_load(&LoadConfig {
