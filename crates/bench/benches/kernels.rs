@@ -111,7 +111,7 @@ fn bench_match_kernel(c: &mut Criterion) {
     // tight best-so-far levels the real pipeline sees once a pattern
     // finds its occurrence.
     for (k, n) in [(16usize, 2048usize), (32, 4096)] {
-        use rpm_core::{prepare_patterns, transform_set_plans_engine, Engine, MatchKernel};
+        use rpm_core::{transform_batch, Engine, MatchKernel, PatternSet};
         let master = synthetic_series(n, 97);
         let patterns: Vec<Vec<f64>> = (0..k)
             .map(|i| {
@@ -130,18 +130,19 @@ fn bench_match_kernel(c: &mut Criterion) {
                 s
             })
             .collect();
-        let rolling_plans = prepare_patterns(&patterns, MatchKernel::Rolling);
-        let batched_plans = prepare_patterns(&patterns, MatchKernel::Batched);
+        // Naive-pinned plans bypass the bound and scan one by one: the
+        // pre-optimization baseline of the composite.
+        let naive_set = PatternSet::new(&patterns, MatchKernel::Naive);
+        let batched_set = PatternSet::new(&patterns, MatchKernel::Batched);
         let engine = Engine::serial();
-        g.bench_function(format!("transform_rolling_k{k}"), |b| {
+        g.bench_function(format!("transform_naive_k{k}"), |b| {
             b.iter(|| {
-                transform_set_plans_engine(black_box(&batch), &rolling_plans, false, true, &engine)
-                    .unwrap()
+                transform_batch(black_box(&batch), &naive_set, false, true, &engine, None).unwrap()
             })
         });
         g.bench_function(format!("transform_batched_k{k}"), |b| {
             b.iter(|| {
-                transform_set_plans_engine(black_box(&batch), &batched_plans, false, true, &engine)
+                transform_batch(black_box(&batch), &batched_set, false, true, &engine, None)
                     .unwrap()
             })
         });
@@ -298,7 +299,7 @@ fn bench_predict_latency(c: &mut Criterion) {
 /// it to the flight recorder) must be microseconds, dwarfed by any real
 /// predict.
 fn bench_trace_overhead(c: &mut Criterion) {
-    use rpm_core::{Parallelism, RpmClassifier, RpmConfig};
+    use rpm_core::{PredictOptions, RpmClassifier, RpmConfig};
     use rpm_ts::ScanCounters;
     let train = rpm_data::cbf::generate(8, 128, 21);
     let batch = rpm_data::cbf::generate(4, 128, 22).series;
@@ -306,17 +307,17 @@ fn bench_trace_overhead(c: &mut Criterion) {
         .expect("train for trace bench");
     let mut g = c.benchmark_group("trace_overhead");
     g.bench_function("predict_untraced", |b| {
-        b.iter(|| {
-            model
-                .predict_batch_traced(black_box(&batch), Parallelism::Serial, None)
-                .expect("predict")
-        })
+        b.iter(|| model.predict_batch(black_box(&batch)))
     });
     let counters = ScanCounters::new();
+    let counted = PredictOptions {
+        counters: Some(&counters),
+        ..PredictOptions::default()
+    };
     g.bench_function("predict_counted", |b| {
         b.iter(|| {
             model
-                .predict_batch_traced(black_box(&batch), Parallelism::Serial, Some(&counters))
+                .predict_batch_with(black_box(&batch), counted)
                 .expect("predict")
         })
     });
@@ -364,7 +365,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
 /// per metric, what `/debug/drift` pays per request) is also measured
 /// so the read side stays honest.
 fn bench_drift_overhead(c: &mut Criterion) {
-    use rpm_core::{Parallelism, RpmClassifier, RpmConfig};
+    use rpm_core::{PredictOptions, RpmClassifier, RpmConfig};
     use rpm_obs::{DriftConfig, DriftMonitor};
     use rpm_ts::ScanCounters;
     let train = rpm_data::cbf::generate(8, 128, 21);
@@ -376,34 +377,33 @@ fn bench_drift_overhead(c: &mut Criterion) {
         .expect("training builds a reference profile");
     let monitor = DriftMonitor::new(profile, DriftConfig::default());
     let counters = ScanCounters::new();
+    let traced = PredictOptions {
+        counters: Some(&counters),
+        ..PredictOptions::default()
+    };
+    let observed = PredictOptions {
+        drift: Some(&monitor),
+        ..traced
+    };
 
     let mut g = c.benchmark_group("drift_overhead");
     g.bench_function("predict_traced", |b| {
         b.iter(|| {
             model
-                .predict_batch_traced(black_box(&batch), Parallelism::Serial, Some(&counters))
+                .predict_batch_with(black_box(&batch), traced)
                 .expect("predict")
         })
     });
     g.bench_function("predict_observed", |b| {
         b.iter(|| {
-            let observed = model
-                .predict_batch_observed(black_box(&batch), Parallelism::Serial, Some(&counters))
-                .expect("predict");
-            for (label, sample) in &observed {
-                monitor.observe(sample);
-                black_box(label);
-            }
+            model
+                .predict_batch_with(black_box(&batch), observed)
+                .expect("predict")
         })
     });
-    // Warm the window so report() scores real sketches, then measure the
-    // on-demand scoring cost (read side: /debug/drift, /metrics gauges).
-    let samples: Vec<_> = model
-        .predict_batch_observed(&batch, Parallelism::Serial, None)
-        .expect("predict");
-    for (_, sample) in &samples {
-        monitor.observe(sample);
-    }
+    // The window is warm from the observed runs, so report() scores real
+    // sketches: the on-demand scoring cost (read side: /debug/drift,
+    // /metrics gauges).
     g.bench_function("drift_report", |b| b.iter(|| monitor.report()));
     g.finish();
 }

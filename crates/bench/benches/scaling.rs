@@ -4,7 +4,7 @@
 //! the clustering term).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use rpm_core::{Parallelism, ParamSearch, RpmClassifier, RpmConfig};
+use rpm_core::{Parallelism, ParamSearch, PredictOptions, RpmClassifier, RpmConfig};
 use rpm_sax::SaxConfig;
 
 fn bench_train_vs_set_size(c: &mut Criterion) {
@@ -108,9 +108,13 @@ fn bench_transform_thread_scaling(c: &mut Criterion) {
             BenchmarkId::from_parameter(n_threads),
             &test.series,
             |b, series| {
+                let options = PredictOptions {
+                    parallelism: Parallelism::Threads(n_threads),
+                    ..PredictOptions::default()
+                };
                 b.iter(|| {
                     model
-                        .predict_batch_with(black_box(series), Parallelism::Threads(n_threads))
+                        .predict_batch_with(black_box(series), options)
                         .unwrap()
                 })
             },

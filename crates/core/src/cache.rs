@@ -17,8 +17,9 @@
 //!   probe heavily overlapping point sets; each distinct combination is
 //!   scored once per `train` call.
 //! * **Transform columns** — the distance of every series in a set to one
-//!   pattern, keyed by `(set, pattern fingerprint, rotation, abandoning,
-//!   kernel)`. The CFS selection transform and the final SVM transform
+//!   pattern, keyed by `(set, pattern fingerprint)`. Both transforms that
+//!   fill it (CFS selection and the final SVM fit) scan the plain view
+//!   with the run's one config, so the key needs nothing else; they
 //!   share their columns for every pattern that survives selection.
 //!
 //! All maps sit behind `std::sync::Mutex` (guarded locks; values are
@@ -30,7 +31,7 @@
 
 use crate::engine::Engine;
 use rpm_sax::{paa_frames, words_from_frames, PaaFrame, SaxConfig, SaxWordAt};
-use rpm_ts::{Label, MatchKernel};
+use rpm_ts::Label;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -97,7 +98,7 @@ enum Family {
 type FramesKey = (SetId, Label, usize, usize);
 type WordsKey = (SetId, Label, SaxConfig, bool);
 pub(crate) type EvalValue = Option<(BTreeMap<Label, f64>, f64)>;
-type ColumnKey = (SetId, u64, bool, bool, MatchKernel);
+type ColumnKey = (SetId, u64);
 
 /// The per-training-run memoization cache. Construct one per
 /// `RpmClassifier::train` call (`RpmConfig::cache` gates it); a disabled
@@ -264,64 +265,17 @@ impl SaxCache {
     }
 
     /// Memoized transform column: the distance of every series in `set`
-    /// to `pattern`. Keyed by a fingerprint of the pattern's exact bits,
-    /// so any pattern reappearing between the CFS transform and the final
-    /// SVM transform reuses its column.
-    pub fn column(
-        &self,
-        set: SetId,
-        pattern: &[f64],
-        rotation_invariant: bool,
-        early_abandon: bool,
-        kernel: MatchKernel,
-        compute: impl FnOnce() -> Vec<f64>,
-    ) -> Arc<Vec<f64>> {
-        if !self.enabled {
-            return Arc::new(compute());
-        }
-        let key = (
-            set,
-            fingerprint(pattern),
-            rotation_invariant,
-            early_abandon,
-            kernel,
-        );
-        if let Some(v) = self.columns.lock().ok().and_then(|m| m.get(&key).cloned()) {
-            self.record(Family::Columns, true);
-            return v;
-        }
-        self.record(Family::Columns, false);
-        let v = Arc::new(compute());
-        if let Ok(mut m) = self.columns.lock() {
-            return m.entry(key).or_insert(v).clone();
-        }
-        v
-    }
-
-    /// Split-phase [`column`](Self::column) lookup for the batched
-    /// transform, which computes all missing columns in one pattern-set
-    /// scan instead of one closure per column. Records a hit/miss per
-    /// call, exactly like `column`; always a recorded miss on a
-    /// disabled cache.
-    pub(crate) fn try_column(
-        &self,
-        set: SetId,
-        pattern: &[f64],
-        rotation_invariant: bool,
-        early_abandon: bool,
-        kernel: MatchKernel,
-    ) -> Option<Arc<Vec<f64>>> {
+    /// to `pattern`, or `None` when it must be computed. Keyed by a
+    /// fingerprint of the pattern's exact bits, so any pattern
+    /// reappearing between the CFS transform and the final SVM transform
+    /// reuses its column. Records a hit or miss per call; always a
+    /// recorded miss on a disabled cache.
+    pub(crate) fn try_column(&self, set: SetId, pattern: &[f64]) -> Option<Arc<Vec<f64>>> {
         if !self.enabled {
             self.record(Family::Columns, false);
             return None;
         }
-        let key = (
-            set,
-            fingerprint(pattern),
-            rotation_invariant,
-            early_abandon,
-            kernel,
-        );
+        let key = (set, fingerprint(pattern));
         let found = self.columns.lock().ok().and_then(|m| m.get(&key).cloned());
         self.record(Family::Columns, found.is_some());
         found
@@ -329,28 +283,21 @@ impl SaxCache {
 
     /// Stores a column computed after a [`try_column`](Self::try_column)
     /// miss (no hit/miss accounting — the miss was already recorded).
-    /// First write wins, mirroring `column`'s `or_insert`.
+    /// First write wins.
     pub(crate) fn store_column(
         &self,
         set: SetId,
         pattern: &[f64],
-        rotation_invariant: bool,
-        early_abandon: bool,
-        kernel: MatchKernel,
         value: Arc<Vec<f64>>,
     ) -> Arc<Vec<f64>> {
         if !self.enabled {
             return value;
         }
-        let key = (
-            set,
-            fingerprint(pattern),
-            rotation_invariant,
-            early_abandon,
-            kernel,
-        );
         if let Ok(mut m) = self.columns.lock() {
-            return m.entry(key).or_insert(value).clone();
+            return m
+                .entry((set, fingerprint(pattern)))
+                .or_insert(value)
+                .clone();
         }
         value
     }
@@ -562,26 +509,25 @@ mod tests {
         let cache = SaxCache::new(true);
         let p1 = vec![1.0, 2.0, 3.0];
         let p2 = vec![1.0, 2.0, 3.0 + 1e-12];
-        let k = MatchKernel::Rolling;
-        let c1 = cache.column(SetId::FullTrain, &p1, false, true, k, || vec![0.1]);
-        let c2 = cache.column(SetId::FullTrain, &p2, false, true, k, || vec![0.2]);
-        let c1_again = cache.column(SetId::FullTrain, &p1, false, true, k, || vec![9.9]);
-        assert_eq!(*c1, vec![0.1]);
-        assert_eq!(
-            *c2,
-            vec![0.2],
+        assert!(cache.try_column(SetId::FullTrain, &p1).is_none());
+        cache.store_column(SetId::FullTrain, &p1, Arc::new(vec![0.1]));
+        assert!(
+            cache.try_column(SetId::FullTrain, &p2).is_none(),
             "bit-different patterns get their own column"
         );
-        assert_eq!(*c1_again, vec![0.1], "exact repeat is served from memory");
-        let naive = cache.column(
-            SetId::FullTrain,
-            &p1,
-            false,
-            true,
-            MatchKernel::Naive,
-            || vec![0.3],
+        cache.store_column(SetId::FullTrain, &p2, Arc::new(vec![0.2]));
+        let first_wins = cache.store_column(SetId::FullTrain, &p1, Arc::new(vec![9.9]));
+        assert_eq!(*first_wins, vec![0.1]);
+        assert_eq!(
+            cache.try_column(SetId::FullTrain, &p1).as_deref(),
+            Some(&vec![0.1]),
+            "exact repeat is served from memory"
         );
-        assert_eq!(*naive, vec![0.3], "kernels get separate columns");
+        assert!(
+            cache.try_column(SetId::Split(7), &p1).is_none(),
+            "sets get separate columns"
+        );
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 3 });
     }
 
     #[test]

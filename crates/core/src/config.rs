@@ -153,15 +153,13 @@ pub struct RpmConfig {
     /// Early-abandon the closest-match search (§5.3). Off only for the
     /// ablation benchmark; results are identical either way.
     pub early_abandon: bool,
-    /// Closest-match kernel implementation: the batched pattern-set ×
-    /// series kernel (default; bit-identical to `Rolling`, with shared
-    /// per-series statistics and admissible lower-bound pruning), the
-    /// fused rolling-statistics kernel, or the pre-optimization
-    /// per-window re-normalizing scan. `Rolling` and `Naive` are
-    /// tolerance-equal (≤1e-9 relative distance, exact match positions
-    /// — see `tests/kernel_diff.rs`); `Batched` and `Rolling` are
-    /// bit-identical; `Naive` exists for the differential regression
-    /// tests and the ablation benchmark.
+    /// Closest-match kernel: the batched pattern-set × series kernel
+    /// (default; bit-identical to the per-pattern rolling scan, with
+    /// shared per-series statistics and admissible lower-bound pruning)
+    /// or the pre-optimization per-window re-normalizing scan, which is
+    /// tolerance-equal (≤1e-9 relative distance, exact match positions —
+    /// see `tests/kernel_diff.rs`) and exists for the differential tests
+    /// and the ablation benchmark.
     /// Not persisted: loaded models always serve with the default kernel.
     pub kernel: MatchKernel,
     /// Cap on occurrences per grammar rule fed to the O(u³) clustering;
@@ -338,13 +336,6 @@ impl RpmConfigBuilder {
     /// Toggle early abandoning in closest-match scans (§5.3).
     pub fn early_abandon(mut self, on: bool) -> Self {
         self.config.early_abandon = on;
-        self
-    }
-
-    /// Closest-match kernel implementation (batched-kernel default,
-    /// naive re-normalizing scan for differential tests and ablations).
-    pub fn kernel(mut self, kernel: MatchKernel) -> Self {
-        self.config.kernel = kernel;
         self
     }
 

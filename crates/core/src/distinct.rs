@@ -121,7 +121,6 @@ pub(crate) fn select_representative_ctx(
     let rows = transform_set_ctx(
         train,
         &pattern_values,
-        false,
         config.early_abandon,
         config.kernel,
         ctx,

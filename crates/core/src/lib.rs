@@ -57,14 +57,12 @@ pub use explore::{
     discover_motifs, discover_motifs_batch, find_discords, find_discords_batch, rule_coverage,
     Discord, Motif,
 };
-pub use model::{ModelSchema, Pattern, RpmClassifier, SchemaMismatch, TrainError};
+pub use model::{ModelSchema, Pattern, PredictOptions, RpmClassifier, SchemaMismatch, TrainError};
 pub use params::{default_bounds, search_parameters, SearchOutcome};
 pub use persist::{model_fingerprint, PersistError, VerifyReport};
 pub use rpm_obs::{ObsConfig, ObsLevel};
 pub use rpm_ts::{MatchKernel, MatchPlan, Parallelism};
 pub use transform::{
-    batched_match, pattern_distance, pattern_distance_plans, prepare_patterns, transform_series,
-    transform_series_batched_counted, transform_series_plans, transform_series_plans_counted,
-    transform_set, transform_set_engine, transform_set_parallel, transform_set_plans_engine,
-    transform_set_plans_engine_counted,
+    pattern_distance, pattern_distance_plans, transform_batch, transform_series, transform_set,
+    PatternSet,
 };

@@ -6,15 +6,11 @@ use crate::config::{ParamSearch, RpmConfig};
 use crate::distinct::select_representative_ctx;
 use crate::engine::{Engine, EngineError};
 use crate::params::search_parameters_ctx;
-use crate::transform::{
-    batched_match, prepare_patterns, transform_series_batched_counted,
-    transform_series_plans_counted, transform_set_ctx, transform_set_plans_engine,
-    transform_set_plans_engine_counted,
-};
+use crate::transform::{transform_set_ctx, PatternSet};
 use crate::usage::{render_usage, PatternStats, PatternUsage};
 use rpm_ml::{LinearSvm, SvmParams};
 use rpm_sax::SaxConfig;
-use rpm_ts::{BatchedMatch, Dataset, Label, MatchPlan, Parallelism, ScanCounters};
+use rpm_ts::{Dataset, Label, Parallelism, ScanCounters};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -72,18 +68,12 @@ impl From<EngineError> for TrainError {
 #[derive(Clone, Debug)]
 pub struct RpmClassifier {
     pub(crate) patterns: Vec<Pattern>,
-    /// One prepared closest-match plan per pattern (same order as
-    /// `patterns`): the per-pattern z-normalization and early-abandon
-    /// sort are paid once at construction and reused by every
-    /// `transform`/`predict` call. Rebuilt (with the default kernel)
-    /// when a model is loaded from disk — the kernel is an execution
-    /// strategy, not part of the persisted model.
-    pub(crate) plans: Vec<MatchPlan>,
-    /// Prebuilt pattern-set scanner backing `plans` when they use the
-    /// batched kernel (`None` otherwise): the per-pattern sums its lower
-    /// bound needs are computed once here and shared by every
-    /// `transform`/`predict` call on this model.
-    pub(crate) batched: Option<BatchedMatch>,
+    /// The patterns prepared for matching (same order as `patterns`):
+    /// plans and the pattern-set scanner are built once at construction
+    /// and shared by every `transform`/`predict` call. Rebuilt with the
+    /// default kernel when a model is loaded from disk — the kernel is
+    /// an execution strategy, not part of the persisted model.
+    pub(crate) set: PatternSet,
     pub(crate) svm: LinearSvm,
     pub(crate) per_class_sax: BTreeMap<Label, SaxConfig>,
     pub(crate) rotation_invariant: bool,
@@ -160,6 +150,20 @@ fn drift_sample(
         stddev,
         z_extreme,
     }
+}
+
+/// How [`RpmClassifier::predict_batch_with`] runs a batch, and what it
+/// reports besides the labels. The default is serial with nothing
+/// attached — [`RpmClassifier::predict_batch`].
+#[derive(Clone, Copy, Default)]
+pub struct PredictOptions<'a> {
+    /// On the caller's thread, or fanned out over engine workers.
+    pub parallelism: Parallelism,
+    /// Per-request kernel counters (the request-tracing path): searches,
+    /// windows, prunes, abandons and match time of this batch alone.
+    pub counters: Option<&'a ScanCounters>,
+    /// Drift monitor receiving one sample per series.
+    pub drift: Option<&'a rpm_obs::DriftMonitor>,
 }
 
 impl RpmClassifier {
@@ -326,7 +330,6 @@ impl RpmClassifier {
         let rows = transform_set_ctx(
             &train.series,
             &pattern_values,
-            false,
             config.early_abandon,
             config.kernel,
             ctx,
@@ -347,13 +350,10 @@ impl RpmClassifier {
         }
         drop(profile_span);
 
-        let plans = prepare_patterns(&pattern_values, config.kernel);
-        let batched = batched_match(&plans);
         let usage = PatternUsage::new(pattern_values.len());
         Ok(Self {
             patterns: selected,
-            plans,
-            batched,
+            set: PatternSet::new(&pattern_values, config.kernel),
             svm,
             per_class_sax: per_class_sax.clone(),
             rotation_invariant: config.rotation_invariant,
@@ -366,192 +366,99 @@ impl RpmClassifier {
     }
 
     /// Transforms a series into this model's feature space, reusing the
-    /// per-pattern match plans built at training (or load) time.
+    /// pattern set built at training (or load) time.
     pub fn transform(&self, series: &[f64]) -> Vec<f64> {
         self.feature_row(series, None)
     }
 
-    /// One series' feature row: through the prebuilt pattern-set scanner
-    /// when the batched kernel is active, per-pattern plans otherwise.
-    /// Every single-series transform/predict path funnels here so the
-    /// batched set is built once per model, not once per call.
+    /// One series' feature row; while `rpm-obs` is enabled it also feeds
+    /// the `transform.series_ns` histogram.
     fn feature_row(&self, series: &[f64], counters: Option<&ScanCounters>) -> Vec<f64> {
-        match &self.batched {
-            Some(b) => transform_series_batched_counted(
-                series,
-                &self.plans,
-                b,
-                self.rotation_invariant,
-                self.early_abandon,
-                counters,
-            ),
-            None => transform_series_plans_counted(
-                series,
-                &self.plans,
-                self.rotation_invariant,
-                self.early_abandon,
-                counters,
-            ),
+        let start = rpm_obs::enabled().then(rpm_obs::now_ns);
+        let row = self.set.row(
+            series,
+            self.rotation_invariant,
+            self.early_abandon,
+            counters,
+        );
+        if let Some(start) = start {
+            rpm_obs::metrics()
+                .transform_series
+                .observe(rpm_obs::now_ns().saturating_sub(start));
         }
+        row
     }
 
-    /// Predicts the class label of one series.
-    ///
-    /// With observability off this is exactly the PR 2 path (transform +
-    /// SVM, zero probes); with it on, the same computation additionally
-    /// feeds the `predict.latency_ns`/`predict.match_distance` histograms
-    /// and the per-pattern utilization accumulators. Instrumentation only
-    /// observes — predictions are bit-identical either way.
-    pub fn predict(&self, series: &[f64]) -> Label {
+    /// One series through the model: its feature row and label. While
+    /// `rpm-obs` is enabled this also counts the series, feeds the
+    /// `predict.latency_ns`/`predict.match_distance` histograms and the
+    /// per-pattern utilization accumulators. Instrumentation only
+    /// observes — labels are bit-identical either way.
+    fn classify(&self, series: &[f64], counters: Option<&ScanCounters>) -> (Vec<f64>, Label) {
         if !rpm_obs::enabled() {
-            return self.svm.predict(&self.transform(series));
+            let row = self.feature_row(series, counters);
+            let label = self.svm.predict(&row);
+            return (row, label);
         }
         let start = rpm_obs::now_ns();
-        let features = self.transform(series);
-        self.usage.note(&features);
-        let label = self.svm.predict(&features);
+        let row = self.feature_row(series, counters);
+        self.usage.note(&row);
+        let label = self.svm.predict(&row);
         let m = rpm_obs::metrics();
         m.predict_series.inc();
         m.predict_latency
             .observe(rpm_obs::now_ns().saturating_sub(start));
-        label
+        (row, label)
     }
 
-    /// Predicts a batch. The batch is *borrowed*: any slice whose items
+    /// Predicts the class label of one series.
+    pub fn predict(&self, series: &[f64]) -> Label {
+        self.classify(series, None).1
+    }
+
+    /// Predicts a batch serially:
+    /// [`predict_batch_with`](Self::predict_batch_with) with the default
+    /// [`PredictOptions`]. The batch is *borrowed*: any slice whose items
     /// view as `&[f64]` works (`&[Vec<f64>]` from a dataset, `&[&[f64]]`
     /// gathered across request buffers) — no sample data is copied to
     /// cross this call.
-    pub fn predict_batch<S: AsRef<[f64]>>(&self, series: &[S]) -> Vec<Label> {
-        let _span = rpm_obs::span!("predict");
-        rpm_obs::metrics().predict_batches.inc();
-        // `predict.series` is counted per series inside `predict`.
-        series.iter().map(|s| self.predict(s.as_ref())).collect()
+    pub fn predict_batch<S: AsRef<[f64]> + Sync>(&self, series: &[S]) -> Vec<Label> {
+        self.predict_batch_with(series, PredictOptions::default())
+            .expect("serial prediction runs no engine workers")
     }
 
-    /// The configurable batch entry point: predicts every series in the
-    /// borrowed batch under the given [`Parallelism`].
+    /// The batch entry point: predicts every series in the borrowed batch
+    /// as `options` asks.
     ///
-    /// [`Parallelism::Serial`] is exactly [`RpmClassifier::predict_batch`]
-    /// (and cannot fail); [`Parallelism::Threads`] runs the
-    /// pattern-distance transform — the classification bottleneck — on
-    /// that many engine workers, producing bit-identical labels, with a
-    /// worker panic surfacing as an [`EngineError`] instead of aborting
-    /// the process.
+    /// [`Parallelism::Serial`] classifies on the caller's thread and
+    /// cannot fail; [`Parallelism::Threads`] classifies on that many
+    /// engine workers with bit-identical labels, a worker panic
+    /// surfacing as an [`EngineError`] instead of aborting the process.
+    /// Attached [`ScanCounters`] receive this batch's kernel work, and an
+    /// attached [`rpm_obs::DriftMonitor`] one sample per series, derived
+    /// from the same feature row the SVM reads.
     pub fn predict_batch_with<S: AsRef<[f64]> + Sync>(
         &self,
         series: &[S],
-        parallelism: Parallelism,
+        options: PredictOptions<'_>,
     ) -> Result<Vec<Label>, EngineError> {
-        if matches!(parallelism, Parallelism::Serial) {
-            return Ok(self.predict_batch(series));
-        }
         let _span = rpm_obs::span!("predict");
-        let m = rpm_obs::metrics();
-        m.predict_batches.inc();
-        m.predict_series.add(series.len() as u64);
-        let rows = transform_set_plans_engine(
-            series,
-            &self.plans,
-            self.rotation_invariant,
-            self.early_abandon,
-            &Engine::new(parallelism.workers()),
-        )?;
-        if rpm_obs::enabled() {
-            // The parallel path bypasses `predict`; feed utilization from
-            // the transformed rows instead (same values, same argmins).
-            for row in &rows {
-                self.usage.note(row);
-            }
-        }
-        Ok(rows.iter().map(|r| self.svm.predict(r)).collect())
-    }
-
-    /// [`predict_batch_with`](Self::predict_batch_with) with an optional
-    /// per-request [`ScanCounters`] accumulator — the request-tracing
-    /// entry point. With `counters = None` this is exactly
-    /// `predict_batch_with` (same code path, same metrics). With an
-    /// accumulator attached, the kernel's search volume (searches,
-    /// windows, early-abandon count, match wall time) for *this batch
-    /// alone* lands in it; counting is integer-only side work, so labels
-    /// stay bit-identical either way.
-    pub fn predict_batch_traced<S: AsRef<[f64]> + Sync>(
-        &self,
-        series: &[S],
-        parallelism: Parallelism,
-        counters: Option<&ScanCounters>,
-    ) -> Result<Vec<Label>, EngineError> {
-        let Some(counters) = counters else {
-            return self.predict_batch_with(series, parallelism);
-        };
-        let _span = rpm_obs::span!("predict");
-        let m = rpm_obs::metrics();
-        m.predict_batches.inc();
-        m.predict_series.add(series.len() as u64);
-        let rows = match parallelism {
+        rpm_obs::metrics().predict_batches.inc();
+        let rows = match options.parallelism {
             Parallelism::Serial => series
                 .iter()
-                .map(|s| self.feature_row(s.as_ref(), Some(counters)))
+                .map(|s| self.classify(s.as_ref(), options.counters))
                 .collect(),
-            Parallelism::Threads(_) => transform_set_plans_engine_counted(
-                series,
-                &self.plans,
-                self.rotation_invariant,
-                self.early_abandon,
-                &Engine::new(parallelism.workers()),
-                Some(counters),
-            )?,
+            threads => Engine::new(threads.workers())
+                .map(series, |_, s| self.classify(s.as_ref(), options.counters))?,
         };
-        if rpm_obs::enabled() {
-            for row in &rows {
-                self.usage.note(row);
+        if let Some(monitor) = options.drift {
+            let classes: Vec<Label> = self.patterns.iter().map(|p| p.class).collect();
+            for (s, (row, label)) in series.iter().zip(&rows) {
+                monitor.observe(&drift_sample(s.as_ref(), row, &classes, *label));
             }
         }
-        Ok(rows.iter().map(|r| self.svm.predict(r)).collect())
-    }
-
-    /// [`predict_batch_traced`](Self::predict_batch_traced), additionally
-    /// returning one [`rpm_obs::DriftSample`] per series — the serving
-    /// path feeds these into the installed drift monitor. The samples are
-    /// derived from the same feature rows the SVM sees, so labels stay
-    /// bit-identical to every other batch entry point.
-    pub fn predict_batch_observed<S: AsRef<[f64]> + Sync>(
-        &self,
-        series: &[S],
-        parallelism: Parallelism,
-        counters: Option<&ScanCounters>,
-    ) -> Result<Vec<(Label, rpm_obs::DriftSample)>, EngineError> {
-        let _span = rpm_obs::span!("predict");
-        let m = rpm_obs::metrics();
-        m.predict_batches.inc();
-        m.predict_series.add(series.len() as u64);
-        let rows = match parallelism {
-            Parallelism::Serial => series
-                .iter()
-                .map(|s| self.feature_row(s.as_ref(), counters))
-                .collect(),
-            Parallelism::Threads(_) => transform_set_plans_engine_counted(
-                series,
-                &self.plans,
-                self.rotation_invariant,
-                self.early_abandon,
-                &Engine::new(parallelism.workers()),
-                counters,
-            )?,
-        };
-        if rpm_obs::enabled() {
-            for row in &rows {
-                self.usage.note(row);
-            }
-        }
-        let classes: Vec<Label> = self.patterns.iter().map(|p| p.class).collect();
-        Ok(series
-            .iter()
-            .zip(&rows)
-            .map(|(s, row)| {
-                let label = self.svm.predict(row);
-                (label, drift_sample(s.as_ref(), row, &classes, label))
-            })
-            .collect())
+        Ok(rows.into_iter().map(|(_, label)| label).collect())
     }
 
     /// The training-time drift reference profile, when the model carries
@@ -732,6 +639,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::Rng;
     use rand::SeedableRng;
+    use rpm_ts::{MatchPlan, ScanStats};
 
     /// Two-class set: class 0 plants an up-chirp, class 1 a down-chirp,
     /// at random positions.
@@ -894,57 +802,169 @@ mod tests {
             parallel.predict_batch(&test.series)
         );
         assert_eq!(serial.patterns().len(), parallel.patterns().len());
-        let batched = parallel
-            .predict_batch_with(&test.series, Parallelism::Threads(4))
-            .unwrap();
+        let threaded = PredictOptions {
+            parallelism: Parallelism::Threads(4),
+            ..PredictOptions::default()
+        };
+        let batched = parallel.predict_batch_with(&test.series, threaded).unwrap();
         assert_eq!(batched, serial.predict_batch(&test.series));
     }
 
     #[test]
-    fn borrowed_batches_match_owned_batches() {
-        let train = two_class_dataset(10, 128, 44);
-        let test = two_class_dataset(6, 128, 45);
-        let model = RpmClassifier::train(&train, &fixed_config()).unwrap();
-        let owned = model.predict_batch(&test.series);
-        // The serving shape: slices borrowed from buffers owned elsewhere.
-        let refs: Vec<&[f64]> = test.series.iter().map(Vec::as_slice).collect();
-        assert_eq!(model.predict_batch(&refs), owned);
-        assert_eq!(
-            model
-                .predict_batch_with(&refs, Parallelism::Threads(3))
-                .unwrap(),
-            owned
-        );
-        assert_eq!(
-            model
-                .predict_batch_with(&refs, Parallelism::Serial)
-                .unwrap(),
-            owned
-        );
-    }
-
-    #[test]
-    fn traced_batch_is_bit_identical_and_counts_the_kernel() {
+    fn every_batch_option_keeps_labels_and_feeds_what_is_attached() {
         let train = two_class_dataset(10, 128, 46);
         let test = two_class_dataset(4, 128, 47);
         let model = RpmClassifier::train(&train, &fixed_config()).unwrap();
         let plain = model.predict_batch(&test.series);
-        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
-            let counters = ScanCounters::new();
-            let traced = model
-                .predict_batch_traced(&test.series, parallelism, Some(&counters))
-                .unwrap();
-            assert_eq!(traced, plain, "{parallelism:?}");
-            let stats = counters.snapshot();
-            assert!(stats.searches > 0, "{parallelism:?}: {stats:?}");
-            assert!(stats.windows >= stats.searches);
-            // None delegates straight to predict_batch_with.
-            assert_eq!(
-                model
-                    .predict_batch_traced(&test.series, parallelism, None)
-                    .unwrap(),
-                plain
-            );
+        // The serving shape: slices borrowed from buffers owned elsewhere.
+        let refs: Vec<&[f64]> = test.series.iter().map(Vec::as_slice).collect();
+        let classes: Vec<Label> = model.patterns().iter().map(|p| p.class).collect();
+        // A reference holding exactly the samples each series should
+        // produce, its best distance taken as the row minimum: a monitor
+        // fed the right samples scores zero drift on every metric.
+        let mut expected = rpm_obs::ReferenceProfile::new();
+        for (s, &label) in test.series.iter().zip(&plain) {
+            let row = model.transform(s);
+            let sample = drift_sample(s, &row, &classes, label);
+            let row_min = row.iter().copied().fold(f64::INFINITY, f64::min);
+            assert_eq!(sample.best_distance, row_min);
+            expected.observe(&sample);
+        }
+        let drift_config = rpm_obs::DriftConfig {
+            min_samples: 1,
+            ..rpm_obs::DriftConfig::default()
+        };
+        for parallelism in [Parallelism::Serial, Parallelism::Threads(3)] {
+            for counted in [false, true] {
+                for watched in [false, true] {
+                    let case = format!("{parallelism:?} counted={counted} watched={watched}");
+                    let counters = ScanCounters::new();
+                    let monitor = rpm_obs::DriftMonitor::new(&expected, drift_config);
+                    let options = PredictOptions {
+                        parallelism,
+                        counters: counted.then_some(&counters),
+                        drift: watched.then_some(&monitor),
+                    };
+                    let labels = model.predict_batch_with(&refs, options).unwrap();
+                    assert_eq!(labels, plain, "{case}");
+                    let stats = counters.snapshot();
+                    if counted {
+                        assert!(stats.searches > 0, "{case}: {stats:?}");
+                        assert!(stats.windows >= stats.searches, "{case}");
+                    } else {
+                        assert_eq!(stats, rpm_ts::ScanStats::default(), "{case}");
+                    }
+                    let report = monitor.report();
+                    let fed = if watched { refs.len() as u64 } else { 0 };
+                    assert_eq!(report.live_samples, fed, "{case}");
+                    if watched {
+                        assert_eq!(report.max_psi(), 0.0, "{case}: {report:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A model over arbitrary prepared plans — empty, constant, oversized
+    /// and `Naive`-pinned ones included, which training never yields —
+    /// with an SVM fit on their rows of `fit` (two or more series).
+    fn model_over(
+        plans: &[MatchPlan],
+        fit: &[Vec<f64>],
+        rotation_invariant: bool,
+    ) -> RpmClassifier {
+        let set = PatternSet::from_plans(plans);
+        let rows: Vec<Vec<f64>> = fit.iter().map(|s| set.row(s, false, true, None)).collect();
+        let labels: Vec<Label> = (0..fit.len()).map(|i| i % 2).collect();
+        let patterns = plans
+            .iter()
+            .enumerate()
+            .map(|(i, p)| Candidate {
+                class: i % 2,
+                values: p.raw().to_vec(),
+                frequency: 1,
+                coverage: 1,
+                sax: SaxConfig::new(4, 2, 3),
+            })
+            .collect();
+        RpmClassifier {
+            patterns,
+            set,
+            svm: LinearSvm::train(&rows, &labels, &SvmParams::default()),
+            per_class_sax: BTreeMap::new(),
+            rotation_invariant,
+            early_abandon: true,
+            degraded: false,
+            cache_stats: CacheStats::default(),
+            usage: PatternUsage::new(plans.len()),
+            profile: None,
+        }
+    }
+
+    fn walk(len: usize, rng: &mut StdRng) -> Vec<f64> {
+        let mut acc = 0.0;
+        (0..len)
+            .map(|_| {
+                acc += rng.gen::<f64>() - 0.5;
+                acc
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The batch's kernel counters add up, and do not depend on how
+        /// the batch was spread over workers.
+        #[test]
+        fn scan_counters_reconcile_across_parallelism(
+            kinds in proptest::collection::vec(0u32..4, 1..9),
+            lens in proptest::collection::vec(1usize..72, 8),
+            series_lens in proptest::collection::vec(8usize..96, 2..6),
+            threads in 2usize..5,
+            rotation in 0u32..2,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let plans: Vec<MatchPlan> = kinds
+                .iter()
+                .zip(&lens)
+                .map(|(kind, &n)| match kind {
+                    0 => MatchPlan::new(&walk(n, &mut rng)),
+                    1 => MatchPlan::new(&vec![1.5; n]),
+                    2 => MatchPlan::with_kernel(&walk(n, &mut rng), rpm_ts::MatchKernel::Naive),
+                    _ => MatchPlan::new(&[]),
+                })
+                .collect();
+            let batch: Vec<Vec<f64>> = series_lens.iter().map(|&n| walk(n, &mut rng)).collect();
+            let model = model_over(&plans, &batch, rotation == 1);
+            let scan = |parallelism| {
+                let counters = ScanCounters::new();
+                let options = PredictOptions {
+                    parallelism,
+                    counters: Some(&counters),
+                    drift: None,
+                };
+                let labels = model.predict_batch_with(&batch, options).unwrap();
+                (labels, ScanStats { match_ns: 0, ..counters.snapshot() })
+            };
+            let (serial_labels, serial) = scan(Parallelism::Serial);
+            let (threaded_labels, threaded) = scan(Parallelism::Threads(threads));
+            proptest::prop_assert_eq!(&serial_labels, &threaded_labels);
+            proptest::prop_assert_eq!(serial, threaded);
+            proptest::prop_assert!(serial.pruned_envelope + serial.abandoned <= serial.windows);
+            let views = 1 + rotation as usize;
+            let windows: usize = batch
+                .iter()
+                .map(|s| {
+                    plans
+                        .iter()
+                        .filter(|p| !p.is_empty() && p.len() <= s.len())
+                        .map(|p| s.len() - p.len() + 1)
+                        .sum::<usize>()
+                })
+                .sum();
+            proptest::prop_assert_eq!(serial.windows, (views * windows) as u64);
         }
     }
 
@@ -957,39 +977,6 @@ mod tests {
         // The model predicts both classes on its own training set, so the
         // profile holds a sketch per class.
         assert_eq!(profile.class_labels(), vec![0, 1]);
-    }
-
-    #[test]
-    fn observed_batch_matches_plain_labels_and_fills_samples() {
-        let train = two_class_dataset(10, 128, 51);
-        let test = two_class_dataset(4, 128, 52);
-        let model = RpmClassifier::train(&train, &fixed_config()).unwrap();
-        let plain = model.predict_batch(&test.series);
-        for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
-            let observed = model
-                .predict_batch_observed(&test.series, parallelism, None)
-                .unwrap();
-            let labels: Vec<usize> = observed.iter().map(|(l, _)| *l).collect();
-            assert_eq!(labels, plain, "{parallelism:?}");
-            for ((label, sample), series) in observed.iter().zip(&test.series) {
-                assert_eq!(sample.class, *label);
-                assert_eq!(sample.len, series.len());
-                assert!(sample.best_distance.is_finite() && sample.best_distance >= 0.0);
-                assert!(sample.margin >= 0.0);
-                assert!(sample.stddev > 0.0, "noisy series have spread");
-                assert!(sample.z_extreme > 0.0);
-            }
-            // The winning distance is the row minimum.
-            let row = model.transform(&test.series[0]);
-            let expected = row.iter().copied().fold(f64::INFINITY, f64::min);
-            assert_eq!(observed[0].1.best_distance, expected);
-        }
-        // Counters attach the same way as predict_batch_traced.
-        let counters = ScanCounters::new();
-        model
-            .predict_batch_observed(&test.series, Parallelism::Serial, Some(&counters))
-            .unwrap();
-        assert!(counters.snapshot().searches > 0);
     }
 
     #[test]

@@ -272,15 +272,12 @@ impl Parts {
         let pattern_values: Vec<Vec<f64>> =
             self.patterns.iter().map(|p| p.values.clone()).collect();
         let n_patterns = pattern_values.len();
-        // The match kernel is an execution strategy, not part of the
-        // model: loaded models always serve with the default (batched)
-        // kernel, whatever they were trained with.
-        let plans = crate::transform::prepare_patterns(&pattern_values, Default::default());
-        let batched = crate::transform::batched_match(&plans);
         Ok(RpmClassifier {
             patterns: self.patterns,
-            plans,
-            batched,
+            // The match kernel is an execution strategy, not part of the
+            // model: loaded models always serve with the default kernel,
+            // whatever they were trained with.
+            set: crate::transform::PatternSet::new(&pattern_values, Default::default()),
             svm,
             per_class_sax: self.per_class_sax,
             rotation_invariant: self.rotation_invariant,

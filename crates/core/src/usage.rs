@@ -11,8 +11,8 @@
 //! scan per prediction and contributes nothing.
 //!
 //! The counters are relaxed atomics, so tracking is thread-safe across
-//! `predict_batch_with` workers and adds no synchronization to the
-//! hot path. Like every `rpm-obs` probe, tracking never feeds back into
+//! the engine workers of a `predict_batch_with` call with
+//! `Parallelism::Threads` and adds no synchronization to the hot path. Like every `rpm-obs` probe, tracking never feeds back into
 //! the computation: predictions are bit-identical with tracking on or
 //! off. Usage is process-local serving state — it is deliberately not
 //! persisted with the model.

@@ -20,8 +20,11 @@
 //! immediate `503` on the accept thread), with read/write socket
 //! timeouts so a stalled peer cannot pin a handler, a request-line /
 //! header size cap (`414` past it), and a body size cap (`413` past
-//! it) so a hostile client cannot grow a buffer without bound.
-//! Rejections count into the `http.rejected` metric, and a handler
+//! it) so a hostile client cannot grow a buffer without bound. Framing
+//! errors are typed too: a `Content-Length` that is not a decimal
+//! `usize`, or two that disagree, gets `400`; headers or a body cut off
+//! by a read error get `408`. A rejected request is never dispatched.
+//! Each rejection counts once into the `http.rejected` metric, and a handler
 //! panic (e.g. an armed `http.conn` fault) is contained per
 //! connection — the endpoint itself never goes down.
 //!
@@ -476,22 +479,28 @@ fn handle_connection(
 
     // Headers: Content-Length drives the body read; the rest are kept
     // for handlers (e.g. `traceparent` on `/classify`). The loop bound
-    // also bounds the retained header memory.
+    // also bounds the retained header memory. A framing error stops the
+    // read and answers in place of the handler.
     const MAX_HEADER_LINES: usize = 64;
-    let mut content_length: usize = 0;
+    let mut content_length: Option<usize> = None;
     let mut headers: Vec<(String, String)> = Vec::new();
-    let mut oversized_header = false;
+    let mut rejection: Option<Response> = None;
     for _ in 0..MAX_HEADER_LINES {
         reader.get_mut().set_limit(limits.max_request_bytes as u64);
         let mut line = String::new();
         match reader.read_line(&mut line) {
             Ok(0) => break, // EOF: header block ended with the stream.
             Ok(n) if n >= limits.max_request_bytes && !line.ends_with('\n') => {
-                oversized_header = true;
+                rejection = Some(Response::text(414, "header line too long\n"));
                 break;
             }
             Ok(_) => {}
-            Err(_) => break,
+            Err(_) => {
+                // Read timeout or broken peer mid-headers: the request
+                // is incomplete, so it is never dispatched.
+                rejection = Some(Response::text(408, "request headers incomplete\n"));
+                break;
+            }
         }
         let line = line.trim_end();
         if line.is_empty() {
@@ -501,18 +510,31 @@ fn handle_connection(
             let name = name.trim().to_ascii_lowercase();
             let value = value.trim().to_string();
             if name == "content-length" {
-                content_length = value.parse().unwrap_or(0);
+                let parsed = parse_content_length(&value);
+                match (parsed, content_length) {
+                    (None, _) => {
+                        rejection = Some(Response::text(400, "malformed Content-Length\n"));
+                        break;
+                    }
+                    (Some(n), Some(seen)) if n != seen => {
+                        rejection =
+                            Some(Response::text(400, "conflicting Content-Length headers\n"));
+                        break;
+                    }
+                    (Some(n), _) => content_length = Some(n),
+                }
             }
             headers.push((name, value));
         }
     }
+    let content_length = content_length.unwrap_or(0);
+    if rejection.is_none() && content_length > limits.max_body_bytes {
+        rejection = Some(Response::text(413, "request body too large\n"));
+    }
 
-    let response = if oversized_header {
+    let response = if let Some(rejection) = rejection {
         crate::metrics().http_rejected.inc();
-        Response::text(414, "header line too long\n")
-    } else if content_length > limits.max_body_bytes {
-        crate::metrics().http_rejected.inc();
-        Response::text(413, "request body too large\n")
+        rejection
     } else {
         // Part of the body may already sit in the BufReader's buffer;
         // the rest streams through the (re-armed) Take.
@@ -534,6 +556,15 @@ fn handle_connection(
     let result = write_response(&mut writer, &response);
     close_gracefully(&stream);
     result
+}
+
+/// A `Content-Length` value: one or more ASCII digits fitting a `usize`.
+/// Anything else (a sign, a list, trailing junk, overflow) is `None`.
+fn parse_content_length(value: &str) -> Option<usize> {
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    value.parse().ok()
 }
 
 /// Orderly close: signal EOF to the peer, then drain (bounded) whatever
@@ -682,6 +713,7 @@ mod tests {
 
     #[test]
     fn custom_routes_receive_bodies_and_reject_wrong_methods() {
+        let _g = crate::test_lock();
         let router = metrics_routes().route("POST", "/echo", |req| {
             Response::ok(format!("got {} bytes\n", req.body.len()))
                 .with_header("X-Probe", "1".to_string())
@@ -705,6 +737,7 @@ mod tests {
 
     #[test]
     fn queries_and_headers_reach_handlers() {
+        let _g = crate::test_lock();
         let router = Router::new().route("GET", "/probe", |req| {
             Response::ok(format!(
                 "q={} tp={}\n",
@@ -760,6 +793,7 @@ mod tests {
 
     #[test]
     fn oversized_bodies_get_413() {
+        let _g = crate::test_lock();
         let limits = ServeLimits {
             max_body_bytes: 16,
             ..ServeLimits::default()
@@ -790,6 +824,7 @@ mod tests {
 
     #[test]
     fn oversized_request_lines_get_414() {
+        let _g = crate::test_lock();
         let limits = ServeLimits {
             max_request_bytes: 64,
             ..ServeLimits::default()
@@ -805,6 +840,7 @@ mod tests {
 
     #[test]
     fn connection_bound_rejects_with_503() {
+        let _g = crate::test_lock();
         let limits = ServeLimits {
             max_connections: 0,
             ..ServeLimits::default()
@@ -816,6 +852,7 @@ mod tests {
 
     #[test]
     fn silent_peers_time_out_without_pinning_the_endpoint() {
+        let _g = crate::test_lock();
         let limits = ServeLimits {
             read_timeout: Duration::from_millis(100),
             max_connections: 1,
@@ -830,6 +867,111 @@ mod tests {
         let health = get(addr, "/healthz");
         assert!(health.starts_with("HTTP/1.0 200"), "{health}");
         drop(stuck);
+    }
+
+    /// Sends `raw` and reads the response to EOF, with metrics recorded
+    /// for the exchange; returns the response and how many rejections
+    /// it added to `http.rejected`. Callers hold `crate::test_lock()`.
+    fn exchange_counting_rejections(addr: SocketAddr, raw: &str) -> (String, u64) {
+        crate::ObsConfig {
+            level: crate::ObsLevel::Summary,
+            ..crate::ObsConfig::default()
+        }
+        .install();
+        let before = crate::metrics().http_rejected.get();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(raw.as_bytes()).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        let rejected = crate::metrics().http_rejected.get() - before;
+        crate::ObsConfig::default().install();
+        (response, rejected)
+    }
+
+    fn body_length_echo() -> Router {
+        Router::new().route("POST", "/echo", |req| {
+            Response::ok(format!("{}\n", req.body.len()))
+        })
+    }
+
+    #[test]
+    fn malformed_content_length_gets_400() {
+        let _g = crate::test_lock();
+        let server =
+            serve_router("127.0.0.1:0", ServeLimits::default(), body_length_echo()).expect("bind");
+        for value in [
+            "abc",
+            "-1",
+            "+5",
+            "5, 5",
+            "12abc",
+            "",
+            "99999999999999999999999",
+        ] {
+            let raw = format!("POST /echo HTTP/1.0\r\nContent-Length: {value}\r\n\r\nhello");
+            let (response, rejected) = exchange_counting_rejections(server.local_addr(), &raw);
+            assert!(
+                response.starts_with("HTTP/1.0 400"),
+                "{value:?}: {response}"
+            );
+            assert!(
+                response.ends_with("malformed Content-Length\n"),
+                "{response}"
+            );
+            assert_eq!(rejected, 1, "{value:?}");
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_get_400() {
+        let _g = crate::test_lock();
+        let server =
+            serve_router("127.0.0.1:0", ServeLimits::default(), body_length_echo()).expect("bind");
+        let raw = "POST /echo HTTP/1.0\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\nhello";
+        let (response, rejected) = exchange_counting_rejections(server.local_addr(), raw);
+        assert!(response.starts_with("HTTP/1.0 400"), "{response}");
+        assert!(
+            response.ends_with("conflicting Content-Length headers\n"),
+            "{response}"
+        );
+        assert_eq!(rejected, 1);
+        // Repeating the same length is not a conflict.
+        let raw = "POST /echo HTTP/1.0\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello";
+        let (response, rejected) = exchange_counting_rejections(server.local_addr(), raw);
+        assert!(response.starts_with("HTTP/1.0 200"), "{response}");
+        assert!(response.ends_with("5\n"), "{response}");
+        assert_eq!(rejected, 0);
+    }
+
+    #[test]
+    fn stalled_headers_get_408_and_are_not_dispatched() {
+        let _g = crate::test_lock();
+        let dispatched = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&dispatched);
+        let router = Router::new().route("GET", "/probe", move |_| {
+            seen.fetch_add(1, Ordering::Relaxed);
+            Response::ok("probed\n".to_string())
+        });
+        let limits = ServeLimits {
+            read_timeout: Duration::from_millis(100),
+            ..ServeLimits::default()
+        };
+        let server = serve_router("127.0.0.1:0", limits, router).expect("bind");
+        // One header line, then the peer stalls without ending the
+        // header block (and without closing).
+        for raw in [
+            "GET /probe HTTP/1.0\r\nHost: x\r\n",
+            "GET /probe HTTP/1.0\r\nHost: x",
+        ] {
+            let (response, rejected) = exchange_counting_rejections(server.local_addr(), raw);
+            assert!(response.starts_with("HTTP/1.0 408"), "{raw:?}: {response}");
+            assert!(
+                response.ends_with("request headers incomplete\n"),
+                "{response}"
+            );
+            assert_eq!(rejected, 1, "{raw:?}");
+        }
+        assert_eq!(dispatched.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -335,15 +335,17 @@ pub struct Metrics {
     pub cfs_survivors: Counter,
     /// `transform.columns` — pattern-distance columns computed or fetched.
     pub transform_columns: Counter,
-    /// `transform.series_ns` — per-series feature-transform latency
-    /// (the classification bottleneck: K closest-match scans).
+    /// `transform.series_ns` — per-series feature-transform latency of a
+    /// trained model's `transform`/predict calls (the classification
+    /// bottleneck: K closest-match scans).
     pub transform_series: Histogram,
     /// `predict.series` — series classified through the trained model.
     pub predict_series: Counter,
     /// `predict.batches` — predict-batch calls (serial or parallel).
     pub predict_batches: Counter,
-    /// `predict.latency_ns` — end-to-end single-prediction latency
-    /// (transform + SVM argmax), fed by `RpmClassifier::predict`.
+    /// `predict.latency_ns` — end-to-end per-series prediction latency
+    /// (transform + SVM argmax), fed by every `RpmClassifier` predict
+    /// path.
     pub predict_latency: Histogram,
     /// `predict.match_distance` — winning (argmin) closest-match distance
     /// per prediction, in millionths (distance × 10⁶ rounded down) so the

@@ -28,6 +28,7 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use rpm_core::PredictOptions;
 use rpm_obs::TraceCtx;
 use rpm_ts::ScanCounters;
 
@@ -233,23 +234,14 @@ pub(crate) fn process_batch(
         // A panic inside predict (e.g. an armed engine fault) must kill
         // neither the worker nor the server.
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match &monitor {
-                // Drift armed: the observed variant derives one sketch
-                // sample per series from the same feature rows the SVM
-                // reads — labels stay bit-identical to the traced path.
-                Some(mon) => model
-                    .predict_batch_observed(&refs, parallelism, Some(&counters))
-                    .map(|observed| {
-                        observed
-                            .into_iter()
-                            .map(|(label, sample)| {
-                                mon.observe(&sample);
-                                label
-                            })
-                            .collect::<Vec<usize>>()
-                    }),
-                None => model.predict_batch_traced(&refs, parallelism, Some(&counters)),
-            }
+            // With drift armed, one sketch sample per series goes to the
+            // monitor, derived from the same feature rows the SVM reads.
+            let options = PredictOptions {
+                parallelism,
+                counters: Some(&counters),
+                drift: monitor.as_deref(),
+            };
+            model.predict_batch_with(&refs, options)
         }))
         .map_err(|_| "prediction panicked".to_string())
         .and_then(|r| r.map_err(|e| e.to_string()))

@@ -14,7 +14,8 @@
 //!   → parse            [proto]          400 on malformed lines
 //!   → bounded enqueue  [batch]          429 + Retry-After when full
 //!   → micro-batch pop  [worker pool]    flush on size or window
-//!   → predict_batch_with(&[&[f64]],…)   zero-copy borrow of request buffers
+//!   → predict_batch_with(refs, opts)    zero-copy borrow of request buffers;
+//!                                       opts attach kernel counters + drift
 //!   → JSONL response / 504 deadline / 500 fault
 //! ```
 //!
@@ -83,7 +84,8 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Per-request deadline, enqueue to reply.
     pub deadline: Duration,
-    /// Execution mode handed to `predict_batch_with` per batch.
+    /// Execution mode handed to `predict_batch_with` (as
+    /// [`PredictOptions::parallelism`](rpm_core::PredictOptions)) per batch.
     pub parallelism: Parallelism,
     /// Per-connection HTTP limits (timeouts, body cap, admission).
     pub limits: ServeLimits,

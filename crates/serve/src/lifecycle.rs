@@ -52,10 +52,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use rpm_core::{PersistError, RpmClassifier, SchemaMismatch, VerifyReport};
+use rpm_core::{PersistError, PredictOptions, RpmClassifier, SchemaMismatch, VerifyReport};
 use rpm_obs::drift::{psi, ReferenceProfile, DRIFT_METRIC_NAMES};
 use rpm_obs::DriftConfig;
-use rpm_ts::Parallelism;
 
 use crate::batch::Pending;
 use crate::ServeError;
@@ -466,34 +465,36 @@ impl Lifecycle {
         if replay.is_empty() {
             return Ok(());
         }
+        // Scoring needs the candidate's own training profile and enough
+        // samples; otherwise the replay only has to survive.
+        let monitor = candidate
+            .reference_profile()
+            .filter(|p| !p.is_empty() && replay.len() >= MIN_REPLAY_SCORE)
+            .map(|profile| rpm_obs::DriftMonitor::new(profile, self.drift));
         let refs: Vec<&[f64]> = replay.iter().map(Vec::as_slice).collect();
-        let observed = catch_unwind(AssertUnwindSafe(|| {
-            candidate.predict_batch_observed(&refs, Parallelism::Serial, None)
+        let options = PredictOptions {
+            drift: monitor.as_ref(),
+            ..PredictOptions::default()
+        };
+        catch_unwind(AssertUnwindSafe(|| {
+            candidate.predict_batch_with(&refs, options)
         }))
         .map_err(|_| ReloadError::Replay("candidate panicked on live traffic".to_string()))?
         .map_err(|e| ReloadError::Replay(e.to_string()))?;
 
-        let profile = candidate.reference_profile().filter(|p| !p.is_empty());
-        if let Some(profile) = profile {
-            if replay.len() >= MIN_REPLAY_SCORE {
-                // Score the replay with the same drift machinery the
-                // live monitor uses (its min-sample gating and page
-                // thresholds are tuned for small windows): a candidate
-                // whose monitor would already page on today's traffic
-                // is refused before it serves.
-                let monitor = rpm_obs::DriftMonitor::new(profile, self.drift);
-                for (_, sample) in &observed {
-                    monitor.observe(sample);
-                }
-                let report = monitor.report();
-                if report.degraded() {
-                    let worst = report.metrics.iter().max_by(|a, b| a.psi.total_cmp(&b.psi));
-                    return Err(ReloadError::ReplayDrift {
-                        metric: worst.map_or("unknown", |m| m.metric),
-                        psi: worst.map_or(0.0, |m| m.psi),
-                        threshold: report.page,
-                    });
-                }
+        if let Some(monitor) = monitor {
+            // Scored with the same drift machinery the live monitor uses
+            // (its min-sample gating and page thresholds are tuned for
+            // small windows): a candidate whose monitor would already
+            // page on today's traffic is refused before it serves.
+            let report = monitor.report();
+            if report.degraded() {
+                let worst = report.metrics.iter().max_by(|a, b| a.psi.total_cmp(&b.psi));
+                return Err(ReloadError::ReplayDrift {
+                    metric: worst.map_or("unknown", |m| m.metric),
+                    psi: worst.map_or(0.0, |m| m.psi),
+                    threshold: report.page,
+                });
             }
         }
         Ok(())

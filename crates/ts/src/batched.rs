@@ -163,8 +163,8 @@ impl BatchedMatch {
     ///
     /// Bit-identical to calling
     /// [`MatchPlan::best_match`](crate::matching::MatchPlan::best_match)
-    /// per pattern with the rolling kernel (naive for degenerate /
-    /// `Naive`-pinned plans).
+    /// per pattern: the rolling scan, or the naive one for degenerate /
+    /// `Naive`-pinned plans.
     pub fn match_all(
         &self,
         series: &[f64],

@@ -154,26 +154,23 @@ pub struct BestMatch {
 }
 
 /// Which closest-match implementation a plan (and everything built on top
-/// of it) dispatches to.
+/// of it) dispatches to. The discriminants are explicit because they feed
+/// checkpoint fingerprints (`kernel as u64`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum MatchKernel {
-    /// The fused rolling-statistics kernel.
-    Rolling,
     /// The pre-optimization per-window re-normalizing scan — the
-    /// differential-test oracle and ablation baseline.
-    Naive,
+    /// differential-test oracle and ablation baseline. A pattern set
+    /// scans `Naive` plans one by one, never through the bound.
+    Naive = 1,
     /// The pattern-set × series kernel (the default): shared
     /// `RollingStats` per series, per-window pruning by a
     /// sliding-dot-product lower bound before the exact rolling
-    /// accumulation. Bit-identical to
-    /// [`Rolling`](Self::Rolling) — a single-pattern scan through a
-    /// `Batched` plan dispatches to the rolling scan, and the batched
-    /// entry point ([`crate::batched::BatchedMatch`]) only ever prunes
-    /// windows whose admissible lower bound already exceeds the
-    /// per-pattern best. Appended last: the discriminant feeds config
-    /// fingerprints (`kernel as u64`), so variant order is ABI.
+    /// accumulation ([`crate::batched::BatchedMatch`]). A plan scanned
+    /// on its own runs the fused rolling scan, which the pattern-set
+    /// scan equals bit for bit: it only prunes windows whose admissible
+    /// lower bound already exceeds the per-pattern best.
     #[default]
-    Batched,
+    Batched = 2,
 }
 
 /// Pre-computed per-pattern state for the closest-match search: the
@@ -208,10 +205,11 @@ pub struct MatchPlan {
 
 impl MatchPlan {
     /// Prepares `pattern` for repeated closest-match searches with the
-    /// rolling kernel. (A lone plan gains nothing from `Batched`; the
-    /// batched kernel needs a pattern *set* — see [`crate::batched`].)
+    /// default kernel: scanned on its own, the plan runs the fused
+    /// rolling scan (the bound needs a pattern *set* — see
+    /// [`crate::batched`]).
     pub fn new(pattern: &[f64]) -> Self {
-        Self::with_kernel(pattern, MatchKernel::Rolling)
+        Self::with_kernel(pattern, MatchKernel::default())
     }
 
     /// Prepares `pattern` for searches with an explicit kernel choice.
@@ -297,9 +295,9 @@ impl MatchPlan {
         m.match_searches.inc();
         m.match_windows.add((series.len() - n + 1) as u64);
         let started = counters.map(|_| std::time::Instant::now());
-        // A `Batched` plan scanned alone has no pattern set to share
-        // statistics or bounds with: it takes the rolling path, which
-        // the batched kernel is bit-identical to by construction.
+        // A plan scanned alone has no pattern set to share statistics or
+        // bounds with: it takes the rolling path, which the batched
+        // kernel is bit-identical to by construction.
         let (best, abandoned) = if self.kernel == MatchKernel::Naive || self.degenerate {
             naive_scan(&self.zp, series, early_abandon)
         } else {
@@ -595,7 +593,16 @@ mod tests {
         assert_eq!(plan.len(), 24);
         assert!(!plan.is_empty());
         assert_eq!(plan.raw(), &pattern[..]);
-        assert_eq!(plan.kernel(), MatchKernel::Rolling);
+        assert_eq!(plan.kernel(), MatchKernel::Batched);
+    }
+
+    #[test]
+    fn kernel_discriminants_are_stable() {
+        // Checkpoint fingerprints mix `kernel as u64`: renumbering would
+        // orphan every checkpoint written with the default or naive
+        // kernel.
+        assert_eq!(MatchKernel::Naive as u64, 1);
+        assert_eq!(MatchKernel::Batched as u64, 2);
     }
 
     #[test]

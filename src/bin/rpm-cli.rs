@@ -7,7 +7,6 @@
 //!         [--checkpoint PATH]              # resume parameter search
 //!         [--budget-evals N]               # stop after N fresh evals
 //!         [--budget-secs S]                # stop after S seconds
-//!         [--kernel batched|rolling|naive]  # closest-match kernel (ablation)
 //! rpm-cli classify <MODEL> <TEST_FILE>     # prints predictions + error
 //!         [--metrics-addr HOST:PORT]       # serve Prometheus /metrics
 //!         [--metrics-linger SECS]          # keep serving after classify
@@ -56,7 +55,7 @@
 //! files written via `RPM_LOG=spans,json=run.jsonl`.
 
 use rpm::core::{
-    discover_motifs, find_discords, MatchKernel, ParamSearch, RpmClassifier, RpmConfig, TrainBudget,
+    discover_motifs, find_discords, ParamSearch, RpmClassifier, RpmConfig, TrainBudget,
 };
 use rpm::data::registry::spec_by_name;
 use rpm::data::ucr::{read_ucr_file, read_ucr_file_lenient, write_ucr, Quarantine};
@@ -180,20 +179,6 @@ fn report_quarantine(path: &str, q: &Quarantine) {
     eprintln!("warning: {path}: {}", q.summary());
 }
 
-/// `--kernel batched|rolling|naive` (default batched). The rolling and
-/// naive kernels exist for ablation runs and cross-checking the batched
-/// pattern-set kernel; all three produce bit-identical distances.
-fn parse_kernel(args: &[String]) -> Result<MatchKernel, String> {
-    match flag_value(args, "--kernel")?.as_deref() {
-        None | Some("batched") => Ok(MatchKernel::Batched),
-        Some("rolling") => Ok(MatchKernel::Rolling),
-        Some("naive") => Ok(MatchKernel::Naive),
-        Some(other) => Err(format!(
-            "--kernel {other:?}: expected batched, rolling, or naive"
-        )),
-    }
-}
-
 fn cmd_train(args: &[String]) -> CliResult {
     let train_path = positional(args, 0)?;
     let model_path = flag_value(args, "--model")?.ok_or("train requires --model <OUT>")?;
@@ -222,7 +207,6 @@ fn cmd_train(args: &[String]) -> CliResult {
         param_search,
         gamma: parse_flag::<f64>(args, "--gamma")?.unwrap_or(0.2),
         rotation_invariant: flag_present(args, "--rotation-invariant"),
-        kernel: parse_kernel(args)?,
         budget,
         checkpoint: flag_value(args, "--checkpoint")?.map(std::path::PathBuf::from),
         ..RpmConfig::default()
@@ -868,24 +852,6 @@ mod tests {
         let args = argv(&["--model", "x", "x"]);
         assert_eq!(positional(&args, 0).unwrap(), "x");
         assert!(positional(&args, 1).is_err());
-    }
-
-    #[test]
-    fn kernel_flag_parses_all_kernels_and_rejects_junk() {
-        assert_eq!(parse_kernel(&argv(&[])).unwrap(), MatchKernel::Batched);
-        assert_eq!(
-            parse_kernel(&argv(&["--kernel", "batched"])).unwrap(),
-            MatchKernel::Batched
-        );
-        assert_eq!(
-            parse_kernel(&argv(&["--kernel", "rolling"])).unwrap(),
-            MatchKernel::Rolling
-        );
-        assert_eq!(
-            parse_kernel(&argv(&["--kernel", "naive"])).unwrap(),
-            MatchKernel::Naive
-        );
-        assert!(parse_kernel(&argv(&["--kernel", "fast"])).is_err());
     }
 
     #[test]

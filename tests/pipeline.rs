@@ -121,7 +121,8 @@ fn naive_and_rolling_kernels_train_equivalent_models() {
     // Kernel choice is an execution strategy, not a modeling decision: a
     // model trained with the naive oracle kernel must select the same
     // patterns (tolerance-aware — distances agree to 1e-9, not bitwise)
-    // and classify identically to the default rolling-kernel model.
+    // and classify identically to the default model, whose batched
+    // kernel equals the rolling scan bit for bit.
     use rpm::core::MatchKernel;
     let train = rpm::data::cbf::generate(10, 128, 71);
     let test = rpm::data::cbf::generate(30, 128, 72);
@@ -158,49 +159,46 @@ fn naive_and_rolling_kernels_train_equivalent_models() {
 }
 
 #[test]
-fn batched_and_rolling_kernels_train_bit_identical_models() {
+fn batched_model_rows_equal_the_rolling_oracle() {
     // Stronger than the naive comparison above: the batched kernel's
-    // exact tier shares the rolling kernel's summation code verbatim and
-    // its pruning bound is admissible, so a batched-kernel training run
-    // must select **bit-identical** patterns (values compared with
-    // `assert_eq!`, not a tolerance) and produce identical predictions.
-    use rpm::core::MatchKernel;
+    // exact tier shares the rolling scan's summation code verbatim and
+    // its pruning bound is admissible, so every feature a trained model
+    // computes must equal, bit for bit, the per-pattern rolling scan
+    // (`MatchPlan::best_match`) — or, for a pattern longer than the
+    // series, the resampled direct comparison.
+    use rpm::cluster::resample;
+    use rpm::ts::{euclidean, znorm, MatchPlan};
     let train = rpm::data::cbf::generate(10, 128, 71);
     let test = rpm::data::cbf::generate(30, 128, 72);
-
-    let rolling = RpmClassifier::train(
-        &train,
-        &RpmConfig {
-            kernel: MatchKernel::Rolling,
-            ..quick_config(32)
-        },
-    )
-    .unwrap();
-    let batched = RpmClassifier::train(
-        &train,
-        &RpmConfig {
-            kernel: MatchKernel::Batched,
-            ..quick_config(32)
-        },
-    )
-    .unwrap();
-
-    assert_eq!(rolling.patterns().len(), batched.patterns().len());
-    for (r, b) in rolling.patterns().iter().zip(batched.patterns()) {
-        assert_eq!(r.class, b.class);
-        assert_eq!(r.values, b.values, "pattern values not bit-identical");
-    }
-
-    let preds_rolling = rolling.predict_batch(&test.series);
-    let preds_batched = batched.predict_batch(&test.series);
-    assert_eq!(preds_rolling, preds_batched);
-
-    // The per-series feature rows agree bitwise too, not just the argmax.
-    for s in test.series.iter().take(5) {
-        let row_r = rolling.transform(s);
-        let row_b = batched.transform(s);
-        assert_eq!(row_r.len(), row_b.len());
-        for (a, b) in row_r.iter().zip(&row_b) {
+    let model = RpmClassifier::train(&train, &quick_config(32)).unwrap();
+    let oracle = |s: &[f64]| -> Vec<f64> {
+        model
+            .patterns()
+            .iter()
+            .map(|p| match MatchPlan::new(&p.values).best_match(s, true) {
+                Some(m) => m.distance,
+                None => {
+                    let shrunk = resample(&p.values, s.len());
+                    euclidean(&znorm(&shrunk), &znorm(s)) / (s.len() as f64).sqrt()
+                }
+            })
+            .collect()
+    };
+    // Full-length test series, and truncated ones shorter than every
+    // pattern, which take the resampling fallback.
+    let shortest = model
+        .patterns()
+        .iter()
+        .map(|p| p.values.len())
+        .min()
+        .unwrap();
+    let truncated: Vec<&[f64]> = test.series.iter().map(|s| &s[..shortest - 1]).collect();
+    let full: Vec<&[f64]> = test.series.iter().map(Vec::as_slice).collect();
+    for s in full.iter().chain(&truncated) {
+        let row = model.transform(s);
+        let want = oracle(s);
+        assert_eq!(row.len(), want.len());
+        for (a, b) in row.iter().zip(&want) {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
