@@ -59,12 +59,10 @@ fn bench_discretize_plus_grammar_linear(c: &mut Criterion) {
     g.finish();
 }
 
-/// Grid-search training under the shared engine (the tentpole's headline
-/// case): the same 12-combination grid, serial-without-cache (the seed's
-/// behaviour), then cached at 1, 2, and 4 workers. Results are
-/// bit-identical across every row; only the wall clock moves — the cache
-/// removes repeated SAX/transform work shared by grid neighbours, the
-/// threads overlap what remains.
+/// Grid-search training under the shared engine: the same 12-combination
+/// grid at 1, 2, and 4 workers. Results are bit-identical across every
+/// row; only the wall clock moves — the threads overlap the work the
+/// memoization cache does not remove.
 fn bench_grid_search_thread_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("grid_search_training_threads");
     g.sample_size(10);
@@ -75,22 +73,18 @@ fn bench_grid_search_thread_scaling(c: &mut Criterion) {
         alphas: vec![3, 4, 6],
         per_class: false,
     };
-    for (label, n_threads, cache) in [
-        ("1-nocache", 1usize, false),
-        ("1", 1, true),
-        ("2", 2, true),
-        ("4", 4, true),
-    ] {
+    for n_threads in [1usize, 2, 4] {
         let config = RpmConfig {
             param_search: grid.clone(),
             n_validation_splits: 2,
             n_threads,
-            cache,
             ..RpmConfig::default()
         };
-        g.bench_with_input(BenchmarkId::from_parameter(label), &config, |b, config| {
-            b.iter(|| RpmClassifier::train(black_box(&train), config).unwrap())
-        });
+        g.bench_with_input(
+            BenchmarkId::from_parameter(n_threads),
+            &config,
+            |b, config| b.iter(|| RpmClassifier::train(black_box(&train), config).unwrap()),
+        );
     }
     g.finish();
 }

@@ -3,15 +3,15 @@
 //! One [`SaxCache`] lives for the duration of a single
 //! `RpmClassifier::train` call and is shared by every stage that call
 //! fans out — the parameter search, its validation splits, candidate
-//! mining, and the feature transforms. It memoizes the four artifacts the
-//! serial pipeline recomputes most:
+//! mining, and the feature transforms. It memoizes the three artifacts
+//! the serial pipeline recomputes most, each in one family:
 //!
 //! * **PAA frames** — the alphabet-independent half of discretization,
 //!   keyed by `(set, class, window, paa)`. Grid/DIRECT neighbours that
 //!   differ only in alphabet size re-derive their words from the same
 //!   frames instead of re-running z-normalize + PAA over every window.
-//! * **Word sequences** — full discretizations, keyed by
-//!   `(set, class, SaxConfig, numerosity reduction)`.
+//!   Words themselves are not memoized: the full `SaxConfig` that keys
+//!   them is scored once per `train` call, so they could never hit.
 //! * **Combination scores** — the cross-validated objective of one
 //!   [`SaxConfig`] (Algorithm 3's inner loop). Per-class DIRECT runs
 //!   probe heavily overlapping point sets; each distinct combination is
@@ -22,19 +22,21 @@
 //!   with the run's one config, so the key needs nothing else; they
 //!   share their columns for every pattern that survives selection.
 //!
-//! All maps sit behind `std::sync::Mutex` (guarded locks; values are
-//! `Arc`-shared) so engine workers can hit the cache concurrently.
-//! Cached values are pure functions of their keys, so a racy double
-//! compute inserts the same value twice — correctness never depends on
-//! scheduling, which is what keeps parallel training bit-identical to
-//! serial (see DESIGN.md §5).
+//! Every family is one private `Memo`: a map behind a `std::sync::Mutex`
+//! (values are `Arc`-shared or small) so engine workers can hit the
+//! cache concurrently. Cached values are pure functions of their keys,
+//! so a racy double compute inserts the same value twice and the first
+//! write wins — correctness never depends on scheduling, which is what
+//! keeps parallel training bit-identical to serial (see DESIGN.md §5).
 
 use crate::engine::Engine;
-use rpm_sax::{paa_frames, words_from_frames, PaaFrame, SaxConfig, SaxWordAt};
+use rpm_obs::CacheFamilyMetrics;
+use rpm_sax::{paa_frames, PaaFrame, SaxConfig};
 use rpm_ts::Label;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Identifies which series collection a cached artifact was computed
 /// from. Validation subsets are fully determined by the split seed (the
@@ -85,81 +87,101 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// Which memoization map a lookup went to; routes the lookup to the
-/// matching per-family counters in the global metrics registry.
-#[derive(Clone, Copy, Debug)]
-enum Family {
-    Frames,
-    Words,
-    Evals,
-    Columns,
-}
-
 type FramesKey = (SetId, Label, usize, usize);
-type WordsKey = (SetId, Label, SaxConfig, bool);
 pub(crate) type EvalValue = Option<(BTreeMap<Label, f64>, f64)>;
 type ColumnKey = (SetId, u64);
 
-/// The per-training-run memoization cache. Construct one per
-/// `RpmClassifier::train` call (`RpmConfig::cache` gates it); a disabled
-/// cache computes everything on demand and stores nothing.
-#[derive(Debug, Default)]
-pub struct SaxCache {
-    enabled: bool,
-    frames: Mutex<HashMap<FramesKey, Arc<Vec<Vec<PaaFrame>>>>>,
-    words: Mutex<HashMap<WordsKey, Arc<Vec<Vec<SaxWordAt>>>>>,
-    evals: Mutex<HashMap<SaxConfig, EvalValue>>,
-    columns: Mutex<HashMap<ColumnKey, Arc<Vec<f64>>>>,
+/// One memo family: its map, its own hit/miss counts, and the global
+/// metrics family it reports to.
+#[derive(Debug)]
+struct Memo<K, V> {
+    map: Mutex<HashMap<K, V>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
+    family: &'static CacheFamilyMetrics,
 }
 
-impl SaxCache {
-    /// A cache that memoizes iff `enabled`.
-    pub fn new(enabled: bool) -> Self {
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+    fn new(family: &'static CacheFamilyMetrics) -> Self {
         Self {
-            enabled,
-            ..Self::default()
+            map: Mutex::default(),
+            hits: AtomicUsize::new(0),
+            misses: AtomicUsize::new(0),
+            family,
         }
     }
 
-    /// A pass-through cache: every lookup computes, nothing is stored.
-    pub fn disabled() -> Self {
-        Self::new(false)
+    /// The map. Every update is one whole-value insert, so a map whose
+    /// lock was poisoned by a panicking worker is still valid.
+    fn map(&self) -> MutexGuard<'_, HashMap<K, V>> {
+        self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Whether lookups are memoized.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+    /// The stored value for `key`, recording a hit or a miss.
+    fn lookup(&self, key: &K) -> Option<V> {
+        let found = self.map().get(key).cloned();
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.family.hits.inc();
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.family.misses.inc();
+        }
+        found
     }
 
-    /// Current hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
+    /// Stores `value` unless `key` already has one; returns the stored
+    /// value (first write wins). Records neither hit nor miss.
+    fn insert(&self, key: K, value: V) -> V {
+        self.map().entry(key).or_insert(value).clone()
+    }
+
+    /// [`lookup`](Self::lookup), computing and inserting on a miss.
+    fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
+        match self.lookup(&key) {
+            Some(v) => v,
+            None => self.insert(key, compute()),
+        }
+    }
+
+    fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
     }
+}
 
-    fn record(&self, family: Family, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+/// The per-training-run memoization cache. Construct one per
+/// `RpmClassifier::train` call.
+#[derive(Debug)]
+pub struct SaxCache {
+    frames: Memo<FramesKey, Arc<Vec<Vec<PaaFrame>>>>,
+    evals: Memo<SaxConfig, EvalValue>,
+    columns: Memo<ColumnKey, Arc<Vec<f64>>>,
+}
+
+impl Default for SaxCache {
+    fn default() -> Self {
+        Self {
+            frames: Memo::new(&rpm_obs::metrics().cache_frames),
+            evals: Memo::new(&rpm_obs::metrics().cache_evals),
+            columns: Memo::new(&rpm_obs::metrics().cache_columns),
         }
-        if rpm_obs::enabled() {
-            let m = rpm_obs::metrics();
-            let fam = match family {
-                Family::Frames => &m.cache_frames,
-                Family::Words => &m.cache_words,
-                Family::Evals => &m.cache_evals,
-                Family::Columns => &m.cache_columns,
-            };
-            if hit {
-                fam.hits.inc();
-            } else {
-                fam.misses.inc();
-            }
+    }
+}
+
+impl SaxCache {
+    /// Hit/miss counters summed over every family.
+    pub fn stats(&self) -> CacheStats {
+        let families = [
+            self.frames.stats(),
+            self.evals.stats(),
+            self.columns.stats(),
+        ];
+        CacheStats {
+            hits: families.iter().map(|s| s.hits).sum(),
+            misses: families.iter().map(|s| s.misses).sum(),
         }
     }
 
@@ -173,75 +195,21 @@ impl SaxCache {
         paa_size: usize,
         members: &[&[f64]],
     ) -> Arc<Vec<Vec<PaaFrame>>> {
-        let compute = || {
-            Arc::new(
-                members
-                    .iter()
-                    .map(|s| paa_frames(s, window, paa_size))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        if !self.enabled {
-            return compute();
-        }
-        let key = (set, class, window, paa_size);
-        if let Some(v) = self.frames.lock().ok().and_then(|m| m.get(&key).cloned()) {
-            self.record(Family::Frames, true);
-            return v;
-        }
-        self.record(Family::Frames, false);
-        let v = compute();
-        if let Ok(mut m) = self.frames.lock() {
-            return m.entry(key).or_insert(v).clone();
-        }
-        v
-    }
-
-    /// Discretized word sequences of every member of `(set, class)` under
-    /// `sax`, derived from the cached frames. Identical to calling
-    /// `rpm_sax::discretize` per member.
-    pub fn words(
-        &self,
-        set: SetId,
-        class: Label,
-        sax: &SaxConfig,
-        numerosity_reduction: bool,
-        members: &[&[f64]],
-    ) -> Arc<Vec<Vec<SaxWordAt>>> {
-        let key = (set, class, *sax, numerosity_reduction);
-        if self.enabled {
-            if let Some(v) = self.words.lock().ok().and_then(|m| m.get(&key).cloned()) {
-                self.record(Family::Words, true);
-                return v;
-            }
-            self.record(Family::Words, false);
-        }
-        let frames = self.frames(set, class, sax.window, sax.paa_size, members);
-        let v = Arc::new(
-            frames
-                .iter()
-                .map(|f| words_from_frames(f, sax.alphabet, numerosity_reduction))
-                .collect::<Vec<_>>(),
-        );
-        if !self.enabled {
-            return v;
-        }
-        if let Ok(mut m) = self.words.lock() {
-            return m.entry(key).or_insert(v).clone();
-        }
-        v
+        self.frames
+            .get_or_insert_with((set, class, window, paa_size), || {
+                Arc::new(
+                    members
+                        .iter()
+                        .map(|s| paa_frames(s, window, paa_size))
+                        .collect(),
+                )
+            })
     }
 
     /// Seeds the evaluation map with an already-known combination score
-    /// (checkpoint resume). Counts as neither hit nor miss; a no-op on
-    /// a disabled cache.
+    /// (checkpoint resume). Counts as neither hit nor miss.
     pub(crate) fn preload_eval(&self, sax: SaxConfig, value: EvalValue) {
-        if !self.enabled {
-            return;
-        }
-        if let Ok(mut m) = self.evals.lock() {
-            m.insert(sax, value);
-        }
+        self.evals.insert(sax, value);
     }
 
     /// Memoized cross-validation score of one parameter combination
@@ -249,36 +217,16 @@ impl SaxCache {
     /// against the full training set with splits derived from the config
     /// seed, so the [`SaxConfig`] alone identifies the result.
     pub fn eval(&self, sax: &SaxConfig, compute: impl FnOnce() -> EvalValue) -> EvalValue {
-        if !self.enabled {
-            return compute();
-        }
-        if let Some(v) = self.evals.lock().ok().and_then(|m| m.get(sax).cloned()) {
-            self.record(Family::Evals, true);
-            return v;
-        }
-        self.record(Family::Evals, false);
-        let v = compute();
-        if let Ok(mut m) = self.evals.lock() {
-            return m.entry(*sax).or_insert(v).clone();
-        }
-        v
+        self.evals.get_or_insert_with(*sax, compute)
     }
 
     /// Memoized transform column: the distance of every series in `set`
     /// to `pattern`, or `None` when it must be computed. Keyed by a
     /// fingerprint of the pattern's exact bits, so any pattern
     /// reappearing between the CFS transform and the final SVM transform
-    /// reuses its column. Records a hit or miss per call; always a
-    /// recorded miss on a disabled cache.
+    /// reuses its column. Records a hit or miss per call.
     pub(crate) fn try_column(&self, set: SetId, pattern: &[f64]) -> Option<Arc<Vec<f64>>> {
-        if !self.enabled {
-            self.record(Family::Columns, false);
-            return None;
-        }
-        let key = (set, fingerprint(pattern));
-        let found = self.columns.lock().ok().and_then(|m| m.get(&key).cloned());
-        self.record(Family::Columns, found.is_some());
-        found
+        self.columns.lookup(&(set, fingerprint(pattern)))
     }
 
     /// Stores a column computed after a [`try_column`](Self::try_column)
@@ -290,16 +238,7 @@ impl SaxCache {
         pattern: &[f64],
         value: Arc<Vec<f64>>,
     ) -> Arc<Vec<f64>> {
-        if !self.enabled {
-            return value;
-        }
-        if let Ok(mut m) = self.columns.lock() {
-            return m
-                .entry((set, fingerprint(pattern)))
-                .or_insert(value)
-                .clone();
-        }
-        value
+        self.columns.insert((set, fingerprint(pattern)), value)
     }
 }
 
@@ -381,7 +320,6 @@ impl<'a> Ctx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpm_sax::discretize;
 
     fn series(n: usize, len: usize) -> Vec<Vec<f64>> {
         (0..n)
@@ -394,99 +332,31 @@ mod tests {
     }
 
     #[test]
-    fn words_match_direct_discretization() {
-        let data = series(3, 80);
-        let members: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
-        let cache = SaxCache::new(true);
-        for alphabet in [3usize, 5, 8] {
-            let sax = SaxConfig::new(16, 4, alphabet);
-            let words = cache.words(SetId::FullTrain, 0, &sax, true, &members);
-            for (w, s) in words.iter().zip(&members) {
-                assert_eq!(*w, discretize(s, &sax, true));
-            }
-        }
-    }
-
-    #[test]
-    fn alphabet_neighbours_share_frames() {
-        let data = series(4, 60);
-        let members: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
-        let cache = SaxCache::new(true);
-        // First alphabet: words miss, frames miss.
-        cache.words(
-            SetId::FullTrain,
-            1,
-            &SaxConfig::new(16, 4, 3),
-            true,
-            &members,
-        );
-        let after_first = cache.stats();
-        assert_eq!(after_first.hits, 0);
-        assert_eq!(after_first.misses, 2, "words + frames miss");
-        // Second alphabet, same (window, paa): words miss, frames HIT.
-        cache.words(
-            SetId::FullTrain,
-            1,
-            &SaxConfig::new(16, 4, 6),
-            true,
-            &members,
-        );
-        let after_second = cache.stats();
-        assert_eq!(after_second.hits, 1, "frames reused across alphabets");
-        assert_eq!(after_second.misses, 3);
-        // Exact repeat: words HIT, frames untouched.
-        cache.words(
-            SetId::FullTrain,
-            1,
-            &SaxConfig::new(16, 4, 6),
-            true,
-            &members,
-        );
-        assert_eq!(cache.stats().hits, 2);
-        assert_eq!(cache.stats().misses, 3);
-    }
-
-    #[test]
     fn interleaved_configs_and_sets_do_not_collide() {
         let a = series(3, 64);
         let b = series(5, 64);
         let ma: Vec<&[f64]> = a.iter().map(Vec::as_slice).collect();
         let mb: Vec<&[f64]> = b.iter().map(Vec::as_slice).collect();
-        let cache = SaxCache::new(true);
-        let s1 = SaxConfig::new(16, 4, 4);
-        let s2 = SaxConfig::new(24, 6, 4);
-        // Interleave two configs across two sets; every answer must match
-        // a fresh computation regardless of what is already cached.
+        let cache = SaxCache::default();
+        // Interleave two (window, paa) keys across two sets; every answer
+        // must match a fresh computation regardless of what is cached.
         for _ in 0..2 {
-            for (set, members, data) in [(SetId::FullTrain, &ma, &a), (SetId::Split(42), &mb, &b)] {
-                for sax in [&s1, &s2] {
-                    let got = cache.words(set, 0, sax, true, members);
-                    for (w, s) in got.iter().zip(data) {
-                        assert_eq!(*w, discretize(s, sax, true), "{set:?} {sax:?}");
-                    }
+            for (set, members) in [(SetId::FullTrain, &ma), (SetId::Split(42), &mb)] {
+                for (window, paa) in [(16, 4), (24, 6)] {
+                    let got = cache.frames(set, 0, window, paa, members);
+                    let fresh: Vec<_> =
+                        members.iter().map(|s| paa_frames(s, window, paa)).collect();
+                    assert_eq!(*got, fresh, "{set:?} {window} {paa}");
                 }
             }
         }
-        // First sweep: 4 distinct word keys + 4 distinct frame keys, all
-        // misses. Second sweep: 4 word hits (frames never consulted).
-        assert_eq!(cache.stats(), CacheStats { hits: 4, misses: 8 });
-    }
-
-    #[test]
-    fn disabled_cache_computes_and_stores_nothing() {
-        let data = series(2, 48);
-        let members: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
-        let cache = SaxCache::disabled();
-        let sax = SaxConfig::new(12, 4, 4);
-        let w1 = cache.words(SetId::FullTrain, 0, &sax, true, &members);
-        let w2 = cache.words(SetId::FullTrain, 0, &sax, true, &members);
-        assert_eq!(w1, w2);
-        assert_eq!(cache.stats(), CacheStats::default());
+        // First sweep: 4 distinct keys, all misses. Second sweep: 4 hits.
+        assert_eq!(cache.stats(), CacheStats { hits: 4, misses: 4 });
     }
 
     #[test]
     fn eval_memoizes_including_none() {
-        let cache = SaxCache::new(true);
+        let cache = SaxCache::default();
         let sax = SaxConfig::new(8, 4, 4);
         let mut calls = 0usize;
         let v1 = cache.eval(&sax, || {
@@ -506,7 +376,7 @@ mod tests {
 
     #[test]
     fn column_fingerprints_distinguish_patterns() {
-        let cache = SaxCache::new(true);
+        let cache = SaxCache::default();
         let p1 = vec![1.0, 2.0, 3.0];
         let p2 = vec![1.0, 2.0, 3.0 + 1e-12];
         assert!(cache.try_column(SetId::FullTrain, &p1).is_none());
@@ -534,13 +404,12 @@ mod tests {
     fn concurrent_lookups_agree() {
         let data = series(6, 96);
         let members: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
-        let cache = SaxCache::new(true);
-        let sax = SaxConfig::new(16, 4, 5);
-        let reference = cache.words(SetId::FullTrain, 0, &sax, true, &members);
+        let cache = SaxCache::default();
+        let reference = cache.frames(SetId::FullTrain, 0, 16, 4, &members);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    let got = cache.words(SetId::FullTrain, 0, &sax, true, &members);
+                    let got = cache.frames(SetId::FullTrain, 0, 16, 4, &members);
                     assert_eq!(got, reference);
                 });
             }

@@ -16,7 +16,7 @@ use crate::engine::Engine;
 use crate::transform::pattern_distance_plans;
 use rpm_cluster::{bisect_refine, centroid, medoid};
 use rpm_grammar::{infer_repair, Sequitur, Token};
-use rpm_sax::{SaxConfig, SaxWord};
+use rpm_sax::{words_from_frames, SaxConfig, SaxWord};
 use rpm_ts::{znorm, Label, MatchPlan};
 use std::collections::HashMap;
 
@@ -70,15 +70,15 @@ pub fn find_candidates_for_class(
     sax: &SaxConfig,
     config: &RpmConfig,
 ) -> CandidateSet {
-    let cache = SaxCache::disabled();
+    let cache = SaxCache::default();
     let ctx = Ctx::new(Engine::serial(), &cache);
     find_candidates_for_class_ctx(members, class, sax, config, &ctx)
 }
 
-/// [`find_candidates_for_class`] inside a training run: discretizations
-/// come from the run's cache (keyed by the context's set identity), so
-/// parameter-search neighbours sharing a `(window, paa)` or a full
-/// `SaxConfig` never re-pay the SAX pass.
+/// [`find_candidates_for_class`] inside a training run: PAA frames come
+/// from the run's cache (keyed by the context's set identity), so
+/// parameter-search neighbours sharing a `(window, paa)` never re-pay
+/// the z-normalize + PAA pass; only the cheap symbol lookup reruns.
 pub(crate) fn find_candidates_for_class_ctx(
     members: &[&[f64]],
     class: Label,
@@ -97,9 +97,9 @@ pub(crate) fn find_candidates_for_class_ctx(
     // --- Discretize each member separately; windows therefore never cross
     //     junctions, and sentinels below keep the grammar from joining
     //     words across them.
-    let all_words = ctx
+    let frames = ctx
         .cache
-        .words(ctx.set, class, sax, config.numerosity_reduction, members);
+        .frames(ctx.set, class, sax.window, sax.paa_size, members);
     let mut interner: HashMap<SaxWord, Token> = HashMap::new();
     let mut tokens: Vec<Token> = Vec::new();
     // origin[i] = Some((instance, window offset)) for word tokens.
@@ -107,9 +107,9 @@ pub(crate) fn find_candidates_for_class_ctx(
     let mut next_token: Token = 0;
     let mut sentinel_base: Token = Token::MAX;
 
-    for (inst, words) in all_words.iter().enumerate() {
-        for w in words {
-            let t = *interner.entry(w.word.clone()).or_insert_with(|| {
+    for (inst, member) in frames.iter().enumerate() {
+        for w in words_from_frames(member, sax.alphabet, config.numerosity_reduction) {
+            let t = *interner.entry(w.word).or_insert_with(|| {
                 let t = next_token;
                 next_token += 1;
                 t

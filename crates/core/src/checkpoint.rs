@@ -256,9 +256,9 @@ fn parse_entry(line: &str) -> Result<(SaxConfig, EvalValue), String> {
 
 /// Fingerprints everything a combination score depends on: the dataset
 /// (labels + exact series bits) and every scoring-relevant config knob.
-/// Deliberately excludes the search strategy, thread count, cache
-/// policy, budget, and observability settings — none of them change
-/// what a combination scores, so checkpoints stay reusable across them.
+/// Deliberately excludes the search strategy, thread count, budget,
+/// and observability settings — none of them change what a combination
+/// scores, so checkpoints stay reusable across them.
 pub(crate) fn context_fingerprint(train: &Dataset, config: &RpmConfig) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     let mut mix = |v: u64| {
@@ -441,7 +441,6 @@ mod tests {
 
         let rethreaded = RpmConfig {
             n_threads: 8,
-            cache: false,
             ..config.clone()
         };
         assert_eq!(

@@ -1,6 +1,6 @@
 //! Configuration for the RPM pipeline: the [`RpmConfig`] knobs, the
-//! validated [`RpmConfig::builder`], and the training-engine settings
-//! (`n_threads`, `cache`).
+//! validated [`RpmConfig::builder`], and the training-engine setting
+//! (`n_threads`).
 
 use rpm_cluster::BisectParams;
 use rpm_ml::{CfsParams, SvmParams};
@@ -195,10 +195,6 @@ pub struct RpmConfig {
     /// available CPU, any other value spawns exactly that many workers.
     /// Results are bit-identical across all settings (DESIGN.md §5).
     pub n_threads: usize,
-    /// Memoize discretizations, combination scores, and transform columns
-    /// during training. Identical results either way; off only for the
-    /// cache ablation.
-    pub cache: bool,
     /// Observability settings (recording level + JSONL report path),
     /// installed globally when training starts. Recording never changes
     /// results — only what is measured. Binaries usually leave this at
@@ -239,7 +235,6 @@ impl Default for RpmConfig {
             validation_train_fraction: 0.7,
             seed: 0xC0FFEE,
             n_threads: 1,
-            cache: true,
             obs: ObsConfig::default(),
             budget: TrainBudget::unlimited(),
             checkpoint: None,
@@ -300,12 +295,6 @@ impl RpmConfigBuilder {
     /// Training-engine worker threads (`0` = one per CPU, `1` = serial).
     pub fn threads(mut self, n_threads: usize) -> Self {
         self.config.n_threads = n_threads;
-        self
-    }
-
-    /// Enable or disable the training memoization cache.
-    pub fn cache(mut self, enabled: bool) -> Self {
-        self.config.cache = enabled;
         self
     }
 
@@ -474,7 +463,6 @@ mod tests {
         assert!(c.early_abandon);
         assert_eq!(c.kernel, MatchKernel::Batched, "batched kernel by default");
         assert_eq!(c.n_threads, 1, "serial by default");
-        assert!(c.cache);
     }
 
     #[test]
@@ -495,7 +483,6 @@ mod tests {
         let c = RpmConfig::builder().gamma(0.2).threads(8).build().unwrap();
         assert_eq!(c.gamma, 0.2);
         assert_eq!(c.n_threads, 8);
-        assert!(c.cache);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub fn select_representative(
     labels: &[Label],
     config: &RpmConfig,
 ) -> Vec<Candidate> {
-    let cache = SaxCache::disabled();
+    let cache = SaxCache::default();
     let ctx = Ctx::new(Engine::serial(), &cache);
     select_representative_ctx(
         candidates,

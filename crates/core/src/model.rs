@@ -186,7 +186,7 @@ impl RpmClassifier {
         // so combinations probed by the search stay warm for the final
         // training pass (and the surfaced CacheStats cover the whole
         // call).
-        let cache = SaxCache::new(config.cache);
+        let cache = SaxCache::default();
         // A checkpoint only makes sense when there is a search to resume;
         // fixed-parameter training ignores `config.checkpoint`.
         let searching = matches!(
@@ -240,14 +240,14 @@ impl RpmClassifier {
     /// Trains with explicit per-class SAX configurations (the §4.3 path
     /// after parameter learning). Exposed for the parameter-search
     /// objective and the benchmarks. Runs on `config.n_threads` workers
-    /// with the memoization cache from `config.cache`; results are
-    /// identical to the serial path for any thread count.
+    /// with a fresh memoization cache; results are identical to the
+    /// serial path for any thread count.
     pub fn train_with_configs(
         train: &Dataset,
         config: &RpmConfig,
         per_class_sax: &BTreeMap<Label, SaxConfig>,
     ) -> Result<Self, TrainError> {
-        let cache = SaxCache::new(config.cache);
+        let cache = SaxCache::default();
         let ctx = Ctx::new(Engine::new(config.n_threads), &cache);
         Self::train_with_configs_ctx(train, config, per_class_sax, &ctx)
     }

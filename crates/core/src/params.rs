@@ -204,14 +204,14 @@ fn evaluate_combination_uncached(
 }
 
 /// Runs the configured search and returns per-class configurations,
-/// using `config.n_threads` workers and the `config.cache` memoization
-/// policy. Results are identical for any thread count.
+/// using `config.n_threads` workers and a fresh memoization cache.
+/// Results are identical for any thread count.
 ///
 /// # Panics
 /// Panics when called with a `Fixed`/`PerClassFixed` strategy (those need
 /// no search) — `RpmClassifier::train` never does.
 pub fn search_parameters(train: &Dataset, config: &RpmConfig) -> Result<SearchOutcome, TrainError> {
-    let cache = SaxCache::new(config.cache);
+    let cache = SaxCache::default();
     let budget = BudgetState::new(&config.budget);
     let ctx = Ctx::new(Engine::new(config.n_threads), &cache).with_budget(&budget);
     search_parameters_ctx(train, config, &ctx)
@@ -449,7 +449,7 @@ mod tests {
     }
 
     fn eval(d: &Dataset, cfg: &RpmConfig, sax: &SaxConfig) -> Option<(BTreeMap<Label, f64>, f64)> {
-        let cache = SaxCache::new(cfg.cache);
+        let cache = SaxCache::default();
         let ctx = Ctx::new(Engine::serial(), &cache);
         evaluate_combination(d, cfg, sax, &ctx).unwrap()
     }
@@ -499,7 +499,7 @@ mod tests {
         let d = dataset(2);
         let cfg = RpmConfig::default();
         let sax = SaxConfig::new(20, 4, 4);
-        let cache = SaxCache::new(true);
+        let cache = SaxCache::default();
         let ctx = Ctx::new(Engine::serial(), &cache);
         let first = evaluate_combination(&d, &cfg, &sax, &ctx).unwrap();
         let evals_after_first = cache.stats();
@@ -521,7 +521,7 @@ mod tests {
         };
         let sax = SaxConfig::new(20, 4, 4);
         let serial = eval(&d, &cfg, &sax);
-        let cache = SaxCache::disabled();
+        let cache = SaxCache::default();
         let ctx = Ctx::new(Engine::new(4), &cache);
         let parallel = evaluate_combination(&d, &cfg, &sax, &ctx).unwrap();
         let (s, p) = (serial.expect("scorable"), parallel.expect("scorable"));

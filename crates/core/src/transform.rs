@@ -356,7 +356,7 @@ mod tests {
     fn cached_transform_matches_plain() {
         let set: Vec<Vec<f64>> = (0..9).map(|k| bump(4 + 3 * k, 48)).collect();
         let pats = vec![bump(2, 9), bump(6, 14), bump(3, 11)];
-        let cache = SaxCache::new(true);
+        let cache = SaxCache::default();
         let plain = transform_set(&set, &pats, false, true);
         for threads in [1usize, 4] {
             let ctx = Ctx::new(Engine::new(threads), &cache);

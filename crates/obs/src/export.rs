@@ -10,7 +10,7 @@
 //! * gauges keep their flattened name (`engine.workers.max` →
 //!   `rpm_engine_workers_max`);
 //! * cache families collapse into three labeled counters
-//!   (`rpm_cache_hits_total{family="words"}`, …misses…, …evictions…);
+//!   (`rpm_cache_hits_total{family="frames"}`, …misses…, …evictions…);
 //! * dynamic labeled counters split their trailing `key=value` segment
 //!   into a label (`cfs.survivors.class=3` →
 //!   `rpm_cfs_survivors_total{class="3"}`);

@@ -369,8 +369,6 @@ pub struct Metrics {
     pub match_stats_builds: Counter,
     /// `cache.frames.*` — PAA-frame cache family.
     pub cache_frames: CacheFamilyMetrics,
-    /// `cache.words.*` — word-sequence cache family.
-    pub cache_words: CacheFamilyMetrics,
     /// `cache.evals.*` — combination-score cache family.
     pub cache_evals: CacheFamilyMetrics,
     /// `cache.columns.*` — transform-column cache family.
@@ -397,8 +395,10 @@ pub struct Metrics {
     /// short by the serving limits (concurrency bound, oversized or
     /// timed-out requests).
     pub http_rejected: Counter,
-    /// `serve.requests` — classify requests accepted by `rpm-serve`
-    /// (parsed and enqueued; sheds and parse rejections not included).
+    /// `serve.requests` — classify requests received by `rpm-serve`.
+    /// Counted on entry, before the fault point, the parse and the shed
+    /// check, so it includes every outcome: `200`, `400` parse
+    /// rejections, `429` sheds, `500` errors and `504` deadline drops.
     pub serve_requests: Counter,
     /// `serve.shed` — classify requests refused with `429` because the
     /// bounded queue was full (load shedding, not failure).
@@ -478,7 +478,6 @@ impl Metrics {
             match_pruned_envelope: Counter::new(),
             match_stats_builds: Counter::new(),
             cache_frames: CacheFamilyMetrics::new(),
-            cache_words: CacheFamilyMetrics::new(),
             cache_evals: CacheFamilyMetrics::new(),
             cache_columns: CacheFamilyMetrics::new(),
             ml_svm_trains: Counter::new(),
@@ -561,10 +560,9 @@ impl Metrics {
         ]
     }
 
-    fn cache_entries(&self) -> [(&'static str, &CacheFamilyMetrics); 4] {
+    fn cache_entries(&self) -> [(&'static str, &CacheFamilyMetrics); 3] {
         [
             ("frames", &self.cache_frames),
-            ("words", &self.cache_words),
             ("evals", &self.cache_evals),
             ("columns", &self.cache_columns),
         ]
@@ -825,13 +823,13 @@ mod tests {
         }
         .install();
         reset();
-        metrics().cache_words.hits.add(3);
-        metrics().cache_words.misses.add(1);
+        metrics().cache_frames.hits.add(3);
+        metrics().cache_frames.misses.add(1);
         labeled_add("cfs.survivors.class=2", 4);
         let s = snapshot();
         assert_eq!(
-            s.cache.iter().find(|(n, ..)| *n == "words"),
-            Some(&("words", 3, 1, 0))
+            s.cache.iter().find(|(n, ..)| *n == "frames"),
+            Some(&("frames", 3, 1, 0))
         );
         assert_eq!(s.cache_totals(), (4, 3));
         assert_eq!(s.labeled, vec![("cfs.survivors.class=2".to_string(), 4)]);

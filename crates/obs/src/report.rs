@@ -906,8 +906,8 @@ mod tests {
                 crate::metrics().mine_rules.add(10);
             }
             let _svm = crate::span!("svm");
-            crate::metrics().cache_words.hits.add(7);
-            crate::metrics().cache_words.misses.add(3);
+            crate::metrics().cache_frames.hits.add(7);
+            crate::metrics().cache_frames.misses.add(3);
             crate::info!("test", "stage done");
         }
         // One retained request trace (sampled inbound context forces
@@ -937,7 +937,7 @@ mod tests {
 
         let check = validate_jsonl(&path.display().to_string()).expect("valid report");
         assert_eq!(check.spans, 3);
-        assert_eq!(check.caches, 4);
+        assert_eq!(check.caches, 3);
         assert_eq!(check.logs, 1);
         assert_eq!(check.traces, 1);
         assert_eq!(check.counter("mine.rules"), Some(10));

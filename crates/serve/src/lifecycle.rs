@@ -578,9 +578,10 @@ impl Lifecycle {
                 *slot = None;
                 return None;
             }
+            // `serve.errors` already counts each quarantined request's
+            // `500`; adding `serve.quarantined` would count it twice.
             let m = rpm_obs::metrics();
-            let errors =
-                (m.serve_errors.get() + m.serve_quarantined.get()).saturating_sub(p.errors_at_swap);
+            let errors = m.serve_errors.get().saturating_sub(p.errors_at_swap);
             let requests = m.serve_requests.get().saturating_sub(p.requests_at_swap);
             let error_spike = errors >= self.policy.probation_min_errors
                 && errors as f64 > self.policy.probation_error_pct * requests.max(1) as f64;
@@ -625,7 +626,7 @@ impl Lifecycle {
             let m = rpm_obs::metrics();
             Some(Probation {
                 until: Instant::now() + self.policy.probation,
-                errors_at_swap: m.serve_errors.get() + m.serve_quarantined.get(),
+                errors_at_swap: m.serve_errors.get(),
                 requests_at_swap: m.serve_requests.get(),
             })
         };

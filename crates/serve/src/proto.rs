@@ -52,10 +52,7 @@ pub fn parse_body(body: &[u8]) -> Result<Vec<SeriesRequest>, String> {
 
 /// Parses one request line (bare array or `{"id", "series"}` object).
 pub fn parse_line(line: &str) -> Result<SeriesRequest, String> {
-    let mut p = Parser {
-        chars: line.char_indices().peekable(),
-        src: line,
-    };
+    let mut p = Parser { src: line, pos: 0 };
     p.skip_ws();
     let request = match p.peek() {
         Some('[') => SeriesRequest {
@@ -115,17 +112,20 @@ pub(crate) fn quote_json(s: &str) -> String {
 }
 
 struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
     src: &'a str,
+    /// Byte offset of the next unread character.
+    pos: usize,
 }
 
 impl Parser<'_> {
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().map(|&(_, c)| c)
+    fn peek(&self) -> Option<char> {
+        self.src[self.pos..].chars().next()
     }
 
     fn next(&mut self) -> Option<char> {
-        self.chars.next().map(|(_, c)| c)
+        let c = self.peek()?;
+        self.pos += c.len_utf8();
+        Some(c)
     }
 
     fn skip_ws(&mut self) {
@@ -165,20 +165,18 @@ impl Parser<'_> {
 
     fn parse_number(&mut self) -> Result<f64, String> {
         self.skip_ws();
-        let start = match self.chars.peek() {
-            Some(&(i, _)) => i,
-            None => return Err("expected a number, found end of line".to_string()),
-        };
-        let mut end = start;
-        while let Some(&(i, c)) = self.chars.peek() {
-            if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                end = i + c.len_utf8();
-                self.chars.next();
-            } else {
-                break;
-            }
+        let rest = &self.src[self.pos..];
+        if rest.is_empty() {
+            return Err("expected a number, found end of line".to_string());
         }
-        let token = &self.src[start..end];
+        let number_byte = |b: &u8| b.is_ascii_digit() || b"+-.eE".contains(b);
+        let len = json_number_len(rest.as_bytes());
+        if len == 0 || rest.as_bytes().get(len).is_some_and(number_byte) {
+            let run = rest.bytes().take_while(number_byte).count();
+            return Err(format!("bad number {:?}", &rest[..run]));
+        }
+        self.pos += len;
+        let token = &rest[..len];
         let v: f64 = token.parse().map_err(|_| format!("bad number {token:?}"))?;
         if !v.is_finite() {
             return Err(format!("non-finite number {token:?}"));
@@ -244,9 +242,38 @@ impl Parser<'_> {
     }
 }
 
+/// Length of the RFC 8259 number at the start of `s`, or 0 when there
+/// is none: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+fn json_number_len(s: &[u8]) -> usize {
+    let digits = |from: usize| s[from..].iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut i = usize::from(s.first() == Some(&b'-'));
+    let int = digits(i);
+    if int == 0 || (int > 1 && s[i] == b'0') {
+        return 0;
+    }
+    i += int;
+    if s.get(i) == Some(&b'.') {
+        let frac = digits(i + 1);
+        if frac == 0 {
+            return 0;
+        }
+        i += 1 + frac;
+    }
+    if matches!(s.get(i), Some(b'e' | b'E')) {
+        let sign = usize::from(matches!(s.get(i + 1), Some(b'+' | b'-')));
+        let exp = digits(i + 1 + sign);
+        if exp == 0 {
+            return 0;
+        }
+        i += 1 + sign + exp;
+    }
+    i
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bare_arrays_parse() {
@@ -286,6 +313,35 @@ mod tests {
         assert!(parse_line(r#"{"series": [1], "extra": 3}"#).is_err());
         assert!(parse_line(r#"{"id": "x"}"#).is_err(), "missing series");
         assert!(parse_line("[1e999]").is_err(), "overflow to inf");
+        for token in [
+            "+1", ".5", "1.", "01", "-.5", "-01", "-", "1e", "1e+", "1.5.2", "1e5.0",
+        ] {
+            let e = parse_body(format!("[0]\n[{token}]\n").as_bytes()).unwrap_err();
+            assert!(e.starts_with("line 2: bad number"), "{token}: {e}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Every finite f64, written as `{x:?}`, `{x}` or `{x:e}`,
+        /// parses back bit-exactly. A third of the cases clear the
+        /// exponent (subnormals) and a third keep only the sign (±0).
+        #[test]
+        fn finite_floats_round_trip_bit_exactly(bits in 0u64..=u64::MAX, kind in 0u8..3) {
+            let bits = match kind {
+                0 => bits,
+                1 => bits & !(0x7ff << 52),
+                _ => bits & (1 << 63),
+            };
+            let x = f64::from_bits(bits);
+            if x.is_finite() {
+                for text in [format!("{x:?}"), format!("{x}"), format!("{x:e}")] {
+                    let parsed = parse_line(&format!("[{text}]")).unwrap().values[0];
+                    prop_assert_eq!(parsed.to_bits(), bits, "{}", text);
+                }
+            }
+        }
     }
 
     #[test]

@@ -194,3 +194,43 @@ fn disabled_probes_record_nothing() {
     assert_eq!(rpm::obs::metrics().engine_jobs.get(), before);
     assert!(rpm::obs::finish().is_none());
 }
+
+/// Every memo family pays on a per-class DIRECT search: alphabet
+/// neighbours share PAA frames, overlapping per-class probes share
+/// combination scores, and the SVM transform reuses the CFS transform's
+/// columns. The run report carries one cache line per family.
+#[test]
+fn every_memo_family_hits_under_per_class_direct_search() {
+    let _g = gate();
+    reset();
+    ObsConfig {
+        level: ObsLevel::Spans,
+        json_path: None,
+        http_addr: None,
+    }
+    .install();
+    let config = RpmConfig {
+        param_search: ParamSearch::Direct {
+            max_evals: 12,
+            per_class: true,
+        },
+        ..RpmConfig::default()
+    };
+    RpmClassifier::train(&small_cbf().0, &config).unwrap();
+    let report = rpm::obs::finish().expect("observability is on");
+    ObsConfig::default().install();
+
+    let families: Vec<_> = report
+        .metrics
+        .cache
+        .iter()
+        .map(|c| (c.0, c.1 > 0))
+        .collect();
+    let hit = [("frames", true), ("evals", true), ("columns", true)];
+    assert_eq!(families, hit, "(family, hit at least once)");
+    let jsonl = report.to_jsonl();
+    let cache_lines = jsonl
+        .lines()
+        .filter(|l| l.starts_with("{\"type\":\"cache\""));
+    assert_eq!(cache_lines.count(), 3, "{jsonl}");
+}

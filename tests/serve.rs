@@ -302,6 +302,33 @@ fn armed_request_fault_degrades_to_an_error_response_not_a_crash() {
     server.shutdown();
 }
 
+/// `serve.requests` counts every classify request on entry, whatever
+/// its outcome; of a 200, a 400 and a 500, only the 500 lands in an
+/// outcome counter.
+#[test]
+fn serve_requests_counts_every_outcome() {
+    let _g = exclusive();
+    let (model, test) = trained();
+    let mut server = Server::start(Arc::clone(&model), &test_config()).expect("start");
+    let addr = server.local_addr();
+    let m = rpm::obs::metrics();
+    let outcomes = || m.serve_shed.get() + m.serve_deadline_exceeded.get() + m.serve_errors.get();
+    let (requests_before, outcomes_before) = (m.serve_requests.get(), outcomes());
+
+    let ok = post(addr, &jsonl_body(&test.series[0]));
+    assert!(ok.starts_with("HTTP/1.0 200"), "{ok}");
+    let bad = post(addr, "not json\n");
+    assert!(bad.starts_with("HTTP/1.0 400"), "{bad}");
+    rpm::obs::fault::install(rpm::obs::fault::parse("serve.request:io:1:0").expect("spec"));
+    let faulted = post(addr, &jsonl_body(&test.series[0]));
+    rpm::obs::fault::clear();
+    assert!(faulted.starts_with("HTTP/1.0 500"), "{faulted}");
+
+    assert_eq!(m.serve_requests.get() - requests_before, 3);
+    assert_eq!(outcomes() - outcomes_before, 1);
+    server.shutdown();
+}
+
 /// Duration of the named span inside one `/debug/traces` JSONL line.
 /// Span objects render `name` before `dur_ns`, so the first `dur_ns`
 /// after the name belongs to that span.

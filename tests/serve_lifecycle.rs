@@ -480,29 +480,37 @@ fn worker_panics_are_quarantined_and_the_pool_self_heals() {
     server.shutdown();
 }
 
-#[test]
-fn probation_error_spike_rolls_back_automatically() {
-    let _g = gate();
+/// Serves model A (window 32), then reloads model B (window 24) into a
+/// two-minute probation that rolls back at `min_errors` errors above a
+/// 10% error rate. Returns the server, A's and B's fingerprints, B's
+/// temp file and one classify body.
+fn reloaded_into_probation(
+    min_errors: u64,
+) -> (Server, String, String, std::path::PathBuf, String) {
     let (train_set, test_set) = cbf();
     let (bytes_a, fp_a) = saved(&train(&train_set, 32));
     let (bytes_b, fp_b) = saved(&train(&train_set, 24));
     let path_b = temp_model(&bytes_b);
-
     let config = ServeConfig {
         reload: ReloadPolicy {
             probation: Duration::from_secs(120),
-            probation_min_errors: 3,
+            probation_min_errors: min_errors,
             probation_error_pct: 0.1,
             ..ReloadPolicy::default()
         },
         ..test_config()
     };
-    let mut server = start_on(&bytes_a, &config);
-    let addr = server.local_addr();
-    let body = jsonl_body(&test_set.series[0]);
+    let server = start_on(&bytes_a, &config);
+    assert!(reload(server.local_addr(), &path_b).starts_with("HTTP/1.0 200"));
+    assert_eq!(health_fingerprint(server.local_addr()), fp_b);
+    (server, fp_a, fp_b, path_b, jsonl_body(&test_set.series[0]))
+}
 
-    assert!(reload(addr, &path_b).starts_with("HTTP/1.0 200"));
-    assert_eq!(health_fingerprint(addr), fp_b);
+#[test]
+fn probation_error_spike_rolls_back_automatically() {
+    let _g = gate();
+    let (mut server, fp_a, _, path_b, body) = reloaded_into_probation(3);
+    let addr = server.local_addr();
 
     // The new generation starts failing (armed batch fault standing in
     // for a model that predicts garbage): errors spike inside the
@@ -526,6 +534,26 @@ fn probation_error_spike_rolls_back_automatically() {
 
     // Probation cleared with the rollback: another tick is a no-op.
     assert!(server.lifecycle().tick().is_none());
+
+    server.shutdown();
+    let _ = std::fs::remove_file(&path_b);
+}
+
+/// A quarantined request answers one `500` and counts once toward
+/// probation: below `probation_min_errors`, it must not roll back.
+#[test]
+fn one_quarantined_request_counts_once_in_probation() {
+    let _g = gate();
+    let (mut server, _, fp_b, path_b, body) = reloaded_into_probation(2);
+    let addr = server.local_addr();
+
+    rpm::obs::fault::install(rpm::obs::fault::parse("serve.worker:panic:1:0").expect("spec"));
+    let quarantined = post_classify(addr, &body);
+    rpm::obs::fault::clear();
+    assert!(quarantined.contains("quarantined"), "{quarantined}");
+
+    assert!(server.lifecycle().tick().is_none(), "one error is below 2");
+    assert_eq!(health_fingerprint(addr), fp_b, "the new generation serves");
 
     server.shutdown();
     let _ = std::fs::remove_file(&path_b);
