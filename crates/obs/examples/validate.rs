@@ -7,12 +7,11 @@
 //! cargo run --release -p rpm-obs --example validate -- rpm-report.jsonl
 //! ```
 //!
-//! Exits non-zero unless the report has a meta line, non-empty spans with
-//! monotone timestamps inside wall time, every cache line satisfying
-//! `hits + misses == lookups`, every histogram line satisfying the bucket
-//! invariants (`count == Σ bucket counts`, ascending bucket bounds,
-//! `sum_ns ≤ count × max upper bound` — all enforced inside
-//! `validate_jsonl`), and a populated `engine.jobs` counter.
+//! Exits non-zero unless `validate_jsonl` accepts the report (a meta
+//! line, non-empty spans with monotone timestamps inside wall time,
+//! every cache line satisfying `hits + misses == lookups`, every
+//! histogram line satisfying the bucket invariants, reconciled match and
+//! CFS counters) and its `engine.jobs` counter is populated.
 
 use std::process::ExitCode;
 
@@ -28,10 +27,10 @@ fn main() -> ExitCode {
                  {} histograms, {} logs, {} traces, wall {:.3}s, root-stage coverage {:.1}%",
                 check.lines,
                 check.spans,
-                check.stages,
+                check.stages.len(),
                 check.counters.len(),
-                check.caches,
-                check.histograms,
+                check.caches.len(),
+                check.histograms.len(),
                 check.logs,
                 check.traces,
                 check.wall_ns as f64 / 1e9,
@@ -44,11 +43,11 @@ fn main() -> ExitCode {
                     check.traces
                 );
             }
-            if check.histograms > 0 {
+            if !check.histograms.is_empty() {
                 println!(
                     "{path}: {} histogram(s) passed the bucket invariants \
                      (count == Σ buckets, ascending bounds, bounded sum)",
-                    check.histograms
+                    check.histograms.len()
                 );
             }
             match check.counter("engine.jobs") {
@@ -63,7 +62,7 @@ fn main() -> ExitCode {
             }
         }
         Err(e) => {
-            eprintln!("{path}: INVALID — {e}");
+            eprintln!("INVALID — {e}");
             ExitCode::FAILURE
         }
     }

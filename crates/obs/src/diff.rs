@@ -1,6 +1,5 @@
-//! Report analytics: load a saved JSONL run report back into a summary
-//! and diff two reports for CI perf gating (`rpm-cli obs summary` /
-//! `rpm-cli obs diff`).
+//! Report diffing for CI perf gating (`rpm-cli obs diff`): compares two
+//! [`ReportSummary`]s read back by [`crate::report::validate_jsonl`].
 //!
 //! A diff compares three signal classes with different strictness:
 //!
@@ -14,204 +13,8 @@
 //!   count as regressions when `DiffOptions::time_gate` is set (the CI
 //!   default leaves them informational).
 
-use crate::report::{bucket_pairs, str_field, u64_field};
+use crate::report::ReportSummary;
 use std::fmt::Write as _;
-
-/// One stage aggregate loaded from a report.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StageSummary {
-    /// Full `/`-joined stage path.
-    pub path: String,
-    /// Merged span count.
-    pub calls: u64,
-    /// Summed duration.
-    pub total_ns: u64,
-}
-
-/// One histogram loaded from a report.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistogramSummary {
-    /// Registry name (e.g. `predict.latency_ns`).
-    pub name: String,
-    /// Observations recorded.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum_ns: u64,
-    /// Median estimate (0 for v1 reports without quantiles).
-    pub p50: f64,
-    /// 90th-percentile estimate.
-    pub p90: f64,
-    /// 99th-percentile estimate.
-    pub p99: f64,
-}
-
-/// A JSONL run report parsed back into comparable form.
-#[derive(Clone, Debug, Default)]
-pub struct ReportSummary {
-    /// Total wall time of the run.
-    pub wall_ns: u64,
-    /// Recording level the run used.
-    pub level: String,
-    /// Stage aggregates in file order (tree order).
-    pub stages: Vec<StageSummary>,
-    /// Counters (static + gauges + labeled) as `(name, value)`.
-    pub counters: Vec<(String, u64)>,
-    /// Cache families as `(family, lookups)`.
-    pub caches: Vec<(String, u64)>,
-    /// Histograms with their quantile estimates.
-    pub histograms: Vec<HistogramSummary>,
-}
-
-impl ReportSummary {
-    /// Looks up a counter by name.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-
-    /// Renders the summary as a human-readable table (the `obs summary`
-    /// output): stage tree with times, then histograms with quantiles,
-    /// then non-zero counters.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "run report — wall {}, level {}",
-            fmt_ns(self.wall_ns),
-            self.level
-        );
-        if !self.stages.is_empty() {
-            let name_width = self
-                .stages
-                .iter()
-                .map(|s| s.path.len())
-                .max()
-                .unwrap_or(0)
-                .max(12);
-            let _ = writeln!(out, "stages:");
-            for s in &self.stages {
-                let pct = if self.wall_ns > 0 {
-                    100.0 * s.total_ns as f64 / self.wall_ns as f64
-                } else {
-                    0.0
-                };
-                let _ = writeln!(
-                    out,
-                    "  {:name_width$}  {:>9}  {:5.1}%  {:>6}×",
-                    s.path,
-                    fmt_ns(s.total_ns),
-                    pct,
-                    s.calls
-                );
-            }
-        }
-        if !self.histograms.is_empty() {
-            let _ = writeln!(out, "histograms:");
-            for h in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {}: {} obs, p50 {:.0}, p90 {:.0}, p99 {:.0}",
-                    h.name, h.count, h.p50, h.p90, h.p99
-                );
-            }
-        }
-        let nonzero: Vec<&(String, u64)> = self.counters.iter().filter(|(_, v)| *v > 0).collect();
-        if !nonzero.is_empty() {
-            let _ = writeln!(out, "counters:");
-            for (name, value) in nonzero {
-                let _ = writeln!(out, "  {name} = {value}");
-            }
-        }
-        for (family, lookups) in &self.caches {
-            if *lookups > 0 {
-                let _ = writeln!(out, "cache {family}: {lookups} lookups");
-            }
-        }
-        out
-    }
-}
-
-/// Parses a JSONL run report from `path` into a [`ReportSummary`].
-/// Tolerates v1 reports (no quantile fields — they load as 0).
-pub fn load_summary(path: &str) -> Result<ReportSummary, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut summary = ReportSummary::default();
-    let mut saw_meta = false;
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let ty =
-            str_field(line, "type").ok_or_else(|| format!("{path}:{lineno}: line without type"))?;
-        match ty.as_str() {
-            "meta" => {
-                summary.wall_ns = u64_field(line, "wall_ns")
-                    .ok_or_else(|| format!("{path}:{lineno}: meta without wall_ns"))?;
-                summary.level = str_field(line, "level").unwrap_or_default();
-                saw_meta = true;
-            }
-            "stage" => summary.stages.push(StageSummary {
-                path: str_field(line, "path")
-                    .ok_or_else(|| format!("{path}:{lineno}: stage without path"))?,
-                calls: u64_field(line, "calls").unwrap_or(0),
-                total_ns: u64_field(line, "total_ns").unwrap_or(0),
-            }),
-            "counter" => summary.counters.push((
-                str_field(line, "name")
-                    .ok_or_else(|| format!("{path}:{lineno}: counter without name"))?,
-                u64_field(line, "value").unwrap_or(0),
-            )),
-            "cache" => summary.caches.push((
-                str_field(line, "family")
-                    .ok_or_else(|| format!("{path}:{lineno}: cache without family"))?,
-                u64_field(line, "lookups").unwrap_or(0),
-            )),
-            "histogram" => {
-                let name = str_field(line, "name")
-                    .ok_or_else(|| format!("{path}:{lineno}: histogram without name"))?;
-                let count = u64_field(line, "count").unwrap_or(0);
-                // Sanity: the validator's core invariant also holds here.
-                if let Some(buckets) = bucket_pairs(line) {
-                    let total: u64 = buckets.iter().map(|(_, n)| n).sum();
-                    if total != count {
-                        return Err(format!(
-                            "{path}:{lineno}: histogram bucket counts do not sum to count"
-                        ));
-                    }
-                }
-                summary.histograms.push(HistogramSummary {
-                    name,
-                    count,
-                    sum_ns: u64_field(line, "sum_ns").unwrap_or(0),
-                    p50: f64_field(line, "p50").unwrap_or(0.0),
-                    p90: f64_field(line, "p90").unwrap_or(0.0),
-                    p99: f64_field(line, "p99").unwrap_or(0.0),
-                });
-            }
-            // span/log lines carry no aggregate information.
-            _ => {}
-        }
-    }
-    if !saw_meta {
-        return Err(format!("{path}: no meta line — not a run report?"));
-    }
-    Ok(summary)
-}
-
-/// Extracts a float field (quantiles serialize as `"p50":123.4`).
-fn f64_field(line: &str, key: &str) -> Option<f64> {
-    let pattern = format!("\"{key}\":");
-    let start = line.find(&pattern)? + pattern.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 /// Knobs for [`diff_reports`].
 #[derive(Clone, Copy, Debug)]
@@ -394,13 +197,10 @@ pub fn diff_reports(
     DiffReport { lines, regressions }
 }
 
-fn fmt_ns(ns: u64) -> String {
-    crate::report::fmt_ns(ns)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{validate_jsonl, StageSummary};
 
     fn summary(counters: &[(&str, u64)], wall: u64) -> ReportSummary {
         ReportSummary {
@@ -413,7 +213,7 @@ mod tests {
             }],
             counters: counters.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
             caches: vec![("words".to_string(), 100)],
-            histograms: Vec::new(),
+            ..ReportSummary::default()
         }
     }
 
@@ -471,12 +271,13 @@ mod tests {
             std::process::id()
         ));
         let text = "{\"type\":\"meta\",\"version\":2,\"wall_ns\":5000,\"level\":\"spans\"}\n\
+             {\"type\":\"span\",\"path\":\"train\",\"name\":\"train\",\"depth\":0,\"thread\":0,\"start_ns\":0,\"dur_ns\":4000}\n\
              {\"type\":\"stage\",\"path\":\"train\",\"calls\":1,\"total_ns\":4000}\n\
              {\"type\":\"counter\",\"name\":\"engine.jobs\",\"value\":12}\n\
              {\"type\":\"cache\",\"family\":\"words\",\"hits\":6,\"misses\":4,\"evictions\":0,\"lookups\":10,\"hit_rate\":0.6}\n\
              {\"type\":\"histogram\",\"name\":\"predict.latency_ns\",\"count\":3,\"sum_ns\":2100,\"mean_ns\":700.0,\"p50\":700.0,\"p90\":900.0,\"p99\":990.0,\"buckets\":[[1024,3]]}\n";
         std::fs::write(&path, text).unwrap();
-        let s = load_summary(&path.display().to_string()).expect("loads");
+        let s = validate_jsonl(&path.display().to_string()).expect("loads");
         assert_eq!(s.wall_ns, 5000);
         assert_eq!(s.counter("engine.jobs"), Some(12));
         assert_eq!(s.caches, vec![("words".to_string(), 10)]);
@@ -495,7 +296,7 @@ mod tests {
         let text = "{\"type\":\"meta\",\"version\":1,\"wall_ns\":100,\"level\":\"summary\"}\n\
              {\"type\":\"histogram\",\"name\":\"h\",\"count\":1,\"sum_ns\":8,\"mean_ns\":8.0,\"buckets\":[[16,1]]}\n";
         std::fs::write(&path, text).unwrap();
-        let s = load_summary(&path.display().to_string()).expect("v1 loads");
+        let s = validate_jsonl(&path.display().to_string()).expect("v1 loads");
         assert_eq!(s.histograms[0].p50, 0.0);
         std::fs::remove_file(&path).ok();
     }

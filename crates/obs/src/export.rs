@@ -13,7 +13,9 @@
 //!   (`rpm_cache_hits_total{family="frames"}`, …misses…, …evictions…);
 //! * dynamic labeled counters split their trailing `key=value` segment
 //!   into a label (`cfs.survivors.class=3` →
-//!   `rpm_cfs_survivors_total{class="3"}`);
+//!   `rpm_cfs_survivors_total{class="3"}`); a family that shares a
+//!   static counter's name renders right after that counter, so each
+//!   name has one `# TYPE` line and one contiguous group;
 //! * histograms render the full conventional triple: cumulative
 //!   `_bucket{le="…"}` series ending in `le="+Inf"`, plus `_sum` and
 //!   `_count`. Bucket bounds are the registry's log₂ upper bounds,
@@ -36,6 +38,8 @@ use std::fmt::Write;
 pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
 
+    // A labeled family that shares a rendered static counter's name joins
+    // that counter's group, under its one TYPE line.
     for &(name, value) in &snap.counters {
         if value == 0 {
             continue;
@@ -43,6 +47,12 @@ pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
         let flat = flatten(name);
         let _ = writeln!(out, "# TYPE rpm_{flat}_total counter");
         let _ = writeln!(out, "rpm_{flat}_total {value}");
+        for (labeled, value) in &snap.labeled {
+            let (family, label) = split_label(labeled);
+            if family == name {
+                push_labeled(&mut out, &flat, label, *value);
+            }
+        }
     }
 
     for &(name, value) in &snap.gauges {
@@ -71,29 +81,21 @@ pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
         }
     }
 
-    // Dynamic labeled counters, grouped so each family gets one TYPE
-    // line (the snapshot is sorted by name, so a family's entries are
-    // contiguous).
+    // The remaining labeled families, each under one TYPE line (the
+    // snapshot is sorted by name, so a family's entries are contiguous).
+    let grouped = |family: &str| snap.counters.iter().any(|&(n, v)| v > 0 && n == family);
     let mut last_family = String::new();
     for (name, value) in &snap.labeled {
         let (family, label) = split_label(name);
+        if grouped(&family) {
+            continue;
+        }
         let flat = flatten(&family);
         if family != last_family {
             let _ = writeln!(out, "# TYPE rpm_{flat}_total counter");
-            last_family = family.clone();
+            last_family = family;
         }
-        match label {
-            Some((key, val)) => {
-                let _ = writeln!(
-                    out,
-                    "rpm_{flat}_total{{{key}=\"{}\"}} {value}",
-                    escape_label(&val)
-                );
-            }
-            None => {
-                let _ = writeln!(out, "rpm_{flat}_total {value}");
-            }
-        }
+        push_labeled(&mut out, &flat, label, *value);
     }
 
     for (name, hist) in &snap.histograms {
@@ -104,6 +106,22 @@ pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
     }
 
     out
+}
+
+/// One `rpm_<flat>_total` sample of a labeled counter.
+fn push_labeled(out: &mut String, flat: &str, label: Option<(String, String)>, value: u64) {
+    match label {
+        Some((key, val)) => {
+            let _ = writeln!(
+                out,
+                "rpm_{flat}_total{{{key}=\"{}\"}} {value}",
+                escape_label(&val)
+            );
+        }
+        None => {
+            let _ = writeln!(out, "rpm_{flat}_total {value}");
+        }
+    }
 }
 
 /// Renders a [`crate::drift::DriftReport`] as `rpm_drift_*` gauges for
@@ -222,7 +240,11 @@ mod tests {
 
     fn sample_snapshot() -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: vec![("engine.jobs", 12), ("mine.rules", 0)],
+            counters: vec![
+                ("engine.jobs", 12),
+                ("mine.rules", 0),
+                ("cfs.survivors", 13),
+            ],
             gauges: vec![("engine.workers.max", 4)],
             cache: vec![("words", 7, 3, 0), ("grammar", 0, 0, 0)],
             histograms: vec![(
@@ -273,12 +295,39 @@ mod tests {
             text.contains("rpm_cfs_survivors_total{class=\"1\"} 8"),
             "{text}"
         );
-        // One TYPE line for the family, not one per label.
+        // One TYPE line for the family, not one per label, and none of
+        // its own next to the static counter of the same name.
         assert_eq!(
             text.matches("# TYPE rpm_cfs_survivors_total").count(),
             1,
             "{text}"
         );
+        // The static counter and its labeled series form one contiguous
+        // group right under that TYPE line.
+        let lines: Vec<&str> = text.lines().collect();
+        let at = lines
+            .iter()
+            .position(|l| *l == "# TYPE rpm_cfs_survivors_total counter")
+            .expect("TYPE line");
+        let group: Vec<&str> = lines[at + 1..]
+            .iter()
+            .take_while(|l| l.starts_with("rpm_cfs_survivors_total"))
+            .copied()
+            .collect();
+        assert_eq!(
+            group,
+            vec![
+                "rpm_cfs_survivors_total 13",
+                "rpm_cfs_survivors_total{class=\"0\"} 5",
+                "rpm_cfs_survivors_total{class=\"1\"} 8",
+            ],
+            "{text}"
+        );
+        let series = lines
+            .iter()
+            .filter(|l| l.starts_with("rpm_cfs_survivors_total"))
+            .count();
+        assert_eq!(series, group.len(), "a series outside the group: {text}");
     }
 
     #[test]

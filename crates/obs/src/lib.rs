@@ -10,10 +10,13 @@
 //!   to uninstrumented ones.
 //! * **Metrics** ([`metrics`]) — a static registry of atomic counters,
 //!   gauges, and log₂-bucket histograms fed by the training engine, the
-//!   memoization caches, the candidate/CFS pipeline, and the optimizers.
+//!   memoization caches, the candidate/CFS pipeline, and the optimizers,
+//!   declared once as one table.
 //! * **Sinks** ([`report`]) — a human-readable end-of-run stage tree
 //!   (time, %, calls) on stderr and a JSONL event/report export, plus a
-//!   structured progress logger ([`logger`]) replacing ad-hoc prints.
+//!   structured progress logger ([`logger`]) replacing ad-hoc prints. A
+//!   saved report is read back by one validating reader,
+//!   [`validate_jsonl`], whose [`ReportSummary`] feeds [`diff_reports`].
 //!
 //! Everything is gated by a single global [`ObsLevel`], set either
 //! programmatically ([`ObsConfig::install`], reachable through
@@ -49,7 +52,7 @@ pub mod report;
 pub mod span;
 pub mod trace;
 
-pub use diff::{diff_reports, load_summary, DiffOptions, DiffReport, ReportSummary};
+pub use diff::{diff_reports, DiffOptions, DiffReport};
 pub use drift::{
     DriftConfig, DriftMonitor, DriftReport, DriftSample, DriftStatus, MetricDrift, ReferenceProfile,
 };
@@ -61,7 +64,7 @@ pub use http::{
 };
 pub use logger::LogEvent;
 pub use metrics::{metrics, CacheFamilyMetrics, Counter, Gauge, Histogram, MetricsSnapshot};
-pub use report::{finish, snapshot, validate_jsonl, ReportCheck, RunReport, StageAgg};
+pub use report::{finish, snapshot, validate_jsonl, ReportSummary, RunReport, StageAgg};
 pub use span::{enter, SpanGuard, SpanRecord};
 pub use trace::{
     parse_traceparent, record_exemplar, recorder, FlightRecorder, SpanId, TraceCtx, TraceId,

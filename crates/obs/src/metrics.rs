@@ -7,6 +7,11 @@
 //! not-taken branch. Low-frequency per-label counts (e.g. CFS survivors
 //! per class) go through the dynamic [`labeled_add`] map instead.
 //!
+//! Each static metric is declared once, as one row of the
+//! `metric_table!` below: doc comment, field, kind, report name. The
+//! macro generates the struct field, its const initializer, and the
+//! entry that [`snapshot`] and [`reset`] walk.
+//!
 //! Metrics observe; they never influence scheduling or results, so
 //! counter totals are reproducible wherever the underlying quantity is
 //! deterministic (jobs executed, lookups issued, rectangles split). Only
@@ -296,290 +301,186 @@ impl CacheFamilyMetrics {
     }
 }
 
-/// Every static metric the pipeline feeds. Names in reports are the
-/// dotted forms listed per field.
-#[derive(Debug)]
-pub struct Metrics {
-    /// `engine.runs` — engine fan-out calls executed.
-    pub engine_runs: Counter,
-    /// `engine.jobs` — jobs executed across all engine runs.
-    pub engine_jobs: Counter,
-    /// `engine.busy_ns` — summed per-worker time spent inside jobs.
-    pub engine_busy_ns: Counter,
-    /// `engine.span_ns` — summed `workers × wall` of parallel engine
-    /// runs; `busy_ns / span_ns` is the worker utilization.
-    pub engine_span_ns: Counter,
-    /// `engine.workers.max` — widest parallel fan-out seen.
-    pub engine_workers_max: Gauge,
-    /// `engine.drain_ns` — queue drain (fan-out wall) time distribution.
-    pub engine_drain: Histogram,
-    /// `params.evals` — distinct SAX combinations scored.
-    pub params_evals: Counter,
-    /// `params.folds` — validation folds evaluated (Algorithm 3's inner
-    /// loop, fed from the fold runner in `rpm-core::params`).
-    pub params_folds: Counter,
-    /// `params.eval_ns` — per-combination scoring time distribution.
-    pub params_eval: Histogram,
-    /// `mine.rules` — grammar rules inspected by Algorithm 1.
-    pub mine_rules: Counter,
-    /// `mine.candidates` — candidates surviving the γ filter.
-    pub mine_candidates: Counter,
-    /// `prune.pool_in` — candidates entering Algorithm 2.
-    pub prune_pool_in: Counter,
-    /// `prune.kept` — candidates surviving τ dedup + the pool cap.
-    pub prune_kept: Counter,
-    /// `cfs.features_in` — features offered to CFS selection.
-    pub cfs_features_in: Counter,
-    /// `cfs.survivors` — features CFS kept (per-class counts go to the
-    /// labeled map as `cfs.survivors.class=<label>`).
-    pub cfs_survivors: Counter,
-    /// `transform.columns` — pattern-distance columns computed or fetched.
-    pub transform_columns: Counter,
-    /// `transform.series_ns` — per-series feature-transform latency of a
-    /// trained model's `transform`/predict calls (the classification
-    /// bottleneck: K closest-match scans).
-    pub transform_series: Histogram,
-    /// `predict.series` — series classified through the trained model.
-    pub predict_series: Counter,
-    /// `predict.batches` — predict-batch calls (serial or parallel).
-    pub predict_batches: Counter,
-    /// `predict.latency_ns` — end-to-end per-series prediction latency
-    /// (transform + SVM argmax), fed by every `RpmClassifier` predict
-    /// path.
-    pub predict_latency: Histogram,
-    /// `predict.match_distance` — winning (argmin) closest-match distance
-    /// per prediction, in millionths (distance × 10⁶ rounded down) so the
-    /// unitless z-normalized distance fits the integer histogram.
-    pub predict_match_distance: Histogram,
-    /// `match.searches` — closest-match scans executed (`best_match`).
-    pub match_searches: Counter,
-    /// `match.windows` — candidate windows considered across all
-    /// closest-match scans (before early abandoning).
-    pub match_windows: Counter,
-    /// `match.abandoned` — candidate windows cut short by early
-    /// abandoning; `abandoned / windows` is the kernel's cumulative
-    /// early-abandon rate.
-    pub match_abandoned: Counter,
-    /// `match.pruned_envelope` — windows the batched kernel's
-    /// sliding-dot-product lower bound pruned before the exact loop (the
-    /// name predates the bound; it was a PAA envelope).
-    pub match_pruned_envelope: Counter,
-    /// `match.stats_builds` — `RollingStats` constructions; the batched
-    /// kernel's sharing shows up as `stats_builds ≪ searches`.
-    pub match_stats_builds: Counter,
-    /// `cache.frames.*` — PAA-frame cache family.
-    pub cache_frames: CacheFamilyMetrics,
-    /// `cache.evals.*` — combination-score cache family.
-    pub cache_evals: CacheFamilyMetrics,
-    /// `cache.columns.*` — transform-column cache family.
-    pub cache_columns: CacheFamilyMetrics,
-    /// `ml.svm_trains` — linear SVM trainings.
-    pub ml_svm_trains: Counter,
-    /// `ml.cv_splits` — stratified folds/splits drawn.
-    pub ml_cv_splits: Counter,
-    /// `ml.cfs_runs` — CFS best-first searches executed.
-    pub ml_cfs_runs: Counter,
-    /// `opt.direct.splits` — DIRECT rectangle divisions.
-    pub opt_direct_splits: Counter,
-    /// `opt.direct.evals` — DIRECT objective evaluations.
-    pub opt_direct_evals: Counter,
-    /// `fault.injected` — faults fired by the [`crate::fault`] layer.
-    pub faults_injected: Counter,
-    /// `train.degraded` — searches stopped early by an exhausted
-    /// `TrainBudget` (best-so-far parameters returned, model flagged).
-    pub train_degraded: Counter,
-    /// `data.quarantined` — input rows skipped by the lenient loaders
-    /// (NaN/Inf values, ragged lengths, unparseable fields).
-    pub data_quarantined: Counter,
-    /// `http.rejected` — metrics-endpoint connections refused or cut
-    /// short by the serving limits (concurrency bound, oversized or
-    /// timed-out requests).
-    pub http_rejected: Counter,
-    /// `serve.requests` — classify requests received by `rpm-serve`.
-    /// Counted on entry, before the fault point, the parse and the shed
-    /// check, so it includes every outcome: `200`, `400` parse
-    /// rejections, `429` sheds, `500` errors and `504` deadline drops.
-    pub serve_requests: Counter,
-    /// `serve.shed` — classify requests refused with `429` because the
-    /// bounded queue was full (load shedding, not failure).
-    pub serve_shed: Counter,
-    /// `serve.deadline_exceeded` — classify requests dropped because
-    /// their per-request deadline passed before prediction finished.
-    pub serve_deadline_exceeded: Counter,
-    /// `serve.batches` — micro-batches dispatched to `predict_batch`.
-    pub serve_batches: Counter,
-    /// `serve.errors` — classify requests answered with `5xx` (injected
-    /// faults, engine failures), excluding sheds and deadline drops.
-    pub serve_errors: Counter,
-    /// `serve.reloads` — model reloads accepted through the canary gate
-    /// and swapped into the serving slot.
-    pub serve_reloads: Counter,
-    /// `serve.reload_rejected` — reload attempts refused by the canary
-    /// gate (CRC, schema, drift, or replay failure); the serving
-    /// generation is untouched.
-    pub serve_reload_rejected: Counter,
-    /// `serve.rollbacks` — swaps back to the previous warm generation
-    /// (manual `/admin/rollback` or probation auto-rollback).
-    pub serve_rollbacks: Counter,
-    /// `serve.worker_restarts` — batch workers respawned by the
-    /// supervisor after a panic.
-    pub serve_worker_restarts: Counter,
-    /// `serve.quarantined` — classify requests answered `500` because
-    /// their batch was poisoned by a worker panic.
-    pub serve_quarantined: Counter,
-    /// `serve.generation` — the model generation currently serving
-    /// (1-based, bumped by every swap including rollbacks).
-    pub serve_generation: Gauge,
-    /// `serve.queue_depth` — series currently queued for batching.
-    pub serve_queue_depth: Gauge,
-    /// `serve.batch_fill` — series per dispatched micro-batch.
-    pub serve_batch_fill: Histogram,
-    /// `serve.queue_wait_ns` — time requests spent queued before their
-    /// batch was formed.
-    pub serve_queue_wait: Histogram,
-    /// `serve.latency_ns` — end-to-end request latency as measured by
-    /// the server (parse + queue + batch + predict + reply).
-    pub serve_latency: Histogram,
-    /// `trace.recorded` — finished request traces retained by the
-    /// flight recorder (forensic, slow-decile, or sampled).
-    pub trace_recorded: Counter,
-    /// `trace.dropped` — finished request traces the retention policy
-    /// discarded (healthy, fast, and not sampled).
-    pub trace_dropped: Counter,
+/// One registry entry, borrowed so [`snapshot`] and [`reset`] can walk
+/// the table without naming a field.
+#[derive(Clone, Copy)]
+enum Metric<'a> {
+    Counter(&'a Counter),
+    Gauge(&'a Gauge),
+    Histogram(&'a Histogram),
+    CacheFamilyMetrics(&'a CacheFamilyMetrics),
 }
 
-impl Metrics {
-    const fn new() -> Self {
-        Self {
-            engine_runs: Counter::new(),
-            engine_jobs: Counter::new(),
-            engine_busy_ns: Counter::new(),
-            engine_span_ns: Counter::new(),
-            engine_workers_max: Gauge::new(),
-            engine_drain: Histogram::new(),
-            params_evals: Counter::new(),
-            params_folds: Counter::new(),
-            params_eval: Histogram::new(),
-            mine_rules: Counter::new(),
-            mine_candidates: Counter::new(),
-            prune_pool_in: Counter::new(),
-            prune_kept: Counter::new(),
-            cfs_features_in: Counter::new(),
-            cfs_survivors: Counter::new(),
-            transform_columns: Counter::new(),
-            transform_series: Histogram::new(),
-            predict_series: Counter::new(),
-            predict_batches: Counter::new(),
-            predict_latency: Histogram::new(),
-            predict_match_distance: Histogram::new(),
-            match_searches: Counter::new(),
-            match_windows: Counter::new(),
-            match_abandoned: Counter::new(),
-            match_pruned_envelope: Counter::new(),
-            match_stats_builds: Counter::new(),
-            cache_frames: CacheFamilyMetrics::new(),
-            cache_evals: CacheFamilyMetrics::new(),
-            cache_columns: CacheFamilyMetrics::new(),
-            ml_svm_trains: Counter::new(),
-            ml_cv_splits: Counter::new(),
-            ml_cfs_runs: Counter::new(),
-            opt_direct_splits: Counter::new(),
-            opt_direct_evals: Counter::new(),
-            faults_injected: Counter::new(),
-            train_degraded: Counter::new(),
-            data_quarantined: Counter::new(),
-            http_rejected: Counter::new(),
-            serve_requests: Counter::new(),
-            serve_shed: Counter::new(),
-            serve_deadline_exceeded: Counter::new(),
-            serve_batches: Counter::new(),
-            serve_errors: Counter::new(),
-            serve_reloads: Counter::new(),
-            serve_reload_rejected: Counter::new(),
-            serve_rollbacks: Counter::new(),
-            serve_worker_restarts: Counter::new(),
-            serve_quarantined: Counter::new(),
-            serve_generation: Gauge::new(),
-            serve_queue_depth: Gauge::new(),
-            serve_batch_fill: Histogram::new(),
-            serve_queue_wait: Histogram::new(),
-            serve_latency: Histogram::new(),
-            trace_recorded: Counter::new(),
-            trace_dropped: Counter::new(),
+/// Turns the metric table into the [`Metrics`] struct (one public field
+/// per row, documented with its report name), its `const fn new`, and
+/// `entries()`, the `(report name, metric)` list in table order.
+macro_rules! metric_table {
+    ($($(#[$doc:meta])* $field:ident: $kind:ident = $name:literal,)*) => {
+        /// Every static metric the pipeline feeds, declared once in the
+        /// table below. Report lines follow table order within each kind.
+        #[derive(Debug)]
+        pub struct Metrics {
+            $(
+                $(#[$doc])*
+                #[doc = ""]
+                #[doc = concat!("Report name: `", $name, "`.")]
+                pub $field: $kind,
+            )*
         }
-    }
 
-    fn counter_entries(&self) -> [(&'static str, &Counter); 39] {
-        [
-            ("engine.runs", &self.engine_runs),
-            ("engine.jobs", &self.engine_jobs),
-            ("engine.busy_ns", &self.engine_busy_ns),
-            ("engine.span_ns", &self.engine_span_ns),
-            ("params.evals", &self.params_evals),
-            ("params.folds", &self.params_folds),
-            ("mine.rules", &self.mine_rules),
-            ("mine.candidates", &self.mine_candidates),
-            ("prune.pool_in", &self.prune_pool_in),
-            ("prune.kept", &self.prune_kept),
-            ("cfs.features_in", &self.cfs_features_in),
-            ("cfs.survivors", &self.cfs_survivors),
-            ("transform.columns", &self.transform_columns),
-            ("predict.series", &self.predict_series),
-            ("predict.batches", &self.predict_batches),
-            ("match.searches", &self.match_searches),
-            ("match.windows", &self.match_windows),
-            ("match.abandoned", &self.match_abandoned),
-            ("match.pruned_envelope", &self.match_pruned_envelope),
-            ("match.stats_builds", &self.match_stats_builds),
-            ("ml.svm_trains", &self.ml_svm_trains),
-            ("ml.cv_splits", &self.ml_cv_splits),
-            ("ml.cfs_runs", &self.ml_cfs_runs),
-            ("fault.injected", &self.faults_injected),
-            ("train.degraded", &self.train_degraded),
-            ("data.quarantined", &self.data_quarantined),
-            ("http.rejected", &self.http_rejected),
-            ("serve.requests", &self.serve_requests),
-            ("serve.shed", &self.serve_shed),
-            ("serve.deadline_exceeded", &self.serve_deadline_exceeded),
-            ("serve.batches", &self.serve_batches),
-            ("serve.errors", &self.serve_errors),
-            ("serve.reloads", &self.serve_reloads),
-            ("serve.reload_rejected", &self.serve_reload_rejected),
-            ("serve.rollbacks", &self.serve_rollbacks),
-            ("serve.worker_restarts", &self.serve_worker_restarts),
-            ("serve.quarantined", &self.serve_quarantined),
-            ("trace.recorded", &self.trace_recorded),
-            ("trace.dropped", &self.trace_dropped),
-        ]
-    }
+        impl Metrics {
+            const fn new() -> Self {
+                Self { $($field: $kind::new(),)* }
+            }
 
-    fn opt_entries(&self) -> [(&'static str, &Counter); 2] {
-        [
-            ("opt.direct.splits", &self.opt_direct_splits),
-            ("opt.direct.evals", &self.opt_direct_evals),
-        ]
-    }
+            fn entries(&self) -> impl Iterator<Item = (&'static str, Metric<'_>)> {
+                [$(($name, Metric::$kind(&self.$field)),)*].into_iter()
+            }
+        }
+    };
+}
 
-    fn cache_entries(&self) -> [(&'static str, &CacheFamilyMetrics); 3] {
-        [
-            ("frames", &self.cache_frames),
-            ("evals", &self.cache_evals),
-            ("columns", &self.cache_columns),
-        ]
-    }
-
-    fn histogram_entries(&self) -> [(&'static str, &Histogram); 8] {
-        [
-            ("engine.drain_ns", &self.engine_drain),
-            ("params.eval_ns", &self.params_eval),
-            ("transform.series_ns", &self.transform_series),
-            ("predict.latency_ns", &self.predict_latency),
-            ("predict.match_distance", &self.predict_match_distance),
-            ("serve.batch_fill", &self.serve_batch_fill),
-            ("serve.queue_wait_ns", &self.serve_queue_wait),
-            ("serve.latency_ns", &self.serve_latency),
-        ]
-    }
+metric_table! {
+    /// Engine fan-out calls executed.
+    engine_runs: Counter = "engine.runs",
+    /// Jobs executed across all engine runs.
+    engine_jobs: Counter = "engine.jobs",
+    /// Summed per-worker time spent inside jobs.
+    engine_busy_ns: Counter = "engine.busy_ns",
+    /// Summed `workers × wall` of parallel engine runs; `busy_ns / span_ns`
+    /// is the worker utilization.
+    engine_span_ns: Counter = "engine.span_ns",
+    /// Widest parallel fan-out seen.
+    engine_workers_max: Gauge = "engine.workers.max",
+    /// Queue drain (fan-out wall) time distribution.
+    engine_drain: Histogram = "engine.drain_ns",
+    /// Distinct SAX combinations scored.
+    params_evals: Counter = "params.evals",
+    /// Validation folds evaluated (Algorithm 3's inner loop, fed from the
+    /// fold runner in `rpm-core::params`).
+    params_folds: Counter = "params.folds",
+    /// Per-combination scoring time distribution.
+    params_eval: Histogram = "params.eval_ns",
+    /// Grammar rules inspected by Algorithm 1.
+    mine_rules: Counter = "mine.rules",
+    /// Candidates surviving the γ filter.
+    mine_candidates: Counter = "mine.candidates",
+    /// Candidates entering Algorithm 2.
+    prune_pool_in: Counter = "prune.pool_in",
+    /// Candidates surviving τ dedup + the pool cap.
+    prune_kept: Counter = "prune.kept",
+    /// Features offered to CFS selection.
+    cfs_features_in: Counter = "cfs.features_in",
+    /// Features CFS kept (per-class counts go to the labeled map as
+    /// `cfs.survivors.class=<label>`).
+    cfs_survivors: Counter = "cfs.survivors",
+    /// Pattern-distance columns computed or fetched.
+    transform_columns: Counter = "transform.columns",
+    /// Per-series feature-transform latency of a trained model's
+    /// `transform`/predict calls (the classification bottleneck: K
+    /// closest-match scans).
+    transform_series: Histogram = "transform.series_ns",
+    /// Series classified through the trained model.
+    predict_series: Counter = "predict.series",
+    /// Predict-batch calls (serial or parallel).
+    predict_batches: Counter = "predict.batches",
+    /// End-to-end per-series prediction latency (transform + SVM argmax),
+    /// fed by every `RpmClassifier` predict path.
+    predict_latency: Histogram = "predict.latency_ns",
+    /// Winning (argmin) closest-match distance per prediction, in
+    /// millionths (distance × 10⁶ rounded down) so the unitless
+    /// z-normalized distance fits the integer histogram.
+    predict_match_distance: Histogram = "predict.match_distance",
+    /// Closest-match scans executed (`best_match`).
+    match_searches: Counter = "match.searches",
+    /// Candidate windows considered across all closest-match scans (before
+    /// early abandoning).
+    match_windows: Counter = "match.windows",
+    /// Candidate windows cut short by early abandoning; `abandoned /
+    /// windows` is the kernel's cumulative early-abandon rate.
+    match_abandoned: Counter = "match.abandoned",
+    /// Windows the batched kernel's sliding-dot-product lower bound pruned
+    /// before the exact loop (the name predates the bound; it was a PAA
+    /// envelope).
+    match_pruned_envelope: Counter = "match.pruned_envelope",
+    /// `RollingStats` constructions; the batched kernel's sharing shows up
+    /// as `stats_builds ≪ searches`.
+    match_stats_builds: Counter = "match.stats_builds",
+    /// PAA-frame cache family.
+    cache_frames: CacheFamilyMetrics = "frames",
+    /// Combination-score cache family.
+    cache_evals: CacheFamilyMetrics = "evals",
+    /// Transform-column cache family.
+    cache_columns: CacheFamilyMetrics = "columns",
+    /// Linear SVM trainings.
+    ml_svm_trains: Counter = "ml.svm_trains",
+    /// Stratified folds/splits drawn.
+    ml_cv_splits: Counter = "ml.cv_splits",
+    /// CFS best-first searches executed.
+    ml_cfs_runs: Counter = "ml.cfs_runs",
+    /// Faults fired by the [`crate::fault`] layer.
+    faults_injected: Counter = "fault.injected",
+    /// Searches stopped early by an exhausted `TrainBudget` (best-so-far
+    /// parameters returned, model flagged).
+    train_degraded: Counter = "train.degraded",
+    /// Input rows skipped by the lenient loaders (NaN/Inf values, ragged
+    /// lengths, unparseable fields).
+    data_quarantined: Counter = "data.quarantined",
+    /// Metrics-endpoint connections refused or cut short by the serving
+    /// limits (concurrency bound, oversized or timed-out requests).
+    http_rejected: Counter = "http.rejected",
+    /// Classify requests received by `rpm-serve`. Counted on entry, before
+    /// the fault point, the parse and the shed check, so it includes every
+    /// outcome: `200`, `400` parse rejections, `429` sheds, `500` errors
+    /// and `504` deadline drops.
+    serve_requests: Counter = "serve.requests",
+    /// Classify requests refused with `429` because the bounded queue was
+    /// full (load shedding, not failure).
+    serve_shed: Counter = "serve.shed",
+    /// Classify requests dropped because their per-request deadline passed
+    /// before prediction finished.
+    serve_deadline_exceeded: Counter = "serve.deadline_exceeded",
+    /// Micro-batches dispatched to `predict_batch`.
+    serve_batches: Counter = "serve.batches",
+    /// Classify requests answered with `5xx` (injected faults, engine
+    /// failures), excluding sheds and deadline drops.
+    serve_errors: Counter = "serve.errors",
+    /// Model reloads accepted through the canary gate and swapped into the
+    /// serving slot.
+    serve_reloads: Counter = "serve.reloads",
+    /// Reload attempts refused by the canary gate (CRC, schema, drift, or
+    /// replay failure); the serving generation is untouched.
+    serve_reload_rejected: Counter = "serve.reload_rejected",
+    /// Swaps back to the previous warm generation (manual `/admin/rollback`
+    /// or probation auto-rollback).
+    serve_rollbacks: Counter = "serve.rollbacks",
+    /// Batch workers respawned by the supervisor after a panic.
+    serve_worker_restarts: Counter = "serve.worker_restarts",
+    /// Classify requests answered `500` because their batch was poisoned by
+    /// a worker panic.
+    serve_quarantined: Counter = "serve.quarantined",
+    /// The model generation currently serving (1-based, bumped by every
+    /// swap including rollbacks).
+    serve_generation: Gauge = "serve.generation",
+    /// Series currently queued for batching.
+    serve_queue_depth: Gauge = "serve.queue_depth",
+    /// Series per dispatched micro-batch.
+    serve_batch_fill: Histogram = "serve.batch_fill",
+    /// Time requests spent queued before their batch was formed.
+    serve_queue_wait: Histogram = "serve.queue_wait_ns",
+    /// End-to-end request latency as measured by the server (parse +
+    /// queue + batch + predict + reply).
+    serve_latency: Histogram = "serve.latency_ns",
+    /// Finished request traces retained by the flight recorder (forensic,
+    /// slow-decile, or sampled).
+    trace_recorded: Counter = "trace.recorded",
+    /// Finished request traces the retention policy discarded (healthy,
+    /// fast, and not sampled).
+    trace_dropped: Counter = "trace.dropped",
+    /// DIRECT rectangle divisions.
+    opt_direct_splits: Counter = "opt.direct.splits",
+    /// DIRECT objective evaluations.
+    opt_direct_evals: Counter = "opt.direct.evals",
 }
 
 static METRICS: Metrics = Metrics::new();
@@ -647,50 +548,34 @@ impl MetricsSnapshot {
 
 /// Snapshots every metric.
 pub fn snapshot() -> MetricsSnapshot {
-    let m = metrics();
-    MetricsSnapshot {
-        counters: m
-            .counter_entries()
-            .iter()
-            .chain(m.opt_entries().iter())
-            .map(|(n, c)| (*n, c.get()))
-            .collect(),
-        gauges: vec![
-            ("engine.workers.max", m.engine_workers_max.get()),
-            ("serve.generation", m.serve_generation.get()),
-            ("serve.queue_depth", m.serve_queue_depth.get()),
-        ],
-        cache: m
-            .cache_entries()
-            .iter()
-            .map(|(n, f)| (*n, f.hits.get(), f.misses.get(), f.evictions.get()))
-            .collect(),
-        histograms: m
-            .histogram_entries()
-            .iter()
-            .map(|(n, h)| (*n, h.snapshot()))
-            .collect(),
-        labeled: labeled()
-            .lock()
-            .map(|m| m.iter().map(|(k, v)| (k.clone(), *v)).collect())
-            .unwrap_or_default(),
+    let mut snap = MetricsSnapshot::default();
+    for (name, metric) in metrics().entries() {
+        match metric {
+            Metric::Counter(c) => snap.counters.push((name, c.get())),
+            Metric::Gauge(g) => snap.gauges.push((name, g.get())),
+            Metric::Histogram(h) => snap.histograms.push((name, h.snapshot())),
+            Metric::CacheFamilyMetrics(f) => {
+                snap.cache
+                    .push((name, f.hits.get(), f.misses.get(), f.evictions.get()))
+            }
+        }
     }
+    snap.labeled = labeled()
+        .lock()
+        .map(|m| m.iter().map(|(k, v)| (k.clone(), *v)).collect())
+        .unwrap_or_default();
+    snap
 }
 
 /// Zeroes every metric (start of a fresh run / after a report).
 pub fn reset() {
-    let m = metrics();
-    for (_, c) in m.counter_entries().iter().chain(m.opt_entries().iter()) {
-        c.reset();
-    }
-    m.engine_workers_max.reset();
-    m.serve_generation.reset();
-    m.serve_queue_depth.reset();
-    for (_, f) in m.cache_entries() {
-        f.reset();
-    }
-    for (_, h) in m.histogram_entries() {
-        h.reset();
+    for (_, metric) in metrics().entries() {
+        match metric {
+            Metric::Counter(c) => c.reset(),
+            Metric::Gauge(g) => g.reset(),
+            Metric::Histogram(h) => h.reset(),
+            Metric::CacheFamilyMetrics(f) => f.reset(),
+        }
     }
     if let Ok(mut map) = labeled().lock() {
         map.clear();
@@ -810,6 +695,80 @@ mod tests {
         let z = Histogram::new();
         z.observe(0);
         assert_eq!(z.snapshot().p50(), 0.0);
+        ObsConfig::default().install();
+    }
+
+    #[test]
+    fn every_table_row_snapshots_once_exports_uniquely_and_resets() {
+        let _g = crate::test_lock();
+        ObsConfig {
+            level: ObsLevel::Summary,
+            json_path: None,
+            http_addr: None,
+        }
+        .install();
+        reset();
+        let mut rows = 0;
+        for (_, metric) in metrics().entries() {
+            rows += 1;
+            match metric {
+                Metric::Counter(c) => c.inc(),
+                Metric::Gauge(g) => g.set(1),
+                Metric::Histogram(h) => h.observe(1),
+                Metric::CacheFamilyMetrics(f) => {
+                    f.hits.inc();
+                    f.misses.inc();
+                    f.evictions.inc();
+                }
+            }
+        }
+        let s = snapshot();
+
+        // Each row appears exactly once, carrying its bump.
+        let mut names: Vec<&str> = s.counters.iter().map(|(n, _)| *n).collect();
+        names.extend(s.gauges.iter().map(|(n, _)| *n));
+        names.extend(s.cache.iter().map(|(n, ..)| *n));
+        names.extend(s.histograms.iter().map(|(n, _)| *n));
+        assert_eq!(names.len(), rows);
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), rows, "a report name is declared twice");
+        assert!(s.counters.iter().all(|&(_, v)| v == 1), "{s:?}");
+        assert!(s.gauges.iter().all(|&(_, v)| v == 1), "{s:?}");
+        assert!(s.cache.iter().all(|&(_, h, m, e)| (h, m, e) == (1, 1, 1)));
+        assert!(s.histograms.iter().all(|(_, h)| h.count == 1), "{s:?}");
+
+        // Flattened to Prometheus names, every series and every TYPE line
+        // stays unique.
+        let page = crate::export::to_prometheus(&s);
+        let unique = |mut v: Vec<&str>| {
+            let n = v.len();
+            v.sort_unstable();
+            v.dedup();
+            n == v.len()
+        };
+        let types: Vec<&str> = page
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .collect();
+        assert!(unique(types), "{page}");
+        let series: Vec<&str> = page
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(|l| l.split_once(' ').map(|(series, _)| series))
+            .collect();
+        assert!(unique(series), "{page}");
+
+        // Reset zeroes every row.
+        reset();
+        let s = snapshot();
+        assert!(s.counters.iter().all(|&(_, v)| v == 0), "{s:?}");
+        assert!(s.gauges.iter().all(|&(_, v)| v == 0), "{s:?}");
+        assert!(s.cache.iter().all(|&(_, h, m, e)| h + m + e == 0));
+        assert!(s
+            .histograms
+            .iter()
+            .all(|(_, h)| *h == HistogramSnapshot::default()));
         ObsConfig::default().install();
     }
 

@@ -1,6 +1,6 @@
 //! Run reports: aggregation of spans + metrics + logs into a stage tree,
-//! the human-readable stderr summary, the JSONL export, and the
-//! validator CI runs against emitted reports.
+//! the human-readable stderr summary, the JSONL export, and the reader
+//! that validates a saved report and loads it back.
 //!
 //! ## JSONL schema (one object per line)
 //!
@@ -25,8 +25,12 @@
 //! resolve — and the optional `trace` field on `log` lines; v4
 //! (current) adds the `drift` line — the attached
 //! [`crate::drift::DriftMonitor`]'s verdict at report time, emitted
-//! only when a monitor is attached. Readers that skip unknown line
-//! types and fields (as [`crate::diff`] does) consume any version.
+//! only when a monitor is attached.
+//!
+//! [`validate_jsonl`] is the one reader: it checks every line and
+//! returns the [`ReportSummary`] that [`crate::diff`] and `rpm-cli obs
+//! summary` consume. It reads every version above, rejects unknown line
+//! types, and ignores unknown fields.
 
 use crate::logger::{self, LogEvent};
 use crate::metrics::{self, MetricsSnapshot};
@@ -436,7 +440,7 @@ fn fmt_hist_value(name: &str, v: f64) -> String {
     }
 }
 
-pub(crate) fn fmt_ns(ns: u64) -> String {
+fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.3}s", ns as f64 / 1e9)
     } else if ns >= 1_000_000 {
@@ -448,11 +452,11 @@ pub(crate) fn fmt_ns(ns: u64) -> String {
     }
 }
 
-// --- JSONL validation -----------------------------------------------------
+// --- Reading a report back ------------------------------------------------
 // The reports are emitted by this crate, so a full JSON parser is not
 // needed: minimal field extraction over our own single-line objects.
 
-pub(crate) fn u64_field(line: &str, key: &str) -> Option<u64> {
+fn u64_field(line: &str, key: &str) -> Option<u64> {
     let pat = format!("\"{key}\":");
     let i = line.find(&pat)? + pat.len();
     let digits: String = line[i..]
@@ -462,7 +466,7 @@ pub(crate) fn u64_field(line: &str, key: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-pub(crate) fn f64_field(line: &str, key: &str) -> Option<f64> {
+fn f64_field(line: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\":");
     let i = line.find(&pat)? + pat.len();
     let number: String = line[i..]
@@ -472,7 +476,7 @@ pub(crate) fn f64_field(line: &str, key: &str) -> Option<f64> {
     number.parse().ok()
 }
 
-pub(crate) fn str_field(line: &str, key: &str) -> Option<String> {
+fn str_field(line: &str, key: &str) -> Option<String> {
     let pat = format!("\"{key}\":\"");
     let i = line.find(&pat)? + pat.len();
     let mut out = String::new();
@@ -487,21 +491,58 @@ pub(crate) fn str_field(line: &str, key: &str) -> Option<String> {
     None
 }
 
-/// What [`validate_jsonl`] verified about a report file.
+/// One stage aggregate read back from a report.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StageSummary {
+    /// Full `/`-joined stage path.
+    pub path: String,
+    /// Merged span count.
+    pub calls: u64,
+    /// Summed duration.
+    pub total_ns: u64,
+}
+
+/// One histogram read back from a report.
+#[derive(Clone, Debug, PartialEq)]
+pub struct HistogramSummary {
+    /// Registry name (e.g. `predict.latency_ns`).
+    pub name: String,
+    /// Observations recorded.
+    pub count: u64,
+    /// Sum of observations.
+    pub sum_ns: u64,
+    /// Median estimate (0 for v1 reports without quantiles).
+    pub p50: f64,
+    /// 90th-percentile estimate.
+    pub p90: f64,
+    /// 99th-percentile estimate.
+    pub p99: f64,
+}
+
+/// A JSONL run report that passed [`validate_jsonl`], read back into
+/// comparable form for [`crate::diff`] and `rpm-cli obs summary`.
 #[derive(Clone, Debug, Default)]
-pub struct ReportCheck {
+pub struct ReportSummary {
     /// Total JSONL lines.
     pub lines: usize,
+    /// Total wall time of the run.
+    pub wall_ns: u64,
+    /// Recording level the run used.
+    pub level: String,
+    /// Root-stage coverage of wall time (main recording thread).
+    pub coverage: f64,
     /// `span` lines (must be > 0 for a spans-level report).
     pub spans: usize,
-    /// `stage` aggregate lines.
-    pub stages: usize,
-    /// `counter` lines as `(name, value)`.
+    /// Stage aggregates in file order (tree order).
+    pub stages: Vec<StageSummary>,
+    /// Counters (static + gauges + labeled) as `(name, value)`.
     pub counters: Vec<(String, u64)>,
-    /// `cache` lines (each verified `hits + misses == lookups`).
-    pub caches: usize,
-    /// `histogram` lines (each verified against the bucket invariants).
-    pub histograms: usize,
+    /// Cache families as `(family, lookups)`, each verified
+    /// `hits + misses == lookups`.
+    pub caches: Vec<(String, u64)>,
+    /// Histograms with their quantile estimates, each verified against
+    /// the bucket invariants.
+    pub histograms: Vec<HistogramSummary>,
     /// `log` lines.
     pub logs: usize,
     /// `trace` lines (each verified against the span-tree invariants:
@@ -511,21 +552,76 @@ pub struct ReportCheck {
     /// `drift` lines (each verified against the score invariants:
     /// known status/verdict names, finite PSI ≥ 0, KS in [0, 1]).
     pub drifts: usize,
-    /// Recording level from the `meta` line.
-    pub level: String,
-    /// Wall time from the `meta` line.
-    pub wall_ns: u64,
-    /// Root-stage coverage of wall time (main recording thread).
-    pub coverage: f64,
 }
 
-impl ReportCheck {
-    /// Looks up a validated counter by name.
+impl ReportSummary {
+    /// Looks up a counter by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| *v)
+    }
+
+    /// Renders the summary as a human-readable table (the `obs summary`
+    /// output): stage tree with times, then histograms with quantiles,
+    /// then non-zero counters.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "run report — wall {}, level {}",
+            fmt_ns(self.wall_ns),
+            self.level
+        );
+        if !self.stages.is_empty() {
+            let name_width = self
+                .stages
+                .iter()
+                .map(|s| s.path.len())
+                .max()
+                .unwrap_or(0)
+                .max(12);
+            let _ = writeln!(out, "stages:");
+            for s in &self.stages {
+                let pct = if self.wall_ns > 0 {
+                    100.0 * s.total_ns as f64 / self.wall_ns as f64
+                } else {
+                    0.0
+                };
+                let _ = writeln!(
+                    out,
+                    "  {:name_width$}  {:>9}  {:5.1}%  {:>6}×",
+                    s.path,
+                    fmt_ns(s.total_ns),
+                    pct,
+                    s.calls
+                );
+            }
+        }
+        if !self.histograms.is_empty() {
+            let _ = writeln!(out, "histograms:");
+            for h in &self.histograms {
+                let _ = writeln!(
+                    out,
+                    "  {}: {} obs, p50 {:.0}, p90 {:.0}, p99 {:.0}",
+                    h.name, h.count, h.p50, h.p90, h.p99
+                );
+            }
+        }
+        let nonzero: Vec<&(String, u64)> = self.counters.iter().filter(|(_, v)| *v > 0).collect();
+        if !nonzero.is_empty() {
+            let _ = writeln!(out, "counters:");
+            for (name, value) in nonzero {
+                let _ = writeln!(out, "  {name} = {value}");
+            }
+        }
+        for (family, lookups) in &self.caches {
+            if *lookups > 0 {
+                let _ = writeln!(out, "cache {family}: {lookups} lookups");
+            }
+        }
+        out
     }
 }
 
@@ -590,7 +686,7 @@ fn link_ids(block: &str) -> Vec<String> {
 }
 
 /// Parses the `"buckets":[[upper,n],…]` array of a histogram line.
-pub(crate) fn bucket_pairs(line: &str) -> Option<Vec<(u64, u64)>> {
+fn bucket_pairs(line: &str) -> Option<Vec<(u64, u64)>> {
     let pat = "\"buckets\":[";
     let i = line.find(pat)? + pat.len();
     let rest = &line[i..];
@@ -607,16 +703,27 @@ pub(crate) fn bucket_pairs(line: &str) -> Option<Vec<(u64, u64)>> {
     Some(out)
 }
 
-/// Validates a JSONL run report: a `meta` line exists, spans carry
-/// monotone start timestamps and end within wall time (and are present
-/// at all for a spans-level report), every cache line satisfies
-/// `hits + misses == lookups`, and every histogram line satisfies the
-/// bucket invariants (`count == Σ bucket counts`, buckets sorted by
-/// ascending upper bound, `sum_ns ≤ count × max bucket upper`). Returns
-/// what was checked, or a description of the first violation.
-pub fn validate_jsonl(path: &str) -> Result<ReportCheck, String> {
+/// Reads a JSONL run report back, the one reader every consumer uses
+/// (`obs summary`, `obs diff`, the `validate` example), and checks it on
+/// the way: every line has a known `type` and its required fields, a
+/// `meta` line exists, spans carry monotone start timestamps and end
+/// within wall time (and are present at all for a spans-level report),
+/// every cache line satisfies `hits + misses == lookups`, every histogram
+/// line satisfies the bucket invariants (`count == Σ bucket counts`,
+/// buckets sorted by ascending upper bound, `sum_ns ≤ count × max bucket
+/// upper`), trace and drift lines hold their invariants, and the counters
+/// reconcile (`match.pruned_envelope + match.abandoned ≤ match.windows`,
+/// `cfs.survivors` equals the sum of its `cfs.survivors.class=*` lines).
+/// Unknown fields are ignored. Returns the summary, or the first
+/// violation prefixed with `<path>: ` (and `line <n>: ` when one line
+/// breaks it).
+pub fn validate_jsonl(path: &str) -> Result<ReportSummary, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut check = ReportCheck::default();
+    read_report(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+fn read_report(text: &str) -> Result<ReportSummary, String> {
+    let mut check = ReportSummary::default();
     let mut last_start = 0u64;
     let mut main_thread: Option<u64> = None;
     let mut covered_ns = 0u64;
@@ -673,6 +780,8 @@ pub fn validate_jsonl(path: &str) -> Result<ReportCheck, String> {
                 check.counters.push((name, value));
             }
             "cache" => {
+                let family = str_field(line, "family")
+                    .ok_or_else(|| format!("line {lineno}: cache without family"))?;
                 let hits = u64_field(line, "hits")
                     .ok_or_else(|| format!("line {lineno}: cache without hits"))?;
                 let misses = u64_field(line, "misses")
@@ -684,20 +793,24 @@ pub fn validate_jsonl(path: &str) -> Result<ReportCheck, String> {
                         "line {lineno}: cache invariant broken: {hits} + {misses} != {lookups}"
                     ));
                 }
-                check.caches += 1;
+                check.caches.push((family, lookups));
             }
             "log" => check.logs += 1,
             "stage" => {
-                str_field(line, "path")
+                let path = str_field(line, "path")
                     .ok_or_else(|| format!("line {lineno}: stage without path"))?;
                 let calls = u64_field(line, "calls")
                     .ok_or_else(|| format!("line {lineno}: stage without calls"))?;
-                u64_field(line, "total_ns")
+                let total_ns = u64_field(line, "total_ns")
                     .ok_or_else(|| format!("line {lineno}: stage without total_ns"))?;
                 if calls == 0 {
                     return Err(format!("line {lineno}: stage aggregate with zero calls"));
                 }
-                check.stages += 1;
+                check.stages.push(StageSummary {
+                    path,
+                    calls,
+                    total_ns,
+                });
             }
             "histogram" => {
                 let name = str_field(line, "name")
@@ -727,7 +840,14 @@ pub fn validate_jsonl(path: &str) -> Result<ReportCheck, String> {
                         "line {lineno}: histogram {name}: sum_ns {sum_ns} exceeds count {count} × max upper {max_upper}"
                     ));
                 }
-                check.histograms += 1;
+                check.histograms.push(HistogramSummary {
+                    name,
+                    count,
+                    sum_ns,
+                    p50: f64_field(line, "p50").unwrap_or(0.0),
+                    p90: f64_field(line, "p90").unwrap_or(0.0),
+                    p99: f64_field(line, "p99").unwrap_or(0.0),
+                });
             }
             "trace" => {
                 let trace_id = str_field(line, "trace_id")
@@ -870,6 +990,31 @@ pub fn validate_jsonl(path: &str) -> Result<ReportCheck, String> {
             ));
         }
     }
+    // Counter reconciliation: a window is pruned or abandoned only after
+    // it was counted as scanned, and each CFS survivor counts once in
+    // total and once under its class.
+    let value = |name: &str| check.counter(name).unwrap_or(0);
+    let (windows, pruned, abandoned) = (
+        value("match.windows"),
+        value("match.pruned_envelope"),
+        value("match.abandoned"),
+    );
+    if pruned.saturating_add(abandoned) > windows {
+        return Err(format!(
+            "match.pruned_envelope {pruned} + match.abandoned {abandoned} > match.windows {windows}"
+        ));
+    }
+    let survivors = value("cfs.survivors");
+    let by_class = check
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("cfs.survivors.class="))
+        .fold(0u64, |sum, (_, v)| sum.saturating_add(*v));
+    if survivors != by_class {
+        return Err(format!(
+            "cfs.survivors {survivors} != {by_class} summed over cfs.survivors.class=*"
+        ));
+    }
     check.coverage = covered_ns as f64 / check.wall_ns as f64;
     Ok(check)
 }
@@ -937,7 +1082,7 @@ mod tests {
 
         let check = validate_jsonl(&path.display().to_string()).expect("valid report");
         assert_eq!(check.spans, 3);
-        assert_eq!(check.caches, 3);
+        assert_eq!(check.caches.len(), 3);
         assert_eq!(check.logs, 1);
         assert_eq!(check.traces, 1);
         assert_eq!(check.counter("mine.rules"), Some(10));
@@ -976,6 +1121,37 @@ mod tests {
         let check =
             validate_jsonl(&path.display().to_string()).expect("summary level needs no spans");
         assert_eq!(check.spans, 0);
+
+        // Counters reconcile: pruned + abandoned windows never exceed the
+        // windows scanned ...
+        let summary_meta =
+            "{\"type\":\"meta\",\"version\":4,\"wall_ns\":100,\"level\":\"summary\"}\n";
+        let counter = |name: &str, value: u64| {
+            format!("{{\"type\":\"counter\",\"name\":\"{name}\",\"value\":{value}}}\n")
+        };
+        let over_pruned = format!(
+            "{summary_meta}{}{}{}",
+            counter("match.windows", 100),
+            counter("match.abandoned", 30),
+            counter("match.pruned_envelope", 71)
+        );
+        std::fs::write(&path, &over_pruned).unwrap();
+        let err = validate_jsonl(&path.display().to_string()).unwrap_err();
+        assert!(
+            err.contains("match.pruned_envelope 71 + match.abandoned 30"),
+            "{err}"
+        );
+
+        // ... and the per-class CFS survivors sum to the total.
+        let survivors = format!(
+            "{summary_meta}{}{}{}",
+            counter("cfs.survivors", 13),
+            counter("cfs.survivors.class=0", 5),
+            counter("cfs.survivors.class=1", 7)
+        );
+        std::fs::write(&path, &survivors).unwrap();
+        let err = validate_jsonl(&path.display().to_string()).unwrap_err();
+        assert!(err.contains("cfs.survivors 13 != 12"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1018,7 +1194,7 @@ mod tests {
         );
         std::fs::write(&path, &good).unwrap();
         let check = validate_jsonl(&path.display().to_string()).expect("valid histogram");
-        assert_eq!(check.histograms, 1);
+        assert_eq!(check.histograms.len(), 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1201,7 +1377,7 @@ mod tests {
 
         let check = validate_jsonl(&path.display().to_string()).expect("empty run is valid");
         assert_eq!(check.spans, 0);
-        assert_eq!(check.stages, 0);
+        assert!(check.stages.is_empty());
         std::fs::remove_file(&path).ok();
         ObsConfig::default().install();
     }

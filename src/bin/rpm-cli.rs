@@ -60,7 +60,7 @@ use rpm::core::{
 use rpm::data::registry::spec_by_name;
 use rpm::data::ucr::{read_ucr_file, read_ucr_file_lenient, write_ucr, Quarantine};
 use rpm::ml::error_rate;
-use rpm::obs::{diff_reports, load_summary, DiffOptions};
+use rpm::obs::{diff_reports, validate_jsonl, DiffOptions};
 use rpm::sax::SaxConfig;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -566,7 +566,7 @@ fn cmd_obs(args: &[String]) -> CliResult {
         Some("summary") => {
             let rest = &args[1..];
             let path = positional(rest, 0)?;
-            let summary = load_summary(path)?;
+            let summary = validate_jsonl(path)?;
             print!("{}", summary.render());
             Ok(())
         }
@@ -611,8 +611,8 @@ fn cmd_obs(args: &[String]) -> CliResult {
                 tolerance,
                 time_gate: flag_present(rest, "--time-gate"),
             };
-            let baseline = load_summary(baseline_path)?;
-            let current = load_summary(current_path)?;
+            let baseline = validate_jsonl(baseline_path)?;
+            let current = validate_jsonl(current_path)?;
             let diff = diff_reports(&baseline, &current, &opts);
             print!("{}", diff.render());
             if diff.regressions > 0 {

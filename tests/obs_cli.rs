@@ -1,9 +1,9 @@
 //! End-to-end `rpm-cli` observability tests: train a tiny model through
 //! the real binary with `RPM_LOG=spans,json=…`, then exercise
 //! `obs summary`, `obs diff` (identical reports pass; an injected
-//! counter regression fails with a non-zero exit), and
-//! `classify --metrics-addr` (scraping `/metrics` from the live
-//! process).
+//! counter regression fails with a non-zero exit; a report the validator
+//! rejects is refused), and `classify --metrics-addr` (scraping
+//! `/metrics` from the live process).
 
 use rpm::data::ucr::write_ucr;
 use rpm::data::{generate, DatasetSpec};
@@ -192,6 +192,42 @@ fn obs_analytics_and_metrics_endpoint_end_to_end() {
 
     child.kill().expect("stop lingering classify");
     child.wait().unwrap();
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn obs_summary_and_diff_refuse_reports_the_validator_rejects() {
+    let dir = std::env::temp_dir().join(format!("rpm-obs-cli-invalid-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let meta = "{\"type\":\"meta\",\"version\":4,\"wall_ns\":5000,\"level\":\"summary\"}\n";
+    let jobs = "{\"type\":\"counter\",\"name\":\"engine.jobs\",\"value\":12}\n";
+    std::fs::write(dir.join("good.jsonl"), format!("{meta}{jobs}")).unwrap();
+    // Line 3 breaks the cache invariant: 6 hits + 4 misses != 11 lookups.
+    let cache = "{\"type\":\"cache\",\"family\":\"frames\",\"hits\":6,\"misses\":4,\
+                 \"evictions\":0,\"lookups\":11,\"hit_rate\":0.545455}\n";
+    std::fs::write(dir.join("bad.jsonl"), format!("{meta}{jobs}{cache}")).unwrap();
+
+    let out = run(&dir, None, &["obs", "summary", "good.jsonl"]);
+    assert_success(&out, "obs summary (valid report)");
+
+    for args in [
+        &["obs", "summary", "bad.jsonl"][..],
+        &["obs", "diff", "bad.jsonl", "good.jsonl"],
+        &["obs", "diff", "good.jsonl", "bad.jsonl"],
+    ] {
+        let out = run(&dir, None, args);
+        assert!(
+            !out.status.success(),
+            "{args:?} accepted a report the validator rejects:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("bad.jsonl: line 3: cache invariant broken: 6 + 4 != 11"),
+            "{args:?}: {stderr}"
+        );
+    }
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
