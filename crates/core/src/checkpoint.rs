@@ -26,7 +26,7 @@
 //!
 //! Crash safety: entries are appended and flushed as they complete. A
 //! process killed mid-append leaves at most one torn final line, which
-//! [`Checkpoint::open`] drops (the file is rewritten compacted on open,
+//! `Checkpoint::open` drops (the file is rewritten compacted on open,
 //! so the next append starts on a clean line boundary). A checkpoint
 //! *write* failure — e.g. a full disk, or an armed `checkpoint.write`
 //! fault — degrades to a one-time warning; training itself never fails

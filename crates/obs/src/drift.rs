@@ -16,7 +16,7 @@
 //! predicted-class mix. The hot path is a handful of relaxed atomic
 //! increments; a Mutex is touched only on epoch rotation (once per
 //! `epoch_secs` per slot) and never while scoring. On demand (scrapes,
-//! `/debug/drift`, run reports) the live window is summed and scored
+//! `/debug/drift`, the canary replay) the live window is summed and scored
 //! against the reference with PSI and a bucketed KS statistic.
 //!
 //! ## Scores
@@ -40,7 +40,7 @@ use crate::metrics::{bucket_index, HIST_BUCKETS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Number of continuous drift metrics tracked per class.
 pub const N_DRIFT_METRICS: usize = 6;
@@ -513,13 +513,12 @@ impl DriftReport {
         self.status == DriftStatus::Page
     }
 
-    /// The report's JSON fields, brace-less, for embedding (the
-    /// `/debug/drift` body and the run report's `drift` line share it).
-    pub fn to_json_fields(&self) -> String {
+    /// The full JSON object served by `GET /debug/drift`.
+    pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
             out,
-            "\"status\":\"{}\",\"live_samples\":{},\"reference_samples\":{},\
+            "{{\"status\":\"{}\",\"live_samples\":{},\"reference_samples\":{},\
              \"window_secs\":{},\"epoch_secs\":{},\"epochs\":{},\
              \"warn\":{:.6},\"page\":{:.6},\"metrics\":[",
             self.status,
@@ -544,17 +543,12 @@ impl DriftReport {
             }
             let _ = write!(out, "\"verdict\":\"{}\"}}", m.verdict);
         }
-        out.push(']');
+        out.push_str("]}");
         out
-    }
-
-    /// The full JSON object served by `GET /debug/drift`.
-    pub fn to_json(&self) -> String {
-        format!("{{{}}}", self.to_json_fields())
     }
 }
 
-/// Lock-light online drift sketcher: a ring of [`Epoch`] slots fed by
+/// Lock-light online drift sketcher: a ring of `Epoch` slots fed by
 /// every classified request and scored on demand against a
 /// [`ReferenceProfile`].
 pub struct DriftMonitor {
@@ -710,57 +704,6 @@ impl DriftMonitor {
             .unwrap_or(DriftStatus::Ok);
         report
     }
-}
-
-// --- process-global monitor -----------------------------------------------
-
-fn monitor_slot() -> &'static Mutex<Option<Arc<DriftMonitor>>> {
-    static SLOT: OnceLock<Mutex<Option<Arc<DriftMonitor>>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// Attaches `monitor` process-globally so the HTTP endpoints, the
-/// Prometheus exposition, and run reports can reach it.
-pub fn install_monitor(monitor: Arc<DriftMonitor>) {
-    if let Ok(mut slot) = monitor_slot().lock() {
-        *slot = Some(monitor);
-    }
-}
-
-/// Detaches the global monitor (drift reports `unavailable` again).
-pub fn clear_monitor() {
-    if let Ok(mut slot) = monitor_slot().lock() {
-        *slot = None;
-    }
-}
-
-/// The globally attached monitor, if any.
-pub fn monitor() -> Option<Arc<DriftMonitor>> {
-    monitor_slot().lock().ok().and_then(|slot| slot.clone())
-}
-
-/// Scores the global monitor, or [`DriftReport::unavailable`] when none
-/// is attached.
-pub fn current_report() -> DriftReport {
-    monitor().map_or_else(DriftReport::unavailable, |m| m.report())
-}
-
-fn fingerprint_slot() -> &'static Mutex<Option<String>> {
-    static SLOT: OnceLock<Mutex<Option<String>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// Publishes the served model's fingerprint (the CRC-32 of its file)
-/// for `/healthz`; `None` clears it.
-pub fn set_model_fingerprint(fingerprint: Option<String>) {
-    if let Ok(mut slot) = fingerprint_slot().lock() {
-        *slot = fingerprint;
-    }
-}
-
-/// The published model fingerprint, if a server set one.
-pub fn model_fingerprint() -> Option<String> {
-    fingerprint_slot().lock().ok().and_then(|slot| slot.clone())
 }
 
 #[cfg(test)]
@@ -970,28 +913,5 @@ mod tests {
         assert!(json.contains("\"metric\":\"match_distance\""), "{json}");
         assert!(json.contains("\"ks\":null"), "{json}");
         assert!(json.contains("\"status\":\"ok\""), "{json}");
-    }
-
-    #[test]
-    fn global_monitor_install_and_clear() {
-        let _g = crate::test_lock();
-        clear_monitor();
-        assert_eq!(current_report().status, DriftStatus::Unavailable);
-        let mut profile = ReferenceProfile::new();
-        for _ in 0..100 {
-            profile.observe(&sample(0, 1.0));
-        }
-        install_monitor(Arc::new(DriftMonitor::new(
-            &profile,
-            DriftConfig::default(),
-        )));
-        assert_eq!(current_report().status, DriftStatus::Warming);
-        clear_monitor();
-        assert_eq!(current_report().status, DriftStatus::Unavailable);
-
-        set_model_fingerprint(Some("deadbeef".into()));
-        assert_eq!(model_fingerprint().as_deref(), Some("deadbeef"));
-        set_model_fingerprint(None);
-        assert_eq!(model_fingerprint(), None);
     }
 }

@@ -11,9 +11,12 @@
 //! The connection loop is shared through [`Router`]: consumers register
 //! `(method, path) → handler` routes and serve them with
 //! [`serve_router`]. The metrics endpoint ([`serve`]) is just the
-//! [`metrics_routes`] router on that loop, and `rpm-serve` mounts its
-//! `/classify` handler on the same loop instead of growing a second
-//! hand-rolled HTTP stack.
+//! [`metrics_routes`] router on that loop, serving no model, and
+//! `rpm-serve` mounts its `/classify` handler on the same loop instead
+//! of growing a second hand-rolled HTTP stack. A server hands
+//! [`metrics_routes`] a reader of its current model generation, so its
+//! `/healthz`, `/debug/drift` and drift gauges describe its own model
+//! and no other server's in the same process.
 //!
 //! Serving hardening ([`ServeLimits`]): every connection is handled on
 //! its own thread under a concurrency bound (excess connections get an
@@ -41,6 +44,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+use crate::drift::DriftReport;
 
 /// Per-connection resource bounds for a served endpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -227,23 +232,46 @@ impl Router {
     }
 }
 
+/// What an endpoint that serves a model reports about it: the model
+/// half of `/healthz`, the `/debug/drift` body, and the `rpm_drift_*`
+/// gauges on `/metrics`.
+#[derive(Clone, Debug)]
+pub struct ServingModel {
+    /// The served model's fingerprint (the CRC-32 of its file).
+    pub fingerprint: String,
+    /// The model generation currently serving.
+    pub generation: u64,
+    /// The serving generation's drift verdict
+    /// ([`DriftReport::unavailable`] when it has no monitor).
+    pub drift: DriftReport,
+}
+
 /// The observability routes: Prometheus text on `GET /metrics`,
-/// liveness on `GET /healthz`. Both render from a
-/// [`crate::metrics::snapshot`] taken at request time, so scrapes
-/// observe but never perturb the run. Start from this router to mount
-/// additional routes on the same endpoint.
-pub fn metrics_routes() -> Router {
+/// liveness on `GET /healthz`, the drift report on `GET /debug/drift`,
+/// and retained request traces on `GET /debug/traces`. Metrics render
+/// from a [`crate::metrics::snapshot`] taken at request time, so scrapes
+/// observe but never perturb the run. `serving` is asked on each request
+/// for the model this endpoint serves; an endpoint that serves none
+/// passes `|| None`. Start from this router to mount additional routes
+/// on the same endpoint.
+pub fn metrics_routes(
+    serving: impl Fn() -> Option<ServingModel> + Send + Sync + 'static,
+) -> Router {
+    let serving = Arc::new(serving);
+    let (for_metrics, for_health) = (Arc::clone(&serving), Arc::clone(&serving));
     Router::new()
-        .route("GET", "/metrics", |_req| {
+        .route("GET", "/metrics", move |_req| {
             let mut body = crate::export::to_prometheus(&crate::metrics::snapshot());
             body.push_str(&crate::export::drift_to_prometheus(
-                &crate::drift::current_report(),
+                &drift_of(for_metrics()),
             ));
             Response::ok(body).with_content_type("text/plain; version=0.0.4; charset=utf-8")
         })
-        .route("GET", "/healthz", |_req| Response::json(200, health_json()))
-        .route("GET", "/debug/drift", |_req| {
-            Response::json(200, crate::drift::current_report().to_json())
+        .route("GET", "/healthz", move |_req| {
+            Response::json(200, health_json(for_health()))
+        })
+        .route("GET", "/debug/drift", move |_req| {
+            Response::json(200, drift_of(serving()).to_json())
         })
         .route("GET", "/debug/traces", |req| {
             let min_ns = req
@@ -267,32 +295,34 @@ pub fn metrics_routes() -> Router {
         })
 }
 
-/// The `/healthz` body: liveness plus a summary of what this process is
-/// serving. `status` is `degraded` when the attached drift monitor's
-/// verdict reached the page threshold — the endpoint still answers
-/// `200` (liveness is about the process, not the traffic), so
-/// orchestrators keep the replica while dashboards and the CLI see the
-/// degradation. `model` is the served model's fingerprint when a server
-/// published one, `drift` the current verdict
-/// (`unavailable`/`warming`/`ok`/`warn`/`page`). The lifecycle fields
-/// read from the metrics registry: `generation` is the model generation
-/// currently serving (0 when no lifecycle-managed server runs),
-/// `reloads`/`rollbacks`/`worker_restarts` count swaps and supervisor
-/// respawns, `queue_depth` is the series queued for batching right now.
-pub fn health_json() -> String {
-    let drift = crate::drift::current_report();
+fn drift_of(serving: Option<ServingModel>) -> DriftReport {
+    serving.map_or_else(DriftReport::unavailable, |s| s.drift)
+}
+
+/// The `/healthz` body: liveness plus a summary of the served model.
+/// `status` is `degraded` when the serving generation's drift verdict
+/// reached the page threshold — the endpoint still answers `200`
+/// (liveness is about the process, not the traffic), so orchestrators
+/// keep the replica while dashboards and the CLI see the degradation.
+/// `model` is the served model's fingerprint, `generation` the model
+/// generation serving, and `drift` its verdict
+/// (`unavailable`/`warming`/`ok`/`warn`/`page`); an endpoint serving no
+/// model answers `null`, `0` and `unavailable`. The counters read from
+/// the metrics registry: `reloads`/`rollbacks`/`worker_restarts` count
+/// swaps and supervisor respawns, `queue_depth` is the series queued for
+/// batching right now.
+fn health_json(serving: Option<ServingModel>) -> String {
+    let (model, generation, drift) = match serving {
+        Some(s) => (format!("\"{}\"", s.fingerprint), s.generation, s.drift),
+        None => ("null".to_string(), 0, DriftReport::unavailable()),
+    };
     let status = if drift.degraded() { "degraded" } else { "ok" };
     let uptime_secs = crate::now_ns() / 1_000_000_000;
-    let model = match crate::drift::model_fingerprint() {
-        Some(fp) => format!("\"{fp}\""),
-        None => "null".to_string(),
-    };
     let m = crate::metrics();
     format!(
-        "{{\"status\":\"{status}\",\"model\":{model},\"generation\":{},\"reloads\":{},\
+        "{{\"status\":\"{status}\",\"model\":{model},\"generation\":{generation},\"reloads\":{},\
          \"rollbacks\":{},\"worker_restarts\":{},\"queue_depth\":{},\"uptime_secs\":{uptime_secs},\
          \"drift\":\"{}\"}}",
-        m.serve_generation.get(),
         m.serve_reloads.get(),
         m.serve_rollbacks.get(),
         m.serve_worker_restarts.get(),
@@ -343,7 +373,7 @@ pub fn serve(addr: &str) -> std::io::Result<MetricsServer> {
 
 /// [`serve`] with explicit per-connection limits.
 pub fn serve_with(addr: &str, limits: ServeLimits) -> std::io::Result<MetricsServer> {
-    serve_router(addr, limits, metrics_routes())
+    serve_router(addr, limits, metrics_routes(|| None))
 }
 
 /// Serves an arbitrary [`Router`] on the shared connection loop. This
@@ -626,8 +656,6 @@ mod tests {
     #[test]
     fn serves_metrics_healthz_and_404() {
         let _g = crate::test_lock();
-        crate::drift::clear_monitor();
-        crate::drift::set_model_fingerprint(None);
         let server = serve("127.0.0.1:0").expect("bind");
         let addr = server.local_addr();
 
@@ -651,11 +679,9 @@ mod tests {
     fn drift_endpoints_follow_the_attached_monitor() {
         let _g = crate::test_lock();
         let server = serve("127.0.0.1:0").expect("bind");
-        let addr = server.local_addr();
 
         // No monitor: drift is unavailable, health stays ok.
-        crate::drift::clear_monitor();
-        let body = get(addr, "/debug/drift");
+        let body = get(server.local_addr(), "/debug/drift");
         assert!(body.contains("\"status\":\"unavailable\""), "{body}");
 
         // A paging monitor degrades /healthz (still 200) and scores on
@@ -672,13 +698,13 @@ mod tests {
                 z_extreme: 2.0,
             });
         }
-        let monitor = std::sync::Arc::new(crate::drift::DriftMonitor::new(
+        let monitor = crate::drift::DriftMonitor::new(
             &profile,
             crate::drift::DriftConfig {
                 min_samples: 1,
                 ..crate::drift::DriftConfig::default()
             },
-        ));
+        );
         for _ in 0..10 {
             monitor.observe(&crate::drift::DriftSample {
                 class: 0,
@@ -690,8 +716,15 @@ mod tests {
                 z_extreme: 2.0,
             });
         }
-        crate::drift::install_monitor(monitor);
-        crate::drift::set_model_fingerprint(Some("cafebabe".into()));
+        let router = metrics_routes(move || {
+            Some(ServingModel {
+                fingerprint: "cafebabe".into(),
+                generation: 1,
+                drift: monitor.report(),
+            })
+        });
+        let served = serve_router("127.0.0.1:0", ServeLimits::default(), router).expect("bind");
+        let addr = served.local_addr();
 
         let health = get(addr, "/healthz");
         assert!(health.starts_with("HTTP/1.0 200"), "{health}");
@@ -706,15 +739,12 @@ mod tests {
         let metrics = get(addr, "/metrics");
         assert!(metrics.contains("rpm_drift_psi"), "{metrics}");
         assert!(metrics.contains("rpm_drift_status 4"), "{metrics}");
-
-        crate::drift::clear_monitor();
-        crate::drift::set_model_fingerprint(None);
     }
 
     #[test]
     fn custom_routes_receive_bodies_and_reject_wrong_methods() {
         let _g = crate::test_lock();
-        let router = metrics_routes().route("POST", "/echo", |req| {
+        let router = metrics_routes(|| None).route("POST", "/echo", |req| {
             Response::ok(format!("got {} bytes\n", req.body.len()))
                 .with_header("X-Probe", "1".to_string())
         });

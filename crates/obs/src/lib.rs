@@ -3,15 +3,15 @@
 //! A std-only (offline-build-compatible) instrumentation layer shared by
 //! every crate in the workspace:
 //!
-//! * **Spans** ([`span`]) — RAII stage timers (`span!("cfs")`) with
-//!   nesting, monotonic-clock timestamps, and per-thread recording that
-//!   merges deterministically by stage path. Instrumentation never feeds
-//!   back into the computation, so instrumented runs stay bit-identical
-//!   to uninstrumented ones.
-//! * **Metrics** ([`metrics`]) — a static registry of atomic counters,
-//!   gauges, and log₂-bucket histograms fed by the training engine, the
-//!   memoization caches, the candidate/CFS pipeline, and the optimizers,
-//!   declared once as one table.
+//! * **Spans** ([`span`](mod@span)) — RAII stage timers (`span!("cfs")`)
+//!   with nesting, monotonic-clock timestamps, and per-thread recording
+//!   that merges deterministically by stage path. Instrumentation never
+//!   feeds back into the computation, so instrumented runs stay
+//!   bit-identical to uninstrumented ones.
+//! * **Metrics** ([`metrics`](mod@metrics)) — a static registry of atomic
+//!   counters, gauges, and log₂-bucket histograms fed by the training
+//!   engine, the memoization caches, the candidate/CFS pipeline, and the
+//!   optimizers, declared once as one table.
 //! * **Sinks** ([`report`]) — a human-readable end-of-run stage tree
 //!   (time, %, calls) on stderr and a JSONL event/report export, plus a
 //!   structured progress logger ([`logger`]) replacing ad-hoc prints. A
@@ -60,7 +60,7 @@ pub use export::{drift_to_prometheus, to_prometheus};
 pub use fault::{FaultKind, FaultSpec};
 pub use http::{
     metrics_routes, serve, serve_router, serve_with, MetricsServer, Request, Response, Router,
-    ServeLimits,
+    ServeLimits, ServingModel,
 };
 pub use logger::LogEvent;
 pub use metrics::{metrics, CacheFamilyMetrics, Counter, Gauge, Histogram, MetricsSnapshot};

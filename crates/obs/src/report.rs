@@ -23,9 +23,10 @@
 //! — the flight recorder's retained request traces, with batch links
 //! filtered to traces present in the same report so they always
 //! resolve — and the optional `trace` field on `log` lines; v4
-//! (current) adds the `drift` line — the attached
-//! [`crate::drift::DriftMonitor`]'s verdict at report time, emitted
-//! only when a monitor is attached.
+//! (current) added the `drift` line, a drift monitor's verdict at report
+//! time. No writer emits `drift` lines any more: each monitor belongs to
+//! one served model generation, which a run report does not see. Reports
+//! that carry them still validate.
 //!
 //! [`validate_jsonl`] is the one reader: it checks every line and
 //! returns the [`ReportSummary`] that [`crate::diff`] and `rpm-cli obs
@@ -81,11 +82,6 @@ pub struct RunReport {
     /// Request traces retained by the flight recorder, newest first,
     /// with batch links filtered to the retained set.
     pub traces: Vec<crate::trace::TraceRecord>,
-    /// Drift verdict at report time ([`DriftStatus::Unavailable`] when
-    /// no monitor is attached — the usual case for training runs).
-    ///
-    /// [`DriftStatus::Unavailable`]: crate::drift::DriftStatus::Unavailable
-    pub drift: crate::drift::DriftReport,
 }
 
 impl RunReport {
@@ -288,13 +284,6 @@ impl RunReport {
             out.push_str(&trace.to_jsonl_line());
             out.push('\n');
         }
-        if self.drift.status != crate::drift::DriftStatus::Unavailable {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"drift\",{}}}",
-                self.drift.to_json_fields()
-            );
-        }
         out
     }
 }
@@ -341,7 +330,6 @@ fn build(mut records: Vec<SpanRecord>, logs: Vec<LogEvent>) -> RunReport {
         metrics: metrics::snapshot(),
         logs,
         traces,
-        drift: crate::drift::current_report(),
     }
 }
 
@@ -1265,58 +1253,6 @@ mod tests {
     }
 
     #[test]
-    fn drift_line_round_trips_and_validates() {
-        let _g = crate::test_lock();
-        let path = temp_path("drift_line");
-        ObsConfig {
-            level: ObsLevel::Summary,
-            json_path: Some(path.display().to_string()),
-            http_addr: None,
-        }
-        .install();
-        span::take_records();
-        logger::take();
-        metrics::reset();
-
-        // An attached (warming) monitor puts a drift line in the report.
-        let mut profile = crate::drift::ReferenceProfile::new();
-        for _ in 0..100 {
-            profile.observe(&crate::drift::DriftSample {
-                class: 0,
-                best_distance: 1.0,
-                margin: 0.5,
-                len: 96,
-                mean: 0.0,
-                stddev: 1.0,
-                z_extreme: 2.0,
-            });
-        }
-        crate::drift::install_monitor(std::sync::Arc::new(crate::drift::DriftMonitor::new(
-            &profile,
-            crate::drift::DriftConfig::default(),
-        )));
-        let report = finish().expect("enabled");
-        assert_eq!(
-            report.drift.status,
-            crate::drift::DriftStatus::Warming,
-            "{:?}",
-            report.drift
-        );
-        assert!(report.to_jsonl().contains("\"type\":\"drift\""));
-        let check = validate_jsonl(&path.display().to_string()).expect("valid report");
-        assert_eq!(check.drifts, 1);
-        crate::drift::clear_monitor();
-
-        // Without a monitor the line is absent entirely.
-        let report = finish().expect("enabled");
-        assert!(!report.to_jsonl().contains("\"type\":\"drift\""));
-        let check = validate_jsonl(&path.display().to_string()).expect("valid report");
-        assert_eq!(check.drifts, 0);
-        std::fs::remove_file(&path).ok();
-        ObsConfig::default().install();
-    }
-
-    #[test]
     fn validator_checks_drift_invariants() {
         let path = temp_path("drift_invariants");
         let meta = "{\"type\":\"meta\",\"version\":4,\"wall_ns\":100,\"level\":\"summary\"}\n";
@@ -1392,7 +1328,6 @@ mod tests {
             metrics: MetricsSnapshot::default(),
             logs: Vec::new(),
             traces: Vec::new(),
-            drift: crate::drift::DriftReport::unavailable(),
         };
         assert_eq!(report.coverage(), 0.0);
         // Rendering a zero-duration report must not divide by zero either.

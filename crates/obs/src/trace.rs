@@ -1,10 +1,10 @@
 //! Request-scoped tracing: W3C `traceparent` ids, per-request span
 //! trees, and an in-memory flight recorder for the serving path.
 //!
-//! The process-global stage timers in [`crate::span`] answer "where did
-//! the *run* spend its time"; they cannot answer "why was *this*
-//! request slow". This module adds the per-request layer: every
-//! `/classify` request gets a [`TraceCtx`] carrying a 128-bit trace id
+//! The process-global stage timers in [`crate::span`](mod@crate::span)
+//! answer "where did the *run* spend its time"; they cannot answer "why
+//! was *this* request slow". This module adds the per-request layer:
+//! every `/classify` request gets a [`TraceCtx`] carrying a 128-bit trace id
 //! (ingested from an inbound `traceparent` header when present,
 //! generated otherwise) and an append-only list of [`TraceSpan`]s
 //! (parse, queue-wait, batch, predict, respond). When the request is
@@ -33,8 +33,8 @@
 //! * traces at least as slow as the running p90 duration estimate are
 //!   kept too — "the slowest decile", at log₂-bucket resolution, from
 //!   an internal histogram whose threshold is refreshed every
-//!   [`REFRESH_EVERY`] records;
-//! * 1 in [`SAMPLE_EVERY`] of the remaining ok traces lands in a
+//!   `REFRESH_EVERY` records;
+//! * 1 in `SAMPLE_EVERY` of the remaining ok traces lands in a
 //!   smaller sampled ring so the recorder always shows some healthy
 //!   baseline; the rest are dropped (counted in `trace.dropped`).
 //!
@@ -45,6 +45,7 @@
 //! an exemplar is recorded only for *retained* traces, so every trace
 //! id a scrape shows resolves against the recorder.
 
+use crate::metrics::{bucket_index, HIST_BUCKETS};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -525,7 +526,6 @@ const SAMPLED_SLOTS: usize = 64;
 const SAMPLE_EVERY: u64 = 16;
 /// The slow-trace threshold is re-derived after this many records.
 const REFRESH_EVERY: u64 = 32;
-const DURATION_BUCKETS: usize = 40;
 
 /// A fixed-size overwrite-oldest ring of trace records. Lock-light:
 /// writers claim a slot with one atomic `fetch_add` and lock only that
@@ -578,7 +578,7 @@ pub struct FlightRecorder {
     sampled: Ring,
     /// log₂ histogram of *all* finished-trace durations (retained or
     /// not), from which the slow threshold is derived.
-    durations: [AtomicU64; DURATION_BUCKETS],
+    durations: [AtomicU64; HIST_BUCKETS],
     observed: AtomicU64,
     /// Durations at or above this are "slowest decile". Starts at
     /// `u64::MAX` (nothing is slow until the first refresh, which the
@@ -594,7 +594,7 @@ impl FlightRecorder {
         Self {
             kept: Ring::new(kept_slots),
             sampled: Ring::new(sampled_slots),
-            durations: [const { AtomicU64::new(0) }; DURATION_BUCKETS],
+            durations: [const { AtomicU64::new(0) }; HIST_BUCKETS],
             observed: AtomicU64::new(0),
             slow_threshold_ns: AtomicU64::new(u64::MAX),
             sample_seq: AtomicU64::new(0),
@@ -612,8 +612,7 @@ impl FlightRecorder {
     /// only for retained traces so exemplar ids always resolve here).
     pub fn record(&self, record: TraceRecord) -> bool {
         let dur = record.dur_ns;
-        let bucket = (64 - dur.leading_zeros() as usize).min(DURATION_BUCKETS - 1);
-        self.durations[bucket].fetch_add(1, Ordering::Relaxed);
+        self.durations[bucket_index(dur)].fetch_add(1, Ordering::Relaxed);
         let total = self.observed.fetch_add(1, Ordering::Relaxed) + 1;
         if total % REFRESH_EVERY == 1 || REFRESH_EVERY == 1 {
             self.refresh_threshold();
@@ -712,8 +711,8 @@ pub struct Exemplar {
 /// is a flat array without a registry lookup on the hot path.
 const EXEMPLAR_HISTOGRAMS: [&str; 2] = ["serve.latency_ns", "serve.queue_wait_ns"];
 
-fn exemplar_store() -> &'static [[Mutex<Option<Exemplar>>; DURATION_BUCKETS]; 2] {
-    static STORE: OnceLock<[[Mutex<Option<Exemplar>>; DURATION_BUCKETS]; 2]> = OnceLock::new();
+fn exemplar_store() -> &'static [[Mutex<Option<Exemplar>>; HIST_BUCKETS]; 2] {
+    static STORE: OnceLock<[[Mutex<Option<Exemplar>>; HIST_BUCKETS]; 2]> = OnceLock::new();
     STORE.get_or_init(|| std::array::from_fn(|_| std::array::from_fn(|_| Mutex::new(None))))
 }
 
@@ -724,8 +723,7 @@ pub fn record_exemplar(histogram: &str, value: u64, trace_id: TraceId) {
     let Some(h) = EXEMPLAR_HISTOGRAMS.iter().position(|n| *n == histogram) else {
         return;
     };
-    let bucket = (64 - value.leading_zeros() as usize).min(DURATION_BUCKETS - 1);
-    if let Ok(mut cell) = exemplar_store()[h][bucket].lock() {
+    if let Ok(mut cell) = exemplar_store()[h][bucket_index(value)].lock() {
         *cell = Some(Exemplar { trace_id, value });
     }
 }
@@ -739,7 +737,7 @@ pub fn exemplar_for(histogram: &str, upper: u64) -> Option<Exemplar> {
     let bucket = if upper == 0 {
         0
     } else if upper.is_power_of_two() {
-        (upper.trailing_zeros() as usize).min(DURATION_BUCKETS - 1)
+        (upper.trailing_zeros() as usize).min(HIST_BUCKETS - 1)
     } else {
         return None;
     };

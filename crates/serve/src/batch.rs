@@ -226,7 +226,6 @@ pub(crate) fn process_batch(
 
     let batch_seq = BATCH_SEQ.fetch_add(1, Ordering::Relaxed);
     let counters = ScanCounters::new();
-    let monitor = rpm_obs::drift::monitor();
     let predict_start_ns = rpm_obs::now_ns();
     let verdict = if let Err(e) = rpm_obs::fault::point("serve.batch") {
         Err(format!("injected fault: {e}"))
@@ -235,11 +234,12 @@ pub(crate) fn process_batch(
         // neither the worker nor the server.
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // With drift armed, one sketch sample per series goes to the
-            // monitor, derived from the same feature rows the SVM reads.
+            // generation's monitor, derived from the same feature rows the
+            // SVM reads.
             let options = PredictOptions {
                 parallelism,
                 counters: Some(&counters),
-                drift: monitor.as_deref(),
+                drift: generation.drift.as_ref(),
             };
             model.predict_batch_with(&refs, options)
         }))

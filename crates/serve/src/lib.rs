@@ -38,12 +38,12 @@
 //! `serve.worker` fault sites make the request, reload, and worker
 //! paths chaos-testable like the rest of the pipeline.
 //!
-//! Since the lifecycle PR the model is no longer a fixed `Arc` for the
-//! process lifetime: it lives in a generation slot ([`lifecycle`])
-//! behind `POST /admin/reload` / `POST /admin/rollback` (and SIGHUP),
-//! and the worker pool is crash-only under a supervisor
-//! ([`SuperviseSettings`]) that quarantines panicked batches and
-//! respawns dead workers with backoff.
+//! The model is not a fixed `Arc` for the process lifetime: each server
+//! holds its current model generation ([`lifecycle`]), which carries the
+//! model's fingerprint and drift monitor, behind `POST /admin/reload` /
+//! `POST /admin/rollback` (and SIGHUP), and the worker pool is
+//! crash-only under a supervisor ([`SuperviseSettings`]) that
+//! quarantines panicked batches and respawns dead workers with backoff.
 
 mod batch;
 pub mod lifecycle;
@@ -197,7 +197,7 @@ pub struct Server {
 
 impl Server {
     /// Starts the listener and worker pool. The model is shared
-    /// immutably behind the generation slot: every worker pins the
+    /// immutably in the current generation: every worker pins the
     /// current generation per batch, and prediction borrows request
     /// buffers without copying them. The serving fingerprint is
     /// computed from the model's canonical serialization; when the
@@ -235,9 +235,8 @@ impl Server {
             }
             .install();
         }
-        // The lifecycle installs generation 1 and publishes its drift
-        // monitor (armed iff the model carries a reference profile),
-        // fingerprint, and the generation gauge.
+        // The lifecycle installs generation 1, whose drift monitor is
+        // armed iff the model carries a reference profile.
         let lifecycle = Arc::new(Lifecycle::new(
             model,
             fingerprint,
@@ -258,19 +257,27 @@ impl Server {
 
         let handler_queue = Arc::clone(&queue);
         let deadline = config.deadline;
+        let serving_lc = Arc::clone(&lifecycle);
         let reload_lc = Arc::clone(&lifecycle);
         let rollback_lc = Arc::clone(&lifecycle);
         let default_path = config.model_path.clone();
-        let router = rpm_obs::metrics_routes()
-            .route("POST", "/classify", move |req| {
-                classify(&handler_queue, deadline, req)
+        let router = rpm_obs::metrics_routes(move || {
+            let current = serving_lc.current();
+            Some(rpm_obs::ServingModel {
+                fingerprint: current.fingerprint.clone(),
+                generation: current.generation,
+                drift: current.drift_report(),
             })
-            .route("POST", "/admin/reload", move |req| {
-                admin_reload(&reload_lc, default_path.as_deref(), req)
-            })
-            .route("POST", "/admin/rollback", move |_req| {
-                admin_rollback(&rollback_lc)
-            });
+        })
+        .route("POST", "/classify", move |req| {
+            classify(&handler_queue, deadline, req)
+        })
+        .route("POST", "/admin/reload", move |req| {
+            admin_reload(&reload_lc, default_path.as_deref(), req)
+        })
+        .route("POST", "/admin/rollback", move |_req| {
+            admin_rollback(&rollback_lc)
+        });
         let http = rpm_obs::serve_router(&config.addr, config.limits, router)?;
 
         Ok(Server {
@@ -293,17 +300,14 @@ impl Server {
     }
 
     /// Orderly shutdown: stop accepting, close the queue (workers drain
-    /// what is left), join the pool via the supervisor, detach the
-    /// drift monitor and identity gauges so a later server (or test)
-    /// starts from a clean slate.
+    /// what is left), join the pool via the supervisor, and zero the
+    /// generation and queue-depth gauges.
     pub fn shutdown(&mut self) {
         self.http.shutdown();
         self.queue.close();
         if let Some(mut supervisor) = self.supervisor.take() {
             supervisor.stop();
         }
-        rpm_obs::drift::clear_monitor();
-        rpm_obs::drift::set_model_fingerprint(None);
         let m = rpm_obs::metrics();
         m.serve_generation.set(0);
         m.serve_queue_depth.set(0);
@@ -316,28 +320,26 @@ impl Drop for Server {
     }
 }
 
-/// Minimal extractor for the one admin-body field we accept: the value
-/// of `"key": "…"` in a flat JSON object (no escapes in the value —
-/// file paths with quotes or backslashes should use the CLI).
-fn extract_json_string(body: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let after_key = &body[body.find(&needle)? + needle.len()..];
-    let after_colon = after_key.trim_start().strip_prefix(':')?.trim_start();
-    let value = after_colon.strip_prefix('"')?;
-    Some(value[..value.find('"')?].to_string())
-}
-
-/// `POST /admin/reload`: run the candidate (body `{"path":"…"}`, else
-/// the path the server was started with) through the canary gate and
-/// swap it in. `200` on swap; `409` with a machine-readable `reason`
-/// when the candidate is rejected — the serving generation is
-/// untouched in that case.
+/// `POST /admin/reload`: run the candidate (body `{"path":"…"}`; an
+/// empty body or `{}` takes the path the server was started with)
+/// through the canary gate and swap it in. `200` on swap; `409` with a
+/// machine-readable `reason` when the candidate is rejected — the
+/// serving generation is untouched in that case. Any other body is a
+/// `400` and no reload is attempted.
 fn admin_reload(
     lifecycle: &Lifecycle,
     default_path: Option<&std::path::Path>,
     req: &Request,
 ) -> Response {
-    let explicit = extract_json_string(&String::from_utf8_lossy(&req.body), "path");
+    let explicit = match proto::parse_reload_body(&req.body) {
+        Ok(path) => path,
+        Err(e) => {
+            return Response::json(
+                400,
+                proto::format_error("bad_request", &format!("reload body: {e}")),
+            )
+        }
+    };
     let outcome = match (&explicit, default_path) {
         (Some(path), _) => lifecycle.reload_from_path(std::path::Path::new(path)),
         (None, Some(path)) => lifecycle.reload_from_path(path),
@@ -598,8 +600,8 @@ mod tests {
         RpmClassifier::train(&dataset(1), &config).unwrap()
     }
 
-    /// Serializes tests that start a [`Server`]: the drift monitor and
-    /// model fingerprint are process-global.
+    /// Serializes tests that start a [`Server`]: the metrics registry
+    /// and the fault plan are process-global.
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
         GATE.lock().unwrap_or_else(|e| e.into_inner())

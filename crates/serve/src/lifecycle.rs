@@ -1,14 +1,18 @@
-//! Zero-downtime model lifecycle: the generation slot, the canary-gated
-//! reload path, and probation-window rollback.
+//! Zero-downtime model lifecycle: the serving generation, the
+//! canary-gated reload path, and probation-window rollback.
 //!
-//! The serving model lives in a [`ModelSlot`] — an Arc-swap idiom built
-//! from a `Mutex<Arc<_>>` plus an atomic version counter. The predict
-//! hot path never touches the mutex: each worker holds a [`SlotReader`]
-//! that caches the current generation and re-reads the slot only when
-//! the version counter says a swap happened, so steady-state cost is
-//! one relaxed atomic load per batch. A batch that popped before a swap
-//! finishes on the generation it started with — its `Arc` pins the old
-//! model until the last in-flight batch drops it.
+//! A server's model lives in a [`ModelGeneration`], which owns
+//! everything the server reports about it: the model, its generation
+//! number and fingerprint, and the drift monitor that scores its
+//! traffic.
+//! [`Lifecycle`] holds the current generation in a `Mutex<Arc<_>>`.
+//! Each worker clones that `Arc` once per batch, and `/healthz`,
+//! `/debug/drift`, the drift gauges and the probation watchdog read the
+//! same generation, so two servers in one process never see each
+//! other's model. A batch that popped before a swap finishes on the
+//! generation it started with — its `Arc` pins the old model until the
+//! last in-flight batch drops it. Every swap builds a new generation,
+//! so each reload and each rollback starts a fresh drift window.
 //!
 //! Reloads go through a **canary gate** before any traffic sees the
 //! candidate:
@@ -49,12 +53,12 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rpm_core::{PersistError, PredictOptions, RpmClassifier, SchemaMismatch, VerifyReport};
 use rpm_obs::drift::{psi, ReferenceProfile, DRIFT_METRIC_NAMES};
-use rpm_obs::DriftConfig;
+use rpm_obs::{DriftConfig, DriftMonitor, DriftReport};
 
 use crate::batch::Pending;
 use crate::ServeError;
@@ -100,8 +104,7 @@ impl Default for ReloadPolicy {
 }
 
 /// One immutable model generation: what a worker pins for the lifetime
-/// of a batch.
-#[derive(Debug)]
+/// of a batch, and what the server reports about its model.
 pub struct ModelGeneration {
     /// The model itself, shared immutably.
     pub model: Arc<RpmClassifier>,
@@ -112,71 +115,38 @@ pub struct ModelGeneration {
     /// CRC-32 identity of the model's serialized stream, as on
     /// `/healthz`.
     pub fingerprint: String,
+    /// Scores this generation's traffic against the model's training
+    /// profile; `None` when the model carries no non-empty profile.
+    pub drift: Option<DriftMonitor>,
 }
 
-/// The atomic model slot: Arc-swap semantics from std parts. Readers
-/// ([`SlotReader`]) check the version counter (one atomic load) and
-/// take the mutex only in the epoch after a swap.
-pub struct ModelSlot {
-    current: Mutex<Arc<ModelGeneration>>,
-    version: AtomicU64,
-}
-
-impl ModelSlot {
-    fn new(initial: Arc<ModelGeneration>) -> Self {
+impl ModelGeneration {
+    /// Builds a generation, arming its drift monitor when the model
+    /// carries a non-empty reference profile.
+    fn new(
+        model: Arc<RpmClassifier>,
+        generation: u64,
+        fingerprint: String,
+        drift: DriftConfig,
+    ) -> Self {
+        let drift = model
+            .reference_profile()
+            .filter(|p| !p.is_empty())
+            .map(|profile| DriftMonitor::new(profile, drift));
         Self {
-            current: Mutex::new(initial),
-            version: AtomicU64::new(1),
+            model,
+            generation,
+            fingerprint,
+            drift,
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Arc<ModelGeneration>> {
-        self.current.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Cold-path read: clones the current generation handle.
-    pub fn load(&self) -> Arc<ModelGeneration> {
-        Arc::clone(&self.lock())
-    }
-
-    /// The swap counter readers compare against their cache.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
-    /// Publishes `next` and returns the displaced generation.
-    fn swap(&self, next: Arc<ModelGeneration>) -> Arc<ModelGeneration> {
-        let mut slot = self.lock();
-        let old = std::mem::replace(&mut *slot, next);
-        self.version.fetch_add(1, Ordering::Release);
-        old
-    }
-}
-
-/// A worker's cached view of the [`ModelSlot`]: one atomic load per
-/// batch in steady state, a mutex acquisition only right after a swap.
-pub struct SlotReader {
-    slot: Arc<ModelSlot>,
-    seen: u64,
-    cached: Arc<ModelGeneration>,
-}
-
-impl SlotReader {
-    /// A reader primed with the slot's current generation.
-    pub fn new(slot: Arc<ModelSlot>) -> Self {
-        let seen = slot.version();
-        let cached = slot.load();
-        Self { slot, seen, cached }
-    }
-
-    /// The generation to serve the next batch with.
-    pub fn current(&mut self) -> &Arc<ModelGeneration> {
-        let version = self.slot.version();
-        if version != self.seen {
-            self.cached = self.slot.load();
-            self.seen = version;
-        }
-        &self.cached
+    /// The drift verdict on this generation's traffic so far
+    /// ([`DriftReport::unavailable`] without a monitor).
+    pub fn drift_report(&self) -> DriftReport {
+        self.drift
+            .as_ref()
+            .map_or_else(DriftReport::unavailable, DriftMonitor::report)
     }
 }
 
@@ -288,10 +258,10 @@ struct Probation {
     requests_at_swap: u64,
 }
 
-/// The model lifecycle: owns the slot, the warm previous generation,
-/// the canary ring, and the probation window.
+/// The model lifecycle: owns the serving generation, the warm previous
+/// generation, the canary ring, and the probation window.
 pub struct Lifecycle {
-    slot: Arc<ModelSlot>,
+    current: Mutex<Arc<ModelGeneration>>,
     previous: Mutex<Option<Arc<ModelGeneration>>>,
     probation: Mutex<Option<Probation>>,
     /// Serializes reload/rollback; the hot path never takes it.
@@ -303,21 +273,17 @@ pub struct Lifecycle {
 }
 
 impl Lifecycle {
-    /// Installs the initial generation (generation 1) and publishes its
-    /// drift monitor, fingerprint, and gauge.
+    /// Installs the initial generation (generation 1) and sets the
+    /// generation gauge.
     pub(crate) fn new(
         model: Arc<RpmClassifier>,
         fingerprint: String,
         policy: ReloadPolicy,
         drift: DriftConfig,
     ) -> Self {
-        let initial = Arc::new(ModelGeneration {
-            model,
-            generation: 1,
-            fingerprint,
-        });
-        let lifecycle = Self {
-            slot: Arc::new(ModelSlot::new(Arc::clone(&initial))),
+        rpm_obs::metrics().serve_generation.set(1);
+        Self {
+            current: Mutex::new(Arc::new(ModelGeneration::new(model, 1, fingerprint, drift))),
             previous: Mutex::new(None),
             probation: Mutex::new(None),
             admin_gate: Mutex::new(()),
@@ -325,19 +291,12 @@ impl Lifecycle {
             canary: Mutex::new(VecDeque::with_capacity(CANARY_RING)),
             policy,
             drift,
-        };
-        lifecycle.publish(&initial);
-        lifecycle
-    }
-
-    /// The slot handle workers read through.
-    pub(crate) fn slot(&self) -> Arc<ModelSlot> {
-        Arc::clone(&self.slot)
+        }
     }
 
     /// The generation currently serving.
     pub fn current(&self) -> Arc<ModelGeneration> {
-        self.slot.load()
+        Arc::clone(&self.current.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// The reload/probation policy this lifecycle runs under.
@@ -370,7 +329,7 @@ impl Lifecycle {
     /// swaps it in atomically, keeping the displaced generation warm
     /// and opening the probation window. On any error the serving
     /// generation is untouched — there is no half-swapped state: the
-    /// single [`ModelSlot::swap`] at the end is the only mutation.
+    /// swap at the end is the only mutation.
     pub fn reload_from_bytes(&self, bytes: &[u8]) -> Result<ReloadOutcome, ReloadError> {
         let _gate = self.admin_gate.lock().unwrap_or_else(|e| e.into_inner());
         let _span = rpm_obs::enter("serve.reload");
@@ -435,7 +394,7 @@ impl Lifecycle {
                 .filter(|p| !p.is_empty()),
             candidate.reference_profile().filter(|p| !p.is_empty()),
         ) {
-            if let Some((metric, score)) = worst_divergence(a, b, false) {
+            if let Some((metric, score)) = worst_divergence(a, b) {
                 if score > self.policy.canary_psi {
                     return Err(ReloadError::ProfileDivergence {
                         metric,
@@ -449,7 +408,9 @@ impl Lifecycle {
         // Gate 4: live replay through the candidate.
         self.replay_gate(&candidate)?;
 
-        Ok(self.swap_in(Arc::new(candidate), report.fingerprint))
+        let outcome = self.swap_in(Arc::new(candidate), report.fingerprint);
+        self.open_probation();
+        Ok(outcome)
     }
 
     /// Replays the canary ring through the candidate: a panic or engine
@@ -470,7 +431,7 @@ impl Lifecycle {
         let monitor = candidate
             .reference_profile()
             .filter(|p| !p.is_empty() && replay.len() >= MIN_REPLAY_SCORE)
-            .map(|profile| rpm_obs::DriftMonitor::new(profile, self.drift));
+            .map(|profile| DriftMonitor::new(profile, self.drift));
         let refs: Vec<&[f64]> = replay.iter().map(Vec::as_slice).collect();
         let options = PredictOptions {
             drift: monitor.as_ref(),
@@ -500,25 +461,30 @@ impl Lifecycle {
         Ok(())
     }
 
-    /// The single mutation of a reload: bump the generation clock, swap
-    /// the slot, keep the displaced generation warm, publish identity,
-    /// open probation.
+    /// The single mutation of a swap (reload or rollback): take the next
+    /// generation number, make a new generation of `model` (with a fresh
+    /// drift monitor) the serving one, keep the displaced generation
+    /// warm, and set the generation gauge.
     fn swap_in(&self, model: Arc<RpmClassifier>, fingerprint: String) -> ReloadOutcome {
         let generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
-        let next = Arc::new(ModelGeneration {
+        let next = Arc::new(ModelGeneration::new(
             model,
             generation,
-            fingerprint: fingerprint.clone(),
-        });
-        let displaced = self.slot.swap(Arc::clone(&next));
-        *self.previous.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&displaced));
-        self.publish(&next);
-        self.open_probation();
-        ReloadOutcome {
-            generation,
             fingerprint,
+            self.drift,
+        ));
+        let displaced = std::mem::replace(
+            &mut *self.current.lock().unwrap_or_else(|e| e.into_inner()),
+            Arc::clone(&next),
+        );
+        rpm_obs::metrics().serve_generation.set(generation);
+        let outcome = ReloadOutcome {
+            generation,
+            fingerprint: next.fingerprint.clone(),
             displaced: displaced.fingerprint.clone(),
-        }
+        };
+        *self.previous.lock().unwrap_or_else(|e| e.into_inner()) = Some(displaced);
+        outcome
     }
 
     /// Swaps back to the warm previous generation (manual or probation
@@ -534,31 +500,19 @@ impl Lifecycle {
             .unwrap_or_else(|e| e.into_inner())
             .take()
             .ok_or(ReloadError::NoPrevious)?;
-        let generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
-        let restored = Arc::new(ModelGeneration {
-            model: Arc::clone(&prior.model),
-            generation,
-            fingerprint: prior.fingerprint.clone(),
-        });
-        let displaced = self.slot.swap(Arc::clone(&restored));
-        *self.previous.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&displaced));
+        let outcome = self.swap_in(Arc::clone(&prior.model), prior.fingerprint.clone());
         *self.probation.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        self.publish(&restored);
         rpm_obs::metrics().serve_rollbacks.inc();
         rpm_obs::logger::log(
             "warn",
             "serve.reload",
             format!(
-                "rolled back ({reason}): generation {generation} restores fingerprint {} \
+                "rolled back ({reason}): generation {} restores fingerprint {} \
                  (displacing {})",
-                restored.fingerprint, displaced.fingerprint
+                outcome.generation, outcome.fingerprint, outcome.displaced
             ),
         );
-        Ok(ReloadOutcome {
-            generation,
-            fingerprint: restored.fingerprint.clone(),
-            displaced: displaced.fingerprint.clone(),
-        })
+        Ok(outcome)
     }
 
     /// Probation watchdog, called periodically by the supervisor: rolls
@@ -589,33 +543,13 @@ impl Lifecycle {
                 Some(format!(
                     "{errors} errors over {requests} requests in probation"
                 ))
-            } else if rpm_obs::drift::current_report().degraded() {
+            } else if self.current().drift_report().degraded() {
                 Some("drift paged in probation".to_string())
             } else {
                 None
             }
         }?;
         self.rollback(&reason).ok()
-    }
-
-    /// Makes a generation the observable one: its drift monitor (when
-    /// it carries a profile), its fingerprint on `/healthz`, and the
-    /// generation gauge on `/metrics`.
-    fn publish(&self, generation: &Arc<ModelGeneration>) {
-        match generation
-            .model
-            .reference_profile()
-            .filter(|p| !p.is_empty())
-        {
-            Some(profile) => rpm_obs::drift::install_monitor(Arc::new(rpm_obs::DriftMonitor::new(
-                profile, self.drift,
-            ))),
-            None => rpm_obs::drift::clear_monitor(),
-        }
-        rpm_obs::drift::set_model_fingerprint(Some(generation.fingerprint.clone()));
-        rpm_obs::metrics()
-            .serve_generation
-            .set(generation.generation);
     }
 
     fn open_probation(&self) {
@@ -633,16 +567,12 @@ impl Lifecycle {
     }
 }
 
-/// The worst PSI between two profiles across the drift metrics (plus
-/// the class mix, when both profiles cover the same label set). With
-/// `model_metrics: false`, the model-derived metrics (match distance,
-/// SVM margin) are skipped — they only compare meaningfully when both
-/// profiles came from the *same* model, as in the replay gate.
-fn worst_divergence(
-    a: &ReferenceProfile,
-    b: &ReferenceProfile,
-    model_metrics: bool,
-) -> Option<(&'static str, f64)> {
+/// The worst PSI between two training profiles across the drift
+/// metrics that describe the data (plus the class mix, when both
+/// profiles cover the same label set). The model-derived metrics (match
+/// distance, SVM margin) are skipped — they only compare meaningfully
+/// when both profiles came from the *same* model, as in the replay gate.
+fn worst_divergence(a: &ReferenceProfile, b: &ReferenceProfile) -> Option<(&'static str, f64)> {
     const MODEL_METRICS: [&str; 2] = ["match_distance", "margin"];
     let mut worst: Option<(&'static str, f64)> = None;
     let mut consider = |name: &'static str, score: f64| {
@@ -651,7 +581,7 @@ fn worst_divergence(
         }
     };
     for (metric, name) in DRIFT_METRIC_NAMES.iter().enumerate() {
-        if !model_metrics && MODEL_METRICS.contains(name) {
+        if MODEL_METRICS.contains(name) {
             continue;
         }
         consider(name, psi(&a.global_hist(metric), &b.global_hist(metric)));
@@ -664,9 +594,10 @@ fn worst_divergence(
 
 /// Async-signal-safe process signal flags: SIGHUP requests a reload,
 /// SIGTERM/SIGINT request a graceful drain. The handler only stores
-/// atomics; the serve loop polls [`take_reload`]/[`shutdown_requested`]
-/// and does the actual work on a normal thread. Std-only: the handler
-/// registers through the C `signal` entry point std already links.
+/// atomics; the serve loop polls [`signals::take_reload`] and
+/// [`signals::shutdown_requested`] and does the actual work on a normal
+/// thread. Std-only: the handler registers through the C `signal` entry
+/// point std already links.
 pub mod signals {
     use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -19,9 +19,12 @@
 //! JSON object with an `"error"` field and the HTTP status carries the
 //! verdict. The parser is a minimal hand-rolled one — the build is
 //! dependency-free by policy — and accepts exactly the subset above:
-//! values must be finite JSON numbers, ids JSON strings without exotic
-//! escapes. Anything else is a parse error naming the line, answered
-//! with `400`.
+//! values must be finite JSON numbers, ids JSON strings. Anything else
+//! is a parse error naming the line, answered with `400`.
+//!
+//! `POST /admin/reload` takes an empty body, `{}`, or
+//! `{"path": "…"}` (`parse_reload_body`), read with the same string
+//! parser; every string [`quote_json`] writes parses back unchanged.
 
 /// One parsed request line: the optional client id and the series.
 #[derive(Clone, Debug, PartialEq)]
@@ -90,8 +93,42 @@ pub fn format_error(code: &str, detail: &str) -> String {
     )
 }
 
-/// JSON string quoting with the mandatory escapes.
-pub(crate) fn quote_json(s: &str) -> String {
+/// Parses a `POST /admin/reload` body: empty (or blank), `{}`, or
+/// `{"path": <JSON string>}`. Returns the candidate path the body names,
+/// if any; any other body is an error naming the problem.
+pub(crate) fn parse_reload_body(body: &[u8]) -> Result<Option<String>, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+    let mut p = Parser { src: text, pos: 0 };
+    p.skip_ws();
+    if p.peek().is_none() {
+        return Ok(None);
+    }
+    p.expect('{')?;
+    p.skip_ws();
+    let path = if p.peek() == Some('}') {
+        None
+    } else {
+        let key = p.parse_string()?;
+        if key != "path" {
+            return Err(format!("unknown key {key:?} (path)"));
+        }
+        p.expect(':')?;
+        let path = p
+            .parse_string()
+            .map_err(|e| format!("\"path\" must be a JSON string: {e}"))?;
+        Some(path)
+    };
+    p.expect('}')?;
+    p.skip_ws();
+    if p.peek().is_some() {
+        return Err("trailing characters after the JSON value".to_string());
+    }
+    Ok(path)
+}
+
+/// JSON string quoting with the mandatory escapes; control characters
+/// without a short escape are written as `\u00XX`.
+pub fn quote_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -197,6 +234,9 @@ impl Parser<'_> {
                     Some('n') => out.push('\n'),
                     Some('r') => out.push('\r'),
                     Some('t') => out.push('\t'),
+                    Some('b') => out.push('\u{8}'),
+                    Some('f') => out.push('\u{c}'),
+                    Some('u') => out.push(self.parse_unicode_escape()?),
                     Some(c) => return Err(format!("unsupported escape \\{c}")),
                     None => return Err("unterminated string escape".to_string()),
                 },
@@ -204,6 +244,33 @@ impl Parser<'_> {
                 None => return Err("unterminated string".to_string()),
             }
         }
+    }
+
+    /// The character of a `\uXXXX` escape whose `\u` was just read,
+    /// joining a UTF-16 surrogate pair written as two escapes.
+    fn parse_unicode_escape(&mut self) -> Result<char, String> {
+        let unit = self.parse_hex4()?;
+        let code = if (0xD800..0xDC00).contains(&unit) && self.src[self.pos..].starts_with("\\u") {
+            self.pos += 2;
+            let low = self.parse_hex4()?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(format!("unpaired surrogate \\u{unit:04x}"));
+            }
+            0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+        } else {
+            unit
+        };
+        char::from_u32(code).ok_or_else(|| format!("unpaired surrogate \\u{code:04x}"))
+    }
+
+    fn parse_hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .src
+            .get(self.pos..self.pos + 4)
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| "\\u escape needs four hex digits".to_string())?;
+        self.pos += 4;
+        Ok(u32::from_str_radix(hex, 16).expect("four ASCII hex digits"))
     }
 
     fn parse_request_object(&mut self) -> Result<SeriesRequest, String> {
@@ -341,6 +408,61 @@ mod tests {
                     prop_assert_eq!(parsed.to_bits(), bits, "{}", text);
                 }
             }
+        }
+
+        /// Every string `quote_json` writes parses back to itself,
+        /// control characters (written as `\u00XX`) included.
+        #[test]
+        fn quoted_strings_parse_back(codes in proptest::collection::vec(0u32..0x11_0000, 0..40)) {
+            let s: String = codes.into_iter().filter_map(char::from_u32).collect();
+            let quoted = quote_json(&s);
+            let parsed = Parser { src: &quoted, pos: 0 }.parse_string();
+            prop_assert_eq!(parsed, Ok(s));
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_decode_and_lone_surrogates_are_rejected() {
+        let parse = |src: &str| Parser { src, pos: 0 }.parse_string();
+        // Every ASCII character, controls included, survives quoting.
+        let ascii: String = (0u8..0x80).map(char::from).collect();
+        assert_eq!(parse(&quote_json(&ascii)), Ok(ascii));
+        assert_eq!(
+            parse(r#""a\u00e9\u001f\b\f""#),
+            Ok("a\u{e9}\u{1f}\u{8}\u{c}".into())
+        );
+        assert_eq!(parse(r#""\ud83d\ude00""#), Ok("\u{1f600}".into()));
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ude00""#,
+            r#""\ud83d\u0041""#,
+            r#""\u12""#,
+            r#""\u+abc""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn reload_bodies_are_empty_or_name_a_path() {
+        assert_eq!(parse_reload_body(b""), Ok(None));
+        assert_eq!(parse_reload_body(b" {} \n"), Ok(None));
+        assert_eq!(
+            parse_reload_body(br#"{"path": "/m/a\"b\\c.rpm"}"#),
+            Ok(Some(r#"/m/a"b\c.rpm"#.to_string()))
+        );
+        for bad in [
+            &br#"{"pth":"x"}"#[..],
+            br#"{"path":123}"#,
+            b"not json",
+            br#"{"path":"a","path":"b"}"#,
+            br#"{"path":"a"} x"#,
+        ] {
+            assert!(
+                parse_reload_body(bad).is_err(),
+                "{}",
+                String::from_utf8_lossy(bad)
+            );
         }
     }
 

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use rpm_ts::Parallelism;
 
 use crate::batch::{process_batch, BatchQueue, Reply};
-use crate::lifecycle::{Lifecycle, SlotReader};
+use crate::lifecycle::Lifecycle;
 
 /// Worker-pool supervision knobs.
 #[derive(Clone, Copy, Debug)]
@@ -304,12 +304,11 @@ fn spawn_worker(id: u64, ctx: WorkerContext) -> JoinHandle<()> {
 /// the supervisor respawns a clean replacement (crash-only: no attempt
 /// to keep running on a stack that just unwound).
 fn worker_loop(ctx: &WorkerContext) -> bool {
-    let mut reader = SlotReader::new(ctx.lifecycle.slot());
     while let Some(batch) = ctx.queue.pop_batch(ctx.max_batch, ctx.window) {
         // Pin the generation for the whole batch: a swap mid-predict
         // does not retarget in-flight work, and the reply carries the
         // generation that actually served it.
-        let generation = Arc::clone(reader.current());
+        let generation = ctx.lifecycle.current();
         ctx.lifecycle.offer_canary(&batch);
 
         // Quarantine stubs, snapshotted *before* the batch can panic:

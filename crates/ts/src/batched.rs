@@ -19,11 +19,11 @@
 //! ```
 //!
 //! The sliding dot products `qt` of one member against every window come
-//! from one dense pass over the series ([`sliding_dot`]): no gather, no
+//! from one dense pass over the series (`sliding_dot`): no gather, no
 //! branch, blocked so it vectorizes. The expanded form cancels hard at
 //! d ≈ 0, which is why the exact loop never uses it. Here it only has to
 //! bound `d²` from below, so an explicit rounding margin is subtracted
-//! (see [`Windows`]; the derivation is in DESIGN.md, "Batched match
+//! (see `Windows`; the derivation is in DESIGN.md, "Batched match
 //! kernel").
 //!
 //! # The scan
@@ -32,8 +32,8 @@
 //! bound (the approximate argmin), so best-so-far is tight from the
 //! start. The sweep then visits positions in increasing order and prunes
 //! a window when its bound exceeds best-so-far. Survivors run the rolling
-//! kernel's own [`MatchPlan::fused_early_abandon`] /
-//! [`MatchPlan::fused_exhaustive`] against best-so-far.
+//! kernel's own `MatchPlan::fused_early_abandon` /
+//! `MatchPlan::fused_exhaustive` against best-so-far.
 //!
 //! # Bit-identity with the rolling kernel
 //!

@@ -94,7 +94,7 @@ pub(crate) const VAR_REL_ERR: f64 = 4.0 * f64::EPSILON / VAR_RELIABLE_FACTOR;
 ///    [`CompensatedSum`], so summation error does not grow with series
 ///    length.
 /// 3. **Cancellation fallback.** Windows where the variance subtraction
-///    still cancels past [`VAR_RELIABLE_FACTOR`] (near-constant windows
+///    still cancels past `VAR_RELIABLE_FACTOR` (near-constant windows
 ///    inside a wide-ranging series) are recomputed exactly in two
 ///    passes — O(window) for pathological windows only.
 #[derive(Clone, Debug)]

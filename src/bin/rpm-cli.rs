@@ -289,7 +289,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
             ""
         }
     );
-    rpm::obs::drift::set_model_fingerprint(Some(report.fingerprint.clone()));
     if report.profile_samples > 0 {
         eprintln!(
             "drift reference profile: {} training samples (online drift detection armed)",
@@ -388,7 +387,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
 fn cmd_serve_reload(args: &[String]) -> CliResult {
     let addr = positional(args, 0)?;
     let body = match flag_value(args, "--model")? {
-        Some(path) => format!("{{\"path\":\"{path}\"}}"),
+        Some(path) => format!("{{\"path\":{}}}", rpm::serve::proto::quote_json(&path)),
         None => "{}".to_string(),
     };
     let (status, response) = http_post(addr, "/admin/reload", &body)?;

@@ -5,8 +5,8 @@
 //! and a model persisted without a reference profile must serve with the
 //! drift verdict `unavailable` rather than guessing.
 //!
-//! The drift monitor and model fingerprint are process-global, so every
-//! test here serializes on [`gate`].
+//! Servers share the process-global metrics registry, so every test here
+//! serializes on [`gate`].
 
 use rpm::core::{RpmClassifier, RpmConfig};
 use rpm::data::generate;
@@ -178,10 +178,9 @@ fn persisted_profile_survives_the_serve_loader() {
     assert_eq!(report.fingerprint.len(), 8);
     assert_eq!(loaded.reference_profile(), model.reference_profile());
 
-    // The fingerprint set at load time (the CLI path) surfaces on
+    // The fingerprint of the verified bytes (the CLI path) surfaces on
     // /healthz next to the drift verdict.
-    rpm::obs::drift::set_model_fingerprint(Some(report.fingerprint.clone()));
-    let mut server = Server::start(Arc::new(loaded), &serve_config()).unwrap();
+    let mut server = Server::start_verified(Arc::new(loaded), &report, &serve_config()).unwrap();
     let addr = server.local_addr();
     let health = get(addr, "/healthz");
     assert!(
@@ -189,8 +188,6 @@ fn persisted_profile_survives_the_serve_loader() {
         "{health}"
     );
     server.shutdown();
-    // Shutdown clears the process-global identity again.
-    assert!(rpm::obs::drift::model_fingerprint().is_none());
 }
 
 #[test]

@@ -8,14 +8,15 @@
 //! labels bit-identically to the offline predictions of the model that
 //! generation serves — no torn batches, no half-swapped state.
 //!
-//! The drift monitor, model fingerprint, fault plan, and the metrics
-//! registry are process-global, so every test here serializes on
-//! [`gate`] like `tests/serve.rs` and `tests/resilience.rs` do.
+//! The fault plan and the metrics registry are process-global, so every
+//! test here serializes on [`gate`] like `tests/serve.rs` and
+//! `tests/resilience.rs` do.
 
 use rpm::core::{model_fingerprint, RpmClassifier, RpmConfig};
 use rpm::data::generate;
 use rpm::data::registry::spec_by_name;
 use rpm::sax::SaxConfig;
+use rpm::serve::proto::quote_json;
 use rpm::serve::{load_verified, ReloadPolicy, ServeConfig, Server};
 use rpm::ts::Dataset;
 use std::io::{Read, Write};
@@ -148,11 +149,20 @@ fn health_fingerprint(addr: std::net::SocketAddr) -> String {
 
 /// A flat JSON integer field out of `/healthz`.
 fn health_field(addr: std::net::SocketAddr, key: &str) -> u64 {
-    let health = get(addr, "/healthz");
-    health
-        .split(&format!("\"{key}\":"))
+    endpoint_field(addr, "/healthz", key)
+}
+
+/// Live samples in the serving generation's drift window.
+fn live_samples(addr: std::net::SocketAddr) -> u64 {
+    endpoint_field(addr, "/debug/drift", "live_samples")
+}
+
+/// A flat JSON integer field out of a `GET` endpoint's body.
+fn endpoint_field(addr: std::net::SocketAddr, path: &str, key: &str) -> u64 {
+    let body = get(addr, path);
+    body.split(&format!("\"{key}\":"))
         .nth(1)
-        .unwrap_or_else(|| panic!("no {key} in {health}"))
+        .unwrap_or_else(|| panic!("no {key} in {body}"))
         .chars()
         .take_while(char::is_ascii_digit)
         .collect::<String>()
@@ -478,6 +488,127 @@ fn worker_panics_are_quarantined_and_the_pool_self_heals() {
     assert!(metrics.contains("rpm_serve_quarantined_total"), "{metrics}");
 
     server.shutdown();
+}
+
+/// Two servers in one process each report their own model: identity
+/// and generation on `/healthz`, and their own traffic in their own
+/// drift window. One server's shutdown leaves the other's state alone.
+#[test]
+fn two_servers_in_one_process_keep_their_own_model_state() {
+    let _g = gate();
+    let (train_set, test_set) = cbf();
+    let (bytes_a, fp_a) = saved(&train(&train_set, 32));
+    let (bytes_b, fp_b) = saved(&train(&train_set, 24));
+    let mut server_a = start_on(&bytes_a, &test_config());
+    let mut server_b = start_on(&bytes_b, &test_config());
+    let (addr_a, addr_b) = (server_a.local_addr(), server_b.local_addr());
+
+    assert_eq!(health_fingerprint(addr_a), fp_a);
+    assert_eq!(health_fingerprint(addr_b), fp_b);
+    assert_eq!(health_field(addr_a, "generation"), 1);
+    assert_eq!(health_field(addr_b, "generation"), 1);
+
+    let body = jsonl_body(&test_set.series[0]);
+    for _ in 0..3 {
+        let response = post_classify(addr_a, &body);
+        assert!(response.starts_with("HTTP/1.0 200"), "{response}");
+    }
+    assert_eq!(live_samples(addr_a), 3);
+    assert_eq!(live_samples(addr_b), 0);
+
+    server_b.shutdown();
+    assert_eq!(health_fingerprint(addr_a), fp_a);
+    assert_eq!(health_field(addr_a, "generation"), 1);
+    let response = post_classify(addr_a, &body);
+    assert!(response.starts_with("HTTP/1.0 200"), "{response}");
+    assert_eq!(live_samples(addr_a), 4);
+
+    server_a.shutdown();
+}
+
+/// Every swap builds a new generation with a fresh drift monitor: after
+/// a reload, and again after a rollback, the live window is empty until
+/// the new generation serves traffic.
+#[test]
+fn reload_and_rollback_each_start_a_fresh_drift_window() {
+    let _g = gate();
+    let (train_set, test_set) = cbf();
+    let (bytes_a, _) = saved(&train(&train_set, 32));
+    let (bytes_b, _) = saved(&train(&train_set, 24));
+    let path_b = temp_model(&bytes_b);
+    let mut server = start_on(&bytes_a, &test_config());
+    let addr = server.local_addr();
+    let body = jsonl_body(&test_set.series[0]);
+
+    for _ in 0..2 {
+        assert!(post_classify(addr, &body).starts_with("HTTP/1.0 200"));
+    }
+    assert_eq!(live_samples(addr), 2);
+
+    let swapped = reload(addr, &path_b);
+    assert!(swapped.starts_with("HTTP/1.0 200"), "{swapped}");
+    assert_eq!(live_samples(addr), 0);
+    assert!(post_classify(addr, &body).starts_with("HTTP/1.0 200"));
+    assert_eq!(live_samples(addr), 1);
+
+    let rolled = request(addr, "POST", "/admin/rollback", "");
+    assert!(rolled.starts_with("HTTP/1.0 200"), "{rolled}");
+    assert_eq!(live_samples(addr), 0);
+    assert!(post_classify(addr, &body).starts_with("HTTP/1.0 200"));
+    assert_eq!(live_samples(addr), 1);
+
+    server.shutdown();
+    let _ = std::fs::remove_file(&path_b);
+}
+
+/// `POST /admin/reload` reads an empty body, `{}` or `{"path": <JSON
+/// string>}`. Any other body is refused with `400` and reloads nothing,
+/// even when the server has a model path to fall back on; a path holding
+/// `"` and `\` reloads through its escaped form.
+#[test]
+fn reload_bodies_name_a_path_or_nothing() {
+    let _g = gate();
+    let (train_set, _) = cbf();
+    let (bytes_a, fp_a) = saved(&train(&train_set, 32));
+    let (bytes_b, fp_b) = saved(&train(&train_set, 24));
+    let path_a = temp_model(&bytes_a);
+    let path_b = std::env::temp_dir().join(format!(
+        "rpm-lifecycle-{}-quote\"back\\slash.rpm",
+        std::process::id()
+    ));
+    std::fs::write(&path_b, &bytes_b).expect("write temp model");
+    let config = ServeConfig {
+        model_path: Some(path_a.clone()),
+        ..test_config()
+    };
+    let mut server = start_on(&bytes_a, &config);
+    let addr = server.local_addr();
+
+    for body in [r#"{"pth":"x"}"#, r#"{"path":123}"#, "not json"] {
+        let refused = request(addr, "POST", "/admin/reload", body);
+        assert!(refused.starts_with("HTTP/1.0 400"), "{body}: {refused}");
+        assert!(refused.contains("\"bad_request\""), "{refused}");
+        assert_eq!(health_field(addr, "generation"), 1, "{body}");
+    }
+
+    let escaped = format!(
+        "{{\"path\":{}}}",
+        quote_json(path_b.to_str().expect("UTF-8 temp path"))
+    );
+    let swapped = request(addr, "POST", "/admin/reload", &escaped);
+    assert!(swapped.starts_with("HTTP/1.0 200"), "{swapped}");
+    assert_eq!(health_field(addr, "generation"), 2);
+    assert_eq!(health_fingerprint(addr), fp_b);
+
+    // `{}` names no path: the server reloads its own model file.
+    let own = request(addr, "POST", "/admin/reload", "{}");
+    assert!(own.starts_with("HTTP/1.0 200"), "{own}");
+    assert_eq!(health_field(addr, "generation"), 3);
+    assert_eq!(health_fingerprint(addr), fp_a);
+
+    server.shutdown();
+    let _ = std::fs::remove_file(&path_a);
+    let _ = std::fs::remove_file(&path_b);
 }
 
 /// Serves model A (window 32), then reloads model B (window 24) into a
