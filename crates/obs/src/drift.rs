@@ -427,20 +427,6 @@ impl DriftStatus {
             Self::Page => "page",
         }
     }
-
-    /// Parses what [`as_str`] produced.
-    ///
-    /// [`as_str`]: DriftStatus::as_str
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "unavailable" => Some(Self::Unavailable),
-            "warming" => Some(Self::Warming),
-            "ok" => Some(Self::Ok),
-            "warn" => Some(Self::Warn),
-            "page" => Some(Self::Page),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for DriftStatus {

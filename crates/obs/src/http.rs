@@ -14,9 +14,10 @@
 //! [`metrics_routes`] router on that loop, serving no model, and
 //! `rpm-serve` mounts its `/classify` handler on the same loop instead
 //! of growing a second hand-rolled HTTP stack. A server hands
-//! [`metrics_routes`] a reader of its current model generation, so its
-//! `/healthz`, `/debug/drift` and drift gauges describe its own model
-//! and no other server's in the same process.
+//! [`metrics_routes`] a reader of its current model generation, queue
+//! depth and counters, so its `/healthz`, `/debug/drift`, drift gauges
+//! and `rpm_serve_*` series describe its own model and traffic and no
+//! other server's in the same process.
 //!
 //! Serving hardening ([`ServeLimits`]): every connection is handled on
 //! its own thread under a concurrency bound (excess connections get an
@@ -46,6 +47,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::drift::DriftReport;
+use crate::metrics::ServeMetrics;
 
 /// Per-connection resource bounds for a served endpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -232,9 +234,9 @@ impl Router {
     }
 }
 
-/// What an endpoint that serves a model reports about it: the model
-/// half of `/healthz`, the `/debug/drift` body, and the `rpm_drift_*`
-/// gauges on `/metrics`.
+/// What an endpoint that serves a model reports about it: the serving
+/// half of `/healthz`, the `/debug/drift` body, and the `rpm_serve_*`
+/// and `rpm_drift_*` series on `/metrics`.
 #[derive(Clone, Debug)]
 pub struct ServingModel {
     /// The served model's fingerprint (the CRC-32 of its file).
@@ -244,6 +246,10 @@ pub struct ServingModel {
     /// The serving generation's drift verdict
     /// ([`DriftReport::unavailable`] when it has no monitor).
     pub drift: DriftReport,
+    /// Series queued for batching right now.
+    pub queue_depth: u64,
+    /// The server's own request, swap and worker counters.
+    pub counters: Arc<ServeMetrics>,
 }
 
 /// The observability routes: Prometheus text on `GET /metrics`,
@@ -251,9 +257,9 @@ pub struct ServingModel {
 /// and retained request traces on `GET /debug/traces`. Metrics render
 /// from a [`crate::metrics::snapshot`] taken at request time, so scrapes
 /// observe but never perturb the run. `serving` is asked on each request
-/// for the model this endpoint serves; an endpoint that serves none
-/// passes `|| None`. Start from this router to mount additional routes
-/// on the same endpoint.
+/// for the model this endpoint serves, whose series join the registry's
+/// on `/metrics`; an endpoint that serves none passes `|| None`. Start
+/// from this router to mount additional routes on the same endpoint.
 pub fn metrics_routes(
     serving: impl Fn() -> Option<ServingModel> + Send + Sync + 'static,
 ) -> Router {
@@ -261,10 +267,15 @@ pub fn metrics_routes(
     let (for_metrics, for_health) = (Arc::clone(&serving), Arc::clone(&serving));
     Router::new()
         .route("GET", "/metrics", move |_req| {
-            let mut body = crate::export::to_prometheus(&crate::metrics::snapshot());
-            body.push_str(&crate::export::drift_to_prometheus(
-                &drift_of(for_metrics()),
-            ));
+            let serving = for_metrics();
+            let mut snap = crate::metrics::snapshot();
+            if let Some(s) = &serving {
+                s.counters.snapshot_into(&mut snap);
+                snap.gauges.push(("serve.generation", s.generation));
+                snap.gauges.push(("serve.queue_depth", s.queue_depth));
+            }
+            let mut body = crate::export::to_prometheus(&snap);
+            body.push_str(&crate::export::drift_to_prometheus(&drift_of(serving)));
             Response::ok(body).with_content_type("text/plain; version=0.0.4; charset=utf-8")
         })
         .route("GET", "/healthz", move |_req| {
@@ -306,27 +317,30 @@ fn drift_of(serving: Option<ServingModel>) -> DriftReport {
 /// keep the replica while dashboards and the CLI see the degradation.
 /// `model` is the served model's fingerprint, `generation` the model
 /// generation serving, and `drift` its verdict
-/// (`unavailable`/`warming`/`ok`/`warn`/`page`); an endpoint serving no
-/// model answers `null`, `0` and `unavailable`. The counters read from
-/// the metrics registry: `reloads`/`rollbacks`/`worker_restarts` count
-/// swaps and supervisor respawns, `queue_depth` is the series queued for
-/// batching right now.
+/// (`unavailable`/`warming`/`ok`/`warn`/`page`). `reloads`/`rollbacks`/
+/// `worker_restarts` count the server's own swaps and supervisor
+/// respawns, `queue_depth` is the series it has queued for batching
+/// right now. An endpoint serving no model answers `null`, `0`,
+/// `unavailable` and zero counts.
 fn health_json(serving: Option<ServingModel>) -> String {
+    let counters = serving
+        .as_ref()
+        .map_or_else(Arc::default, |s| Arc::clone(&s.counters));
+    let queue_depth = serving.as_ref().map_or(0, |s| s.queue_depth);
     let (model, generation, drift) = match serving {
         Some(s) => (format!("\"{}\"", s.fingerprint), s.generation, s.drift),
         None => ("null".to_string(), 0, DriftReport::unavailable()),
     };
     let status = if drift.degraded() { "degraded" } else { "ok" };
     let uptime_secs = crate::now_ns() / 1_000_000_000;
-    let m = crate::metrics();
     format!(
         "{{\"status\":\"{status}\",\"model\":{model},\"generation\":{generation},\"reloads\":{},\
          \"rollbacks\":{},\"worker_restarts\":{},\"queue_depth\":{},\"uptime_secs\":{uptime_secs},\
          \"drift\":\"{}\"}}",
-        m.serve_reloads.get(),
-        m.serve_rollbacks.get(),
-        m.serve_worker_restarts.get(),
-        m.serve_queue_depth.get(),
+        counters.reloads.get(),
+        counters.rollbacks.get(),
+        counters.worker_restarts.get(),
+        queue_depth,
         drift.status
     )
 }
@@ -666,10 +680,18 @@ mod tests {
         assert!(health.contains("\"model\":null"), "{health}");
         assert!(health.contains("\"uptime_secs\":"), "{health}");
         assert!(health.contains("\"drift\":\"unavailable\""), "{health}");
+        // A metrics-only endpoint serves no model, so it counts no swaps,
+        // restarts or queued series, and shows no serving generation.
+        assert!(
+            health
+                .contains("\"reloads\":0,\"rollbacks\":0,\"worker_restarts\":0,\"queue_depth\":0"),
+            "{health}"
+        );
 
         let metrics = get(addr, "/metrics");
         assert!(metrics.starts_with("HTTP/1.0 200"), "{metrics}");
         assert!(metrics.contains("text/plain; version=0.0.4"), "{metrics}");
+        assert!(!metrics.contains("rpm_serve_generation"), "{metrics}");
 
         let missing = get(addr, "/nope");
         assert!(missing.starts_with("HTTP/1.0 404"), "{missing}");
@@ -721,6 +743,8 @@ mod tests {
                 fingerprint: "cafebabe".into(),
                 generation: 1,
                 drift: monitor.report(),
+                queue_depth: 0,
+                counters: Arc::default(),
             })
         });
         let served = serve_router("127.0.0.1:0", ServeLimits::default(), router).expect("bind");

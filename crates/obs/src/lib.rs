@@ -63,7 +63,9 @@ pub use http::{
     ServeLimits, ServingModel,
 };
 pub use logger::LogEvent;
-pub use metrics::{metrics, CacheFamilyMetrics, Counter, Gauge, Histogram, MetricsSnapshot};
+pub use metrics::{
+    metrics, CacheFamilyMetrics, Counter, Gauge, Histogram, MetricsSnapshot, ServeMetrics,
+};
 pub use report::{finish, snapshot, validate_jsonl, ReportSummary, RunReport, StageAgg};
 pub use span::{enter, SpanGuard, SpanRecord};
 pub use trace::{

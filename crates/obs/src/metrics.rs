@@ -1,16 +1,17 @@
 //! The metrics registry: atomic counters, gauges, and histograms.
 //!
-//! Every metric is a static inside the global [`Metrics`] struct, so an
-//! increment is one predictable branch (the enabled check) plus one
-//! relaxed `fetch_add` — no registry lookup on the hot path. Disabled
-//! (the default), increments compile down to a relaxed load and a
-//! not-taken branch. Low-frequency per-label counts (e.g. CFS survivors
-//! per class) go through the dynamic [`labeled_add`] map instead.
+//! Every metric is a field of the global [`Metrics`] registry, or of the
+//! [`ServeMetrics`] each classify server owns, so an increment is one
+//! predictable branch (the enabled check) plus one relaxed `fetch_add`
+//! — no registry lookup on the hot path. Disabled (the default),
+//! increments compile down to a relaxed load and a not-taken branch.
+//! Low-frequency per-label counts (e.g. CFS survivors per class) go
+//! through the dynamic [`labeled_add`] map instead.
 //!
-//! Each static metric is declared once, as one row of the
-//! `metric_table!` below: doc comment, field, kind, report name. The
-//! macro generates the struct field, its const initializer, and the
-//! entry that [`snapshot`] and [`reset`] walk.
+//! Each metric is declared once, as one row of a `metric_table!` below:
+//! doc comment, field, kind, report name. The macro generates the
+//! struct field, its const initializer, and the entry that [`snapshot`]
+//! and [`reset`] walk.
 //!
 //! Metrics observe; they never influence scheduling or results, so
 //! counter totals are reproducible wherever the underlying quantity is
@@ -66,7 +67,7 @@ impl Default for Counter {
     }
 }
 
-/// A last-write-wins atomic gauge.
+/// An atomic high-water-mark gauge.
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicU64,
@@ -80,15 +81,8 @@ impl Gauge {
         }
     }
 
-    /// Sets the gauge (no-op while observability is off).
-    #[inline]
-    pub fn set(&self, v: u64) {
-        if crate::enabled() {
-            self.value.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Raises the gauge to `v` if larger (high-water mark).
+    /// Raises the gauge to `v` if larger (no-op while observability is
+    /// off).
     #[inline]
     pub fn record_max(&self, v: u64) {
         if crate::enabled() {
@@ -311,15 +305,19 @@ enum Metric<'a> {
     CacheFamilyMetrics(&'a CacheFamilyMetrics),
 }
 
-/// Turns the metric table into the [`Metrics`] struct (one public field
-/// per row, documented with its report name), its `const fn new`, and
+/// Turns a metric table into its struct (one public field per row,
+/// documented with its report name), its `const fn new`, and
 /// `entries()`, the `(report name, metric)` list in table order.
 macro_rules! metric_table {
-    ($($(#[$doc:meta])* $field:ident: $kind:ident = $name:literal,)*) => {
-        /// Every static metric the pipeline feeds, declared once in the
-        /// table below. Report lines follow table order within each kind.
+    (
+        $(#[$table_doc:meta])*
+        struct $table:ident {
+            $($(#[$doc:meta])* $field:ident: $kind:ident = $name:literal,)*
+        }
+    ) => {
+        $(#[$table_doc])*
         #[derive(Debug)]
-        pub struct Metrics {
+        pub struct $table {
             $(
                 $(#[$doc])*
                 #[doc = ""]
@@ -328,7 +326,7 @@ macro_rules! metric_table {
             )*
         }
 
-        impl Metrics {
+        impl $table {
             const fn new() -> Self {
                 Self { $($field: $kind::new(),)* }
             }
@@ -341,146 +339,167 @@ macro_rules! metric_table {
 }
 
 metric_table! {
-    /// Engine fan-out calls executed.
-    engine_runs: Counter = "engine.runs",
-    /// Jobs executed across all engine runs.
-    engine_jobs: Counter = "engine.jobs",
-    /// Summed per-worker time spent inside jobs.
-    engine_busy_ns: Counter = "engine.busy_ns",
-    /// Summed `workers × wall` of parallel engine runs; `busy_ns / span_ns`
-    /// is the worker utilization.
-    engine_span_ns: Counter = "engine.span_ns",
-    /// Widest parallel fan-out seen.
-    engine_workers_max: Gauge = "engine.workers.max",
-    /// Queue drain (fan-out wall) time distribution.
-    engine_drain: Histogram = "engine.drain_ns",
-    /// Distinct SAX combinations scored.
-    params_evals: Counter = "params.evals",
-    /// Validation folds evaluated (Algorithm 3's inner loop, fed from the
-    /// fold runner in `rpm-core::params`).
-    params_folds: Counter = "params.folds",
-    /// Per-combination scoring time distribution.
-    params_eval: Histogram = "params.eval_ns",
-    /// Grammar rules inspected by Algorithm 1.
-    mine_rules: Counter = "mine.rules",
-    /// Candidates surviving the γ filter.
-    mine_candidates: Counter = "mine.candidates",
-    /// Candidates entering Algorithm 2.
-    prune_pool_in: Counter = "prune.pool_in",
-    /// Candidates surviving τ dedup + the pool cap.
-    prune_kept: Counter = "prune.kept",
-    /// Features offered to CFS selection.
-    cfs_features_in: Counter = "cfs.features_in",
-    /// Features CFS kept (per-class counts go to the labeled map as
-    /// `cfs.survivors.class=<label>`).
-    cfs_survivors: Counter = "cfs.survivors",
-    /// Pattern-distance columns computed or fetched.
-    transform_columns: Counter = "transform.columns",
-    /// Per-series feature-transform latency of a trained model's
-    /// `transform`/predict calls (the classification bottleneck: K
-    /// closest-match scans).
-    transform_series: Histogram = "transform.series_ns",
-    /// Series classified through the trained model.
-    predict_series: Counter = "predict.series",
-    /// Predict-batch calls (serial or parallel).
-    predict_batches: Counter = "predict.batches",
-    /// End-to-end per-series prediction latency (transform + SVM argmax),
-    /// fed by every `RpmClassifier` predict path.
-    predict_latency: Histogram = "predict.latency_ns",
-    /// Winning (argmin) closest-match distance per prediction, in
-    /// millionths (distance × 10⁶ rounded down) so the unitless
-    /// z-normalized distance fits the integer histogram.
-    predict_match_distance: Histogram = "predict.match_distance",
-    /// Closest-match scans executed (`best_match`).
-    match_searches: Counter = "match.searches",
-    /// Candidate windows considered across all closest-match scans (before
-    /// early abandoning).
-    match_windows: Counter = "match.windows",
-    /// Candidate windows cut short by early abandoning; `abandoned /
-    /// windows` is the kernel's cumulative early-abandon rate.
-    match_abandoned: Counter = "match.abandoned",
-    /// Windows the batched kernel's sliding-dot-product lower bound pruned
-    /// before the exact loop (the name predates the bound; it was a PAA
-    /// envelope).
-    match_pruned_envelope: Counter = "match.pruned_envelope",
-    /// `RollingStats` constructions; the batched kernel's sharing shows up
-    /// as `stats_builds ≪ searches`.
-    match_stats_builds: Counter = "match.stats_builds",
-    /// PAA-frame cache family.
-    cache_frames: CacheFamilyMetrics = "frames",
-    /// Combination-score cache family.
-    cache_evals: CacheFamilyMetrics = "evals",
-    /// Transform-column cache family.
-    cache_columns: CacheFamilyMetrics = "columns",
-    /// Linear SVM trainings.
-    ml_svm_trains: Counter = "ml.svm_trains",
-    /// Stratified folds/splits drawn.
-    ml_cv_splits: Counter = "ml.cv_splits",
-    /// CFS best-first searches executed.
-    ml_cfs_runs: Counter = "ml.cfs_runs",
-    /// Faults fired by the [`crate::fault`] layer.
-    faults_injected: Counter = "fault.injected",
-    /// Searches stopped early by an exhausted `TrainBudget` (best-so-far
-    /// parameters returned, model flagged).
-    train_degraded: Counter = "train.degraded",
-    /// Input rows skipped by the lenient loaders (NaN/Inf values, ragged
-    /// lengths, unparseable fields).
-    data_quarantined: Counter = "data.quarantined",
-    /// Metrics-endpoint connections refused or cut short by the serving
-    /// limits (concurrency bound, oversized or timed-out requests).
-    http_rejected: Counter = "http.rejected",
-    /// Classify requests received by `rpm-serve`. Counted on entry, before
-    /// the fault point, the parse and the shed check, so it includes every
-    /// outcome: `200`, `400` parse rejections, `429` sheds, `500` errors
-    /// and `504` deadline drops.
-    serve_requests: Counter = "serve.requests",
-    /// Classify requests refused with `429` because the bounded queue was
-    /// full (load shedding, not failure).
-    serve_shed: Counter = "serve.shed",
-    /// Classify requests dropped because their per-request deadline passed
-    /// before prediction finished.
-    serve_deadline_exceeded: Counter = "serve.deadline_exceeded",
-    /// Micro-batches dispatched to `predict_batch`.
-    serve_batches: Counter = "serve.batches",
-    /// Classify requests answered with `5xx` (injected faults, engine
-    /// failures), excluding sheds and deadline drops.
-    serve_errors: Counter = "serve.errors",
-    /// Model reloads accepted through the canary gate and swapped into the
-    /// serving slot.
-    serve_reloads: Counter = "serve.reloads",
-    /// Reload attempts refused by the canary gate (CRC, schema, drift, or
-    /// replay failure); the serving generation is untouched.
-    serve_reload_rejected: Counter = "serve.reload_rejected",
-    /// Swaps back to the previous warm generation (manual `/admin/rollback`
-    /// or probation auto-rollback).
-    serve_rollbacks: Counter = "serve.rollbacks",
-    /// Batch workers respawned by the supervisor after a panic.
-    serve_worker_restarts: Counter = "serve.worker_restarts",
-    /// Classify requests answered `500` because their batch was poisoned by
-    /// a worker panic.
-    serve_quarantined: Counter = "serve.quarantined",
-    /// The model generation currently serving (1-based, bumped by every
-    /// swap including rollbacks).
-    serve_generation: Gauge = "serve.generation",
-    /// Series currently queued for batching.
-    serve_queue_depth: Gauge = "serve.queue_depth",
-    /// Series per dispatched micro-batch.
-    serve_batch_fill: Histogram = "serve.batch_fill",
-    /// Time requests spent queued before their batch was formed.
-    serve_queue_wait: Histogram = "serve.queue_wait_ns",
-    /// End-to-end request latency as measured by the server (parse +
-    /// queue + batch + predict + reply).
-    serve_latency: Histogram = "serve.latency_ns",
-    /// Finished request traces retained by the flight recorder (forensic,
-    /// slow-decile, or sampled).
-    trace_recorded: Counter = "trace.recorded",
-    /// Finished request traces the retention policy discarded (healthy,
-    /// fast, and not sampled).
-    trace_dropped: Counter = "trace.dropped",
-    /// DIRECT rectangle divisions.
-    opt_direct_splits: Counter = "opt.direct.splits",
-    /// DIRECT objective evaluations.
-    opt_direct_evals: Counter = "opt.direct.evals",
+    /// Every static metric the pipeline feeds, declared once in the
+    /// table below. Report lines follow table order within each kind.
+    struct Metrics {
+        /// Engine fan-out calls executed.
+        engine_runs: Counter = "engine.runs",
+        /// Jobs executed across all engine runs.
+        engine_jobs: Counter = "engine.jobs",
+        /// Summed per-worker time spent inside jobs.
+        engine_busy_ns: Counter = "engine.busy_ns",
+        /// Summed `workers × wall` of parallel engine runs; `busy_ns / span_ns`
+        /// is the worker utilization.
+        engine_span_ns: Counter = "engine.span_ns",
+        /// Widest parallel fan-out seen.
+        engine_workers_max: Gauge = "engine.workers.max",
+        /// Queue drain (fan-out wall) time distribution.
+        engine_drain: Histogram = "engine.drain_ns",
+        /// Distinct SAX combinations scored.
+        params_evals: Counter = "params.evals",
+        /// Validation folds evaluated (Algorithm 3's inner loop, fed from the
+        /// fold runner in `rpm-core::params`).
+        params_folds: Counter = "params.folds",
+        /// Per-combination scoring time distribution.
+        params_eval: Histogram = "params.eval_ns",
+        /// Grammar rules inspected by Algorithm 1.
+        mine_rules: Counter = "mine.rules",
+        /// Candidates surviving the γ filter.
+        mine_candidates: Counter = "mine.candidates",
+        /// Candidates entering Algorithm 2.
+        prune_pool_in: Counter = "prune.pool_in",
+        /// Candidates surviving τ dedup + the pool cap.
+        prune_kept: Counter = "prune.kept",
+        /// Features offered to CFS selection.
+        cfs_features_in: Counter = "cfs.features_in",
+        /// Features CFS kept (per-class counts go to the labeled map as
+        /// `cfs.survivors.class=<label>`).
+        cfs_survivors: Counter = "cfs.survivors",
+        /// Pattern-distance columns computed or fetched.
+        transform_columns: Counter = "transform.columns",
+        /// Per-series feature-transform latency of a trained model's
+        /// `transform`/predict calls (the classification bottleneck: K
+        /// closest-match scans).
+        transform_series: Histogram = "transform.series_ns",
+        /// Series classified through the trained model.
+        predict_series: Counter = "predict.series",
+        /// Predict-batch calls (serial or parallel).
+        predict_batches: Counter = "predict.batches",
+        /// End-to-end per-series prediction latency (transform + SVM argmax),
+        /// fed by every `RpmClassifier` predict path.
+        predict_latency: Histogram = "predict.latency_ns",
+        /// Winning (argmin) closest-match distance per prediction, in
+        /// millionths (distance × 10⁶ rounded down) so the unitless
+        /// z-normalized distance fits the integer histogram.
+        predict_match_distance: Histogram = "predict.match_distance",
+        /// Closest-match scans executed (`best_match`).
+        match_searches: Counter = "match.searches",
+        /// Candidate windows considered across all closest-match scans (before
+        /// early abandoning).
+        match_windows: Counter = "match.windows",
+        /// Candidate windows cut short by early abandoning; `abandoned /
+        /// windows` is the kernel's cumulative early-abandon rate.
+        match_abandoned: Counter = "match.abandoned",
+        /// Windows the batched kernel's sliding-dot-product lower bound pruned
+        /// before the exact loop (the name predates the bound; it was a PAA
+        /// envelope).
+        match_pruned_envelope: Counter = "match.pruned_envelope",
+        /// `RollingStats` constructions; the batched kernel's sharing shows up
+        /// as `stats_builds ≪ searches`.
+        match_stats_builds: Counter = "match.stats_builds",
+        /// PAA-frame cache family.
+        cache_frames: CacheFamilyMetrics = "frames",
+        /// Combination-score cache family.
+        cache_evals: CacheFamilyMetrics = "evals",
+        /// Transform-column cache family.
+        cache_columns: CacheFamilyMetrics = "columns",
+        /// Linear SVM trainings.
+        ml_svm_trains: Counter = "ml.svm_trains",
+        /// Stratified folds/splits drawn.
+        ml_cv_splits: Counter = "ml.cv_splits",
+        /// CFS best-first searches executed.
+        ml_cfs_runs: Counter = "ml.cfs_runs",
+        /// Faults fired by the [`crate::fault`] layer.
+        faults_injected: Counter = "fault.injected",
+        /// Searches stopped early by an exhausted `TrainBudget` (best-so-far
+        /// parameters returned, model flagged).
+        train_degraded: Counter = "train.degraded",
+        /// Input rows skipped by the lenient loaders (NaN/Inf values, ragged
+        /// lengths, unparseable fields).
+        data_quarantined: Counter = "data.quarantined",
+        /// Metrics-endpoint connections refused or cut short by the serving
+        /// limits (concurrency bound, oversized or timed-out requests).
+        http_rejected: Counter = "http.rejected",
+        /// Micro-batches dispatched to `predict_batch` by any server in the
+        /// process. This and the three histograms below are profiling
+        /// series, like `predict.latency_ns`, so they stay process-wide
+        /// with the flight recorder that two of them take exemplars from.
+        serve_batches: Counter = "serve.batches",
+        /// Series per dispatched micro-batch.
+        serve_batch_fill: Histogram = "serve.batch_fill",
+        /// Time requests spent queued before their batch was formed.
+        serve_queue_wait: Histogram = "serve.queue_wait_ns",
+        /// End-to-end request latency as measured by the server (parse +
+        /// queue + batch + predict + reply).
+        serve_latency: Histogram = "serve.latency_ns",
+        /// Finished request traces retained by the flight recorder (forensic,
+        /// slow-decile, or sampled).
+        trace_recorded: Counter = "trace.recorded",
+        /// Finished request traces the retention policy discarded (healthy,
+        /// fast, and not sampled).
+        trace_dropped: Counter = "trace.dropped",
+        /// DIRECT rectangle divisions.
+        opt_direct_splits: Counter = "opt.direct.splits",
+        /// DIRECT objective evaluations.
+        opt_direct_evals: Counter = "opt.direct.evals",
+    }
+}
+
+metric_table! {
+    /// One classify server's own counters. Each server owns one table, so
+    /// its `/metrics`, `/healthz` and probation watchdog count its own
+    /// traffic alone; the table never enters a run report.
+    struct ServeMetrics {
+        /// Classify requests received, counted on entry. Each one but a
+        /// `200` also lands in one of `bad_requests`, `shed`,
+        /// `deadline_exceeded` and `errors`.
+        requests: Counter = "serve.requests",
+        /// Requests refused with `400`: the body did not parse.
+        bad_requests: Counter = "serve.bad_requests",
+        /// Requests refused with `429`: the bounded queue was full.
+        shed: Counter = "serve.shed",
+        /// Requests answered `504`: the deadline passed before prediction.
+        deadline_exceeded: Counter = "serve.deadline_exceeded",
+        /// Requests answered `500` (injected faults, engine failures,
+        /// quarantined batches).
+        errors: Counter = "serve.errors",
+        /// Reloads accepted through the canary gate and swapped in.
+        reloads: Counter = "serve.reloads",
+        /// Reloads refused by the canary gate; the serving generation is
+        /// untouched.
+        reload_rejected: Counter = "serve.reload_rejected",
+        /// Swaps back to the warm previous generation (manual or
+        /// probation rollback).
+        rollbacks: Counter = "serve.rollbacks",
+        /// Batch workers respawned by the supervisor after a panic.
+        worker_restarts: Counter = "serve.worker_restarts",
+        /// Requests whose batch a worker panic poisoned (each also counts
+        /// in `errors`).
+        quarantined: Counter = "serve.quarantined",
+    }
+}
+
+impl Default for ServeMetrics {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ServeMetrics {
+    /// Appends this table's counters to a registry snapshot.
+    pub(crate) fn snapshot_into(&self, snap: &mut MetricsSnapshot) {
+        push_entries(snap, self.entries());
+    }
 }
 
 static METRICS: Metrics = Metrics::new();
@@ -546,10 +565,12 @@ impl MetricsSnapshot {
     }
 }
 
-/// Snapshots every metric.
-pub fn snapshot() -> MetricsSnapshot {
-    let mut snap = MetricsSnapshot::default();
-    for (name, metric) in metrics().entries() {
+/// Appends each table entry to the matching list of `snap`.
+fn push_entries<'a>(
+    snap: &mut MetricsSnapshot,
+    entries: impl Iterator<Item = (&'static str, Metric<'a>)>,
+) {
+    for (name, metric) in entries {
         match metric {
             Metric::Counter(c) => snap.counters.push((name, c.get())),
             Metric::Gauge(g) => snap.gauges.push((name, g.get())),
@@ -560,6 +581,12 @@ pub fn snapshot() -> MetricsSnapshot {
             }
         }
     }
+}
+
+/// Snapshots every metric of the registry.
+pub fn snapshot() -> MetricsSnapshot {
+    let mut snap = MetricsSnapshot::default();
+    push_entries(&mut snap, metrics().entries());
     snap.labeled = labeled()
         .lock()
         .map(|m| m.iter().map(|(k, v)| (k.clone(), *v)).collect())
@@ -708,12 +735,15 @@ mod tests {
         }
         .install();
         reset();
+        // A server's page merges its own table into the registry's
+        // snapshot, so the two tables are checked together.
+        let serving = ServeMetrics::new();
         let mut rows = 0;
-        for (_, metric) in metrics().entries() {
+        for (_, metric) in metrics().entries().chain(serving.entries()) {
             rows += 1;
             match metric {
                 Metric::Counter(c) => c.inc(),
-                Metric::Gauge(g) => g.set(1),
+                Metric::Gauge(g) => g.record_max(1),
                 Metric::Histogram(h) => h.observe(1),
                 Metric::CacheFamilyMetrics(f) => {
                     f.hits.inc();
@@ -722,7 +752,8 @@ mod tests {
                 }
             }
         }
-        let s = snapshot();
+        let mut s = snapshot();
+        serving.snapshot_into(&mut s);
 
         // Each row appears exactly once, carrying its bump.
         let mut names: Vec<&str> = s.counters.iter().map(|(n, _)| *n).collect();
@@ -759,7 +790,7 @@ mod tests {
             .collect();
         assert!(unique(series), "{page}");
 
-        // Reset zeroes every row.
+        // Reset zeroes every registry row.
         reset();
         let s = snapshot();
         assert!(s.counters.iter().all(|&(_, v)| v == 0), "{s:?}");

@@ -14,7 +14,6 @@
 //! | `histogram` | `name`, `count`, `sum_ns`, `mean_ns`, `p50`, `p90`, `p99`, `buckets` (`[upper, n]` pairs) |
 //! | `log`       | `t_ns`, `level`, `target`, `message`, optional `trace`              |
 //! | `trace`     | `trace_id`, `root`, optional `remote_parent`, `outcome`, `status`, `sampled`, `start_ns`, `dur_ns`, `spans` (each `name`, `id`, `parent`, `start_ns`, `dur_ns`, optional `attrs`/`links`) |
-//! | `drift`     | `status`, `live_samples`, `reference_samples`, window shape, thresholds, `metrics` (each `metric`, `psi`, `ks` (null for the class mix), `verdict`) |
 //!
 //! Version history: v1 had no quantile fields on `histogram` lines; v2
 //! added `p50`/`p90`/`p99` estimated from the log₂ buckets (see
@@ -25,13 +24,14 @@
 //! resolve — and the optional `trace` field on `log` lines; v4
 //! (current) added the `drift` line, a drift monitor's verdict at report
 //! time. No writer emits `drift` lines any more: each monitor belongs to
-//! one served model generation, which a run report does not see. Reports
-//! that carry them still validate.
+//! one served model generation, which a run report does not see. They
+//! are no longer read either.
 //!
 //! [`validate_jsonl`] is the one reader: it checks every line and
 //! returns the [`ReportSummary`] that [`crate::diff`] and `rpm-cli obs
-//! summary` consume. It reads every version above, rejects unknown line
-//! types, and ignores unknown fields.
+//! summary` consume. It reads every version above, ignores unknown
+//! fields, and rejects unknown line types — a v4 `drift` line among
+//! them.
 
 use crate::logger::{self, LogEvent};
 use crate::metrics::{self, MetricsSnapshot};
@@ -537,9 +537,6 @@ pub struct ReportSummary {
     /// well-formed ids, parents resolving within the trace, batch
     /// links resolving to trace lines in the same report).
     pub traces: usize,
-    /// `drift` lines (each verified against the score invariants:
-    /// known status/verdict names, finite PSI ≥ 0, KS in [0, 1]).
-    pub drifts: usize,
 }
 
 impl ReportSummary {
@@ -699,10 +696,11 @@ fn bucket_pairs(line: &str) -> Option<Vec<(u64, u64)>> {
 /// every cache line satisfies `hits + misses == lookups`, every histogram
 /// line satisfies the bucket invariants (`count == Σ bucket counts`,
 /// buckets sorted by ascending upper bound, `sum_ns ≤ count × max bucket
-/// upper`), trace and drift lines hold their invariants, and the counters
+/// upper`), trace lines hold their invariants, and the counters
 /// reconcile (`match.pruned_envelope + match.abandoned ≤ match.windows`,
 /// `cfs.survivors` equals the sum of its `cfs.survivors.class=*` lines).
-/// Unknown fields are ignored. Returns the summary, or the first
+/// Unknown fields are ignored. A v4 `drift` line is no longer read: it
+/// is refused as an unknown type. Returns the summary, or the first
 /// violation prefixed with `<path>: ` (and `line <n>: ` when one line
 /// breaks it).
 pub fn validate_jsonl(path: &str) -> Result<ReportSummary, String> {
@@ -919,43 +917,6 @@ fn read_report(text: &str) -> Result<ReportSummary, String> {
                 }
                 trace_ids.insert(trace_id);
                 check.traces += 1;
-            }
-            "drift" => {
-                let status = str_field(line, "status")
-                    .ok_or_else(|| format!("line {lineno}: drift without status"))?;
-                if crate::drift::DriftStatus::parse(&status).is_none() {
-                    return Err(format!("line {lineno}: unknown drift status {status:?}"));
-                }
-                u64_field(line, "live_samples")
-                    .ok_or_else(|| format!("line {lineno}: drift without live_samples"))?;
-                let blocks = array_blocks(line, "metrics")
-                    .ok_or_else(|| format!("line {lineno}: drift without a metrics array"))?;
-                for block in &blocks {
-                    let metric = str_field(block, "metric")
-                        .ok_or_else(|| format!("line {lineno}: drift metric without a name"))?;
-                    let psi = f64_field(block, "psi")
-                        .ok_or_else(|| format!("line {lineno}: drift {metric} without psi"))?;
-                    if !psi.is_finite() || psi < 0.0 {
-                        return Err(format!(
-                            "line {lineno}: drift {metric}: psi {psi} not finite and ≥ 0"
-                        ));
-                    }
-                    if !block.contains("\"ks\":null") {
-                        let ks = f64_field(block, "ks")
-                            .ok_or_else(|| format!("line {lineno}: drift {metric} without ks"))?;
-                        if !(0.0..=1.0).contains(&ks) {
-                            return Err(format!(
-                                "line {lineno}: drift {metric}: ks {ks} outside [0, 1]"
-                            ));
-                        }
-                    }
-                    let verdict = str_field(block, "verdict")
-                        .ok_or_else(|| format!("line {lineno}: drift {metric} without verdict"))?;
-                    if crate::drift::DriftStatus::parse(&verdict).is_none() {
-                        return Err(format!("line {lineno}: unknown drift verdict {verdict:?}"));
-                    }
-                }
-                check.drifts += 1;
             }
             other => return Err(format!("line {lineno}: unknown type {other:?}")),
         }
@@ -1253,40 +1214,28 @@ mod tests {
     }
 
     #[test]
-    fn validator_checks_drift_invariants() {
-        let path = temp_path("drift_invariants");
+    fn validator_refuses_unknown_line_types_by_line() {
+        let path = temp_path("unknown_type");
         let meta = "{\"type\":\"meta\",\"version\":4,\"wall_ns\":100,\"level\":\"summary\"}\n";
+        std::fs::write(&path, meta).unwrap();
+        validate_jsonl(&path.display().to_string()).expect("meta alone is valid");
 
-        let good = format!(
-            "{meta}{{\"type\":\"drift\",\"status\":\"warn\",\"live_samples\":80,\
-             \"reference_samples\":200,\"window_secs\":240,\"epoch_secs\":30,\"epochs\":8,\
-             \"warn\":0.200000,\"page\":0.500000,\"metrics\":[\
-             {{\"metric\":\"match_distance\",\"psi\":0.310000,\"ks\":0.400000,\"verdict\":\"warn\"}},\
-             {{\"metric\":\"class_mix\",\"psi\":0.010000,\"ks\":null,\"verdict\":\"ok\"}}]}}\n"
-        );
-        std::fs::write(&path, &good).unwrap();
-        let check = validate_jsonl(&path.display().to_string()).expect("valid drift line");
-        assert_eq!(check.drifts, 1);
-
-        let bad_status = good.replace("\"status\":\"warn\"", "\"status\":\"panic\"");
-        std::fs::write(&path, &bad_status).unwrap();
-        let err = validate_jsonl(&path.display().to_string()).unwrap_err();
-        assert!(err.contains("unknown drift status"), "{err}");
-
-        let bad_psi = good.replace("\"psi\":0.310000", "\"psi\":-0.400000");
-        std::fs::write(&path, &bad_psi).unwrap();
-        let err = validate_jsonl(&path.display().to_string()).unwrap_err();
-        assert!(err.contains("not finite and ≥ 0"), "{err}");
-
-        let bad_ks = good.replace("\"ks\":0.400000", "\"ks\":1.500000");
-        std::fs::write(&path, &bad_ks).unwrap();
-        let err = validate_jsonl(&path.display().to_string()).unwrap_err();
-        assert!(err.contains("outside [0, 1]"), "{err}");
-
-        let bad_verdict = good.replace("\"verdict\":\"ok\"", "\"verdict\":\"meh\"");
-        std::fs::write(&path, &bad_verdict).unwrap();
-        let err = validate_jsonl(&path.display().to_string()).unwrap_err();
-        assert!(err.contains("unknown drift verdict"), "{err}");
+        // A v4 drift line is no longer read: it is an unknown type like
+        // any other, named with its line.
+        for (kind, extra) in [
+            (
+                "drift",
+                ",\"status\":\"ok\",\"live_samples\":0,\"metrics\":[]",
+            ),
+            ("bogus", ""),
+        ] {
+            std::fs::write(&path, format!("{meta}{{\"type\":\"{kind}\"{extra}}}\n")).unwrap();
+            let err = validate_jsonl(&path.display().to_string()).unwrap_err();
+            assert!(
+                err.ends_with(&format!("line 2: unknown type \"{kind}\"")),
+                "{err}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -102,9 +102,6 @@ impl BatchQueue {
         }
         state.series += pending.series.len();
         state.queue.push_back(pending);
-        rpm_obs::metrics()
-            .serve_queue_depth
-            .set(state.series as u64);
         drop(state);
         self.arrived.notify_one();
         Ok(())
@@ -151,9 +148,6 @@ impl BatchQueue {
                         }
                     }
                 }
-                rpm_obs::metrics()
-                    .serve_queue_depth
-                    .set(state.series as u64);
                 return Some(batch);
             }
             if !state.open {
@@ -161,6 +155,12 @@ impl BatchQueue {
             }
             state = self.arrived.wait(state).expect("queue lock");
         }
+    }
+
+    /// Series queued right now (what `/healthz` reports as
+    /// `queue_depth`).
+    pub fn depth(&self) -> usize {
+        self.state.lock().expect("queue lock").series
     }
 
     /// Closes the queue: pushes start failing, and workers drain what

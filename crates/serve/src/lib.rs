@@ -32,9 +32,10 @@
 //!   check before any traffic is accepted; a v1 stream (no checksums)
 //!   is refused unless explicitly allowed.
 //!
-//! Observability rides the existing `rpm-obs` registry: `serve.*`
-//! counters and histograms surface on the same `/metrics` endpoint,
-//! and the `serve.request` / `serve.batch` / `serve.reload` /
+//! Each server counts its own requests, outcomes, swaps and worker
+//! restarts ([`Lifecycle::metrics`]) and reports them, with its
+//! generation and queue depth, on its own `/metrics` and `/healthz`.
+//! The `serve.request` / `serve.batch` / `serve.reload` /
 //! `serve.worker` fault sites make the request, reload, and worker
 //! paths chaos-testable like the rest of the pipeline.
 //!
@@ -59,7 +60,7 @@ use std::time::{Duration, Instant};
 
 use batch::{BatchQueue, Pending, Reply};
 use rpm_core::{PersistError, RpmClassifier, VerifyReport};
-use rpm_obs::{Request, Response, ServeLimits, TraceCtx, TraceOutcome};
+use rpm_obs::{Request, Response, ServeLimits, ServeMetrics, TraceCtx, TraceOutcome};
 use rpm_ts::Parallelism;
 use supervise::Supervisor;
 
@@ -256,7 +257,9 @@ impl Server {
         );
 
         let handler_queue = Arc::clone(&queue);
+        let handler_metrics = Arc::clone(lifecycle.metrics());
         let deadline = config.deadline;
+        let serving_queue = Arc::clone(&queue);
         let serving_lc = Arc::clone(&lifecycle);
         let reload_lc = Arc::clone(&lifecycle);
         let rollback_lc = Arc::clone(&lifecycle);
@@ -267,10 +270,12 @@ impl Server {
                 fingerprint: current.fingerprint.clone(),
                 generation: current.generation,
                 drift: current.drift_report(),
+                queue_depth: serving_queue.depth() as u64,
+                counters: Arc::clone(serving_lc.metrics()),
             })
         })
         .route("POST", "/classify", move |req| {
-            classify(&handler_queue, deadline, req)
+            classify(&handler_queue, &handler_metrics, deadline, req)
         })
         .route("POST", "/admin/reload", move |req| {
             admin_reload(&reload_lc, default_path.as_deref(), req)
@@ -300,17 +305,13 @@ impl Server {
     }
 
     /// Orderly shutdown: stop accepting, close the queue (workers drain
-    /// what is left), join the pool via the supervisor, and zero the
-    /// generation and queue-depth gauges.
+    /// what is left), and join the pool via the supervisor.
     pub fn shutdown(&mut self) {
         self.http.shutdown();
         self.queue.close();
         if let Some(mut supervisor) = self.supervisor.take() {
             supervisor.stop();
         }
-        let m = rpm_obs::metrics();
-        m.serve_generation.set(0);
-        m.serve_queue_depth.set(0);
     }
 }
 
@@ -442,15 +443,15 @@ fn finish_traced(
 /// request-traced: a W3C `traceparent` header is ingested (or a trace
 /// id generated), `parse`/`respond` spans are recorded here, the
 /// workers contribute `queue_wait`/`batch`/`predict`, and every exit —
-/// 200, 400, 429, 500, 504 — flows through [`finish_traced`].
-fn classify(queue: &BatchQueue, deadline: Duration, req: &Request) -> Response {
-    let m = rpm_obs::metrics();
-    m.serve_requests.inc();
+/// 200, 400, 429, 500, 504 — flows through [`finish_traced`], and each
+/// but a 200 counts in one outcome counter of `m`.
+fn classify(queue: &BatchQueue, m: &ServeMetrics, deadline: Duration, req: &Request) -> Response {
+    m.requests.inc();
     let started = Instant::now();
     let trace = TraceCtx::begin(req.header("traceparent"));
 
     if let Err(e) = rpm_obs::fault::point("serve.request") {
-        m.serve_errors.inc();
+        m.errors.inc();
         return finish_traced(
             &trace,
             TraceOutcome::Error,
@@ -469,12 +470,13 @@ fn classify(queue: &BatchQueue, deadline: Duration, req: &Request) -> Response {
     let requests = match parsed {
         Ok(r) => r,
         Err(e) => {
+            m.bad_requests.inc();
             return finish_traced(
                 &trace,
                 TraceOutcome::BadRequest,
                 None,
                 Response::json(400, proto::format_error("bad_request", &e)),
-            )
+            );
         }
     };
     let ids: Vec<Option<String>> = requests.iter().map(|r| r.id.clone()).collect();
@@ -490,7 +492,7 @@ fn classify(queue: &BatchQueue, deadline: Duration, req: &Request) -> Response {
         reply: reply_tx,
     };
     if queue.try_push(pending).is_err() {
-        m.serve_shed.inc();
+        m.shed.inc();
         return finish_traced(
             &trace,
             TraceOutcome::Shed,
@@ -528,7 +530,7 @@ fn classify(queue: &BatchQueue, deadline: Duration, req: &Request) -> Response {
             )
         }
         Ok(Reply::DeadlineExceeded) | Err(RecvTimeoutError::Timeout) => {
-            m.serve_deadline_exceeded.inc();
+            m.deadline_exceeded.inc();
             (
                 TraceOutcome::Deadline,
                 Response::json(
@@ -544,14 +546,14 @@ fn classify(queue: &BatchQueue, deadline: Duration, req: &Request) -> Response {
             )
         }
         Ok(Reply::Failed(msg)) => {
-            m.serve_errors.inc();
+            m.errors.inc();
             (
                 TraceOutcome::Error,
                 Response::json(500, proto::format_error("internal", &msg)),
             )
         }
         Err(RecvTimeoutError::Disconnected) => {
-            m.serve_errors.inc();
+            m.errors.inc();
             (
                 TraceOutcome::Error,
                 Response::json(
@@ -562,7 +564,7 @@ fn classify(queue: &BatchQueue, deadline: Duration, req: &Request) -> Response {
         }
     };
     let latency_ns = started.elapsed().as_nanos() as u64;
-    m.serve_latency.observe(latency_ns);
+    rpm_obs::metrics().serve_latency.observe(latency_ns);
     finish_traced(&trace, outcome, Some(latency_ns), response)
 }
 
@@ -600,13 +602,6 @@ mod tests {
         RpmClassifier::train(&dataset(1), &config).unwrap()
     }
 
-    /// Serializes tests that start a [`Server`]: the metrics registry
-    /// and the fault plan are process-global.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        GATE.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn post(addr: std::net::SocketAddr, body: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect");
         write!(
@@ -630,7 +625,6 @@ mod tests {
 
     #[test]
     fn serves_classify_end_to_end() {
-        let _serial = serial();
         let model = Arc::new(tiny_model());
         let config = ServeConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -660,7 +654,6 @@ mod tests {
 
     #[test]
     fn drift_monitor_flags_shifted_traffic_but_not_clean_replay() {
-        let _serial = serial();
         let model = Arc::new(tiny_model());
         let config = ServeConfig {
             addr: "127.0.0.1:0".to_string(),

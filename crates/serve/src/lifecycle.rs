@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use rpm_core::{PersistError, PredictOptions, RpmClassifier, SchemaMismatch, VerifyReport};
 use rpm_obs::drift::{psi, ReferenceProfile, DRIFT_METRIC_NAMES};
-use rpm_obs::{DriftConfig, DriftMonitor, DriftReport};
+use rpm_obs::{DriftConfig, DriftMonitor, DriftReport, ServeMetrics};
 
 use crate::batch::Pending;
 use crate::ServeError;
@@ -259,7 +259,8 @@ struct Probation {
 }
 
 /// The model lifecycle: owns the serving generation, the warm previous
-/// generation, the canary ring, and the probation window.
+/// generation, the canary ring, the probation window, and the server's
+/// counters, which the handler, workers, supervisor and routes share.
 pub struct Lifecycle {
     current: Mutex<Arc<ModelGeneration>>,
     previous: Mutex<Option<Arc<ModelGeneration>>>,
@@ -270,18 +271,18 @@ pub struct Lifecycle {
     canary: Mutex<VecDeque<Vec<f64>>>,
     policy: ReloadPolicy,
     drift: DriftConfig,
+    metrics: Arc<ServeMetrics>,
 }
 
 impl Lifecycle {
-    /// Installs the initial generation (generation 1) and sets the
-    /// generation gauge.
+    /// Installs the initial generation (generation 1), with every
+    /// serving counter at zero.
     pub(crate) fn new(
         model: Arc<RpmClassifier>,
         fingerprint: String,
         policy: ReloadPolicy,
         drift: DriftConfig,
     ) -> Self {
-        rpm_obs::metrics().serve_generation.set(1);
         Self {
             current: Mutex::new(Arc::new(ModelGeneration::new(model, 1, fingerprint, drift))),
             previous: Mutex::new(None),
@@ -291,7 +292,14 @@ impl Lifecycle {
             canary: Mutex::new(VecDeque::with_capacity(CANARY_RING)),
             policy,
             drift,
+            metrics: Arc::default(),
         }
+    }
+
+    /// This server's counters: its requests and their outcomes, its
+    /// swaps, and its worker restarts.
+    pub fn metrics(&self) -> &Arc<ServeMetrics> {
+        &self.metrics
     }
 
     /// The generation currently serving.
@@ -333,11 +341,10 @@ impl Lifecycle {
     pub fn reload_from_bytes(&self, bytes: &[u8]) -> Result<ReloadOutcome, ReloadError> {
         let _gate = self.admin_gate.lock().unwrap_or_else(|e| e.into_inner());
         let _span = rpm_obs::enter("serve.reload");
-        let m = rpm_obs::metrics();
         let result = self.canary_and_swap(bytes);
         match &result {
             Ok(outcome) => {
-                m.serve_reloads.inc();
+                self.metrics.reloads.inc();
                 rpm_obs::logger::log(
                     "info",
                     "serve.reload",
@@ -348,7 +355,7 @@ impl Lifecycle {
                 );
             }
             Err(e) => {
-                m.serve_reload_rejected.inc();
+                self.metrics.reload_rejected.inc();
                 rpm_obs::logger::log(
                     "warn",
                     "serve.reload",
@@ -463,8 +470,8 @@ impl Lifecycle {
 
     /// The single mutation of a swap (reload or rollback): take the next
     /// generation number, make a new generation of `model` (with a fresh
-    /// drift monitor) the serving one, keep the displaced generation
-    /// warm, and set the generation gauge.
+    /// drift monitor) the serving one, and keep the displaced generation
+    /// warm.
     fn swap_in(&self, model: Arc<RpmClassifier>, fingerprint: String) -> ReloadOutcome {
         let generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
         let next = Arc::new(ModelGeneration::new(
@@ -477,7 +484,6 @@ impl Lifecycle {
             &mut *self.current.lock().unwrap_or_else(|e| e.into_inner()),
             Arc::clone(&next),
         );
-        rpm_obs::metrics().serve_generation.set(generation);
         let outcome = ReloadOutcome {
             generation,
             fingerprint: next.fingerprint.clone(),
@@ -502,7 +508,7 @@ impl Lifecycle {
             .ok_or(ReloadError::NoPrevious)?;
         let outcome = self.swap_in(Arc::clone(&prior.model), prior.fingerprint.clone());
         *self.probation.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        rpm_obs::metrics().serve_rollbacks.inc();
+        self.metrics.rollbacks.inc();
         rpm_obs::logger::log(
             "warn",
             "serve.reload",
@@ -532,11 +538,14 @@ impl Lifecycle {
                 *slot = None;
                 return None;
             }
-            // `serve.errors` already counts each quarantined request's
-            // `500`; adding `serve.quarantined` would count it twice.
-            let m = rpm_obs::metrics();
-            let errors = m.serve_errors.get().saturating_sub(p.errors_at_swap);
-            let requests = m.serve_requests.get().saturating_sub(p.requests_at_swap);
+            // `errors` already counts each quarantined request's `500`;
+            // adding `quarantined` would count it twice.
+            let errors = self.metrics.errors.get().saturating_sub(p.errors_at_swap);
+            let requests = self
+                .metrics
+                .requests
+                .get()
+                .saturating_sub(p.requests_at_swap);
             let error_spike = errors >= self.policy.probation_min_errors
                 && errors as f64 > self.policy.probation_error_pct * requests.max(1) as f64;
             if error_spike {
@@ -557,11 +566,10 @@ impl Lifecycle {
         *slot = if self.policy.probation.is_zero() {
             None
         } else {
-            let m = rpm_obs::metrics();
             Some(Probation {
                 until: Instant::now() + self.policy.probation,
-                errors_at_swap: m.serve_errors.get(),
-                requests_at_swap: m.serve_requests.get(),
+                errors_at_swap: self.metrics.errors.get(),
+                requests_at_swap: self.metrics.requests.get(),
             })
         };
     }

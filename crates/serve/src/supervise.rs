@@ -197,7 +197,6 @@ fn supervise(
     let mut pending: VecDeque<Instant> = VecDeque::new();
     let mut consecutive: u32 = 0;
     let mut restarts: VecDeque<Instant> = VecDeque::new();
-    let m = rpm_obs::metrics();
 
     loop {
         let stopping = stop.load(Ordering::Acquire);
@@ -271,7 +270,7 @@ fn supervise(
             restarts.push_back(now);
             let id = next_id;
             next_id += 1;
-            m.serve_worker_restarts.inc();
+            lifecycle.metrics().worker_restarts.inc();
             rpm_obs::logger::log("info", "serve.worker", format!("worker {id} respawned"));
             pool.insert(id, (spawn_worker(id, ctx.clone_for()), Instant::now()));
         }
@@ -327,9 +326,8 @@ fn worker_loop(ctx: &WorkerContext) -> bool {
         }));
 
         if outcome.is_err() {
-            let m = rpm_obs::metrics();
             for (trace, reply) in stubs {
-                m.serve_quarantined.inc();
+                ctx.lifecycle.metrics().quarantined.inc();
                 rpm_obs::logger::log_traced(
                     "error",
                     "serve.worker",

@@ -4,9 +4,6 @@
 //! window, while a clean replay of the training distribution stays `ok`,
 //! and a model persisted without a reference profile must serve with the
 //! drift verdict `unavailable` rather than guessing.
-//!
-//! Servers share the process-global metrics registry, so every test here
-//! serializes on [`gate`].
 
 use rpm::core::{RpmClassifier, RpmConfig};
 use rpm::data::generate;
@@ -17,13 +14,8 @@ use rpm::serve::{load_verified, ServeConfig, Server};
 use rpm::ts::Dataset;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
-
-fn gate() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn cbf() -> (Dataset, Dataset) {
     let mut spec = spec_by_name("CBF").expect("CBF registered");
@@ -103,7 +95,6 @@ fn json_number(json: &str, key: &str) -> Option<f64> {
 
 #[test]
 fn clean_replay_stays_ok_while_shifted_traffic_pages() {
-    let _gate = gate();
     let (model, train, test) = trained();
 
     // Phase 1: replay the training distribution — the serve transform is
@@ -168,7 +159,6 @@ fn clean_replay_stays_ok_while_shifted_traffic_pages() {
 
 #[test]
 fn persisted_profile_survives_the_serve_loader() {
-    let _gate = gate();
     let (model, train, _) = trained();
     let mut bytes = Vec::new();
     model.save(&mut bytes).unwrap();
@@ -192,7 +182,6 @@ fn persisted_profile_survives_the_serve_loader() {
 
 #[test]
 fn profileless_models_serve_with_drift_unavailable() {
-    let _gate = gate();
     let (model, _, test) = trained();
     // A v1 save carries no profile section — the stand-in for any model
     // persisted before reference profiles existed.

@@ -302,18 +302,16 @@ fn armed_request_fault_degrades_to_an_error_response_not_a_crash() {
     server.shutdown();
 }
 
-/// `serve.requests` counts every classify request on entry, whatever
-/// its outcome; of a 200, a 400 and a 500, only the 500 lands in an
-/// outcome counter.
+/// The server's own `requests` counts every classify request on entry,
+/// and each exit but a `200` lands in one outcome counter: of a 200, a
+/// 400 and a 500, the 400 counts in `bad_requests` and the 500 in
+/// `errors`, so the requests less the outcomes are the 200s.
 #[test]
 fn serve_requests_counts_every_outcome() {
     let _g = exclusive();
     let (model, test) = trained();
     let mut server = Server::start(Arc::clone(&model), &test_config()).expect("start");
     let addr = server.local_addr();
-    let m = rpm::obs::metrics();
-    let outcomes = || m.serve_shed.get() + m.serve_deadline_exceeded.get() + m.serve_errors.get();
-    let (requests_before, outcomes_before) = (m.serve_requests.get(), outcomes());
 
     let ok = post(addr, &jsonl_body(&test.series[0]));
     assert!(ok.starts_with("HTTP/1.0 200"), "{ok}");
@@ -324,8 +322,13 @@ fn serve_requests_counts_every_outcome() {
     rpm::obs::fault::clear();
     assert!(faulted.starts_with("HTTP/1.0 500"), "{faulted}");
 
-    assert_eq!(m.serve_requests.get() - requests_before, 3);
-    assert_eq!(outcomes() - outcomes_before, 1);
+    let lifecycle = server.lifecycle();
+    let m = lifecycle.metrics();
+    assert_eq!(m.requests.get(), 3);
+    assert_eq!(m.bad_requests.get(), 1);
+    assert_eq!(m.errors.get(), 1);
+    assert_eq!(m.shed.get(), 0);
+    assert_eq!(m.deadline_exceeded.get(), 0);
     server.shutdown();
 }
 

@@ -8,9 +8,8 @@
 //! labels bit-identically to the offline predictions of the model that
 //! generation serves — no torn batches, no half-swapped state.
 //!
-//! The fault plan and the metrics registry are process-global, so every
-//! test here serializes on [`gate`] like `tests/serve.rs` and
-//! `tests/resilience.rs` do.
+//! The fault plan is process-global, so every test here serializes on
+//! [`gate`] like `tests/serve.rs` and `tests/resilience.rs` do.
 
 use rpm::core::{model_fingerprint, RpmClassifier, RpmConfig};
 use rpm::data::generate;
@@ -155,6 +154,15 @@ fn health_field(addr: std::net::SocketAddr, key: &str) -> u64 {
 /// Live samples in the serving generation's drift window.
 fn live_samples(addr: std::net::SocketAddr) -> u64 {
     endpoint_field(addr, "/debug/drift", "live_samples")
+}
+
+/// The value of an unlabeled series on `/metrics`; 0 when the page omits
+/// it, as the exposition does for a counter that never moved.
+fn metric(addr: std::net::SocketAddr, series: &str) -> u64 {
+    get(addr, "/metrics")
+        .lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0)
 }
 
 /// A flat JSON integer field out of a `GET` endpoint's body.
@@ -524,6 +532,70 @@ fn two_servers_in_one_process_keep_their_own_model_state() {
     assert_eq!(live_samples(addr_a), 4);
 
     server_a.shutdown();
+}
+
+/// Two servers in one process each count their own serving metrics:
+/// requests and generation on `/metrics`, swaps on `/healthz`, and the
+/// errors their probation watchdog reads. One server's error burst
+/// cannot roll back the other's model, and one server's shutdown leaves
+/// the other's series in place.
+#[test]
+fn two_servers_in_one_process_count_their_own_serving_metrics() {
+    let _g = gate();
+    let (train_set, test_set) = cbf();
+    let (bytes_a, _) = saved(&train(&train_set, 32));
+    let (bytes_b, _) = saved(&train(&train_set, 24));
+    let (path_a, path_b) = (temp_model(&bytes_a), temp_model(&bytes_b));
+    // Drift stays warming, so only errors could open a rollback.
+    let config = ServeConfig {
+        drift: rpm::obs::DriftConfig {
+            min_samples: u64::MAX,
+            ..rpm::obs::DriftConfig::default()
+        },
+        ..test_config()
+    };
+    let mut server_a = start_on(&bytes_a, &config);
+    let mut server_b = start_on(&bytes_b, &config);
+    let (addr_a, addr_b) = (server_a.local_addr(), server_b.local_addr());
+    let body = jsonl_body(&test_set.series[0]);
+
+    for _ in 0..3 {
+        assert!(post_classify(addr_a, &body).starts_with("HTTP/1.0 200"));
+    }
+    assert!(post_classify(addr_b, &body).starts_with("HTTP/1.0 200"));
+    assert!(reload(addr_b, &path_a).starts_with("HTTP/1.0 200"));
+    assert_eq!(metric(addr_a, "rpm_serve_requests_total"), 3);
+    assert_eq!(metric(addr_a, "rpm_serve_generation"), 1);
+    assert_eq!(metric(addr_b, "rpm_serve_requests_total"), 1);
+    assert_eq!(metric(addr_b, "rpm_serve_generation"), 2);
+    assert_eq!(health_field(addr_a, "reloads"), 0);
+    assert_eq!(health_field(addr_b, "reloads"), 1);
+
+    // A's reload opens its probation window; a burst of 500s on B must
+    // not count in it.
+    assert!(reload(addr_a, &path_b).starts_with("HTTP/1.0 200"));
+    rpm::obs::fault::install(rpm::obs::fault::parse("serve.request:io:1:0").expect("spec"));
+    for _ in 0..10 {
+        let response = post_classify(addr_b, &body);
+        assert!(response.starts_with("HTTP/1.0 500"), "{response}");
+    }
+    rpm::obs::fault::clear();
+    assert!(
+        server_a.lifecycle().tick().is_none(),
+        "B's errors rolled A back"
+    );
+    assert_eq!(metric(addr_a, "rpm_serve_errors_total"), 0);
+    assert_eq!(metric(addr_b, "rpm_serve_errors_total"), 10);
+    assert_eq!(health_field(addr_a, "generation"), 2);
+    assert_eq!(health_field(addr_a, "rollbacks"), 0);
+
+    server_b.shutdown();
+    assert_eq!(metric(addr_a, "rpm_serve_generation"), 2);
+    assert_eq!(metric(addr_a, "rpm_serve_requests_total"), 3);
+
+    server_a.shutdown();
+    let _ = std::fs::remove_file(&path_a);
+    let _ = std::fs::remove_file(&path_b);
 }
 
 /// Every swap builds a new generation with a fresh drift monitor: after
