@@ -13,9 +13,10 @@
 //! measured capacity (light ≈ 30%, heavy ≈ 80%, overload ≈ 250%):
 //!
 //! * **micro-batch** — `max_batch = 32`, the production configuration:
-//!   a saturated worker drains the queue 32 series per wakeup and
-//!   replies once per batch, so scheduler round-trips, condvar cycles,
-//!   and per-call bookkeeping amortize across the batch.
+//!   a free worker takes what is queued, up to 32 series, without
+//!   waiting for more, so a saturated worker drains 32 series per
+//!   wakeup and replies once per batch, and scheduler round-trips,
+//!   condvar cycles, and per-call bookkeeping amortize across it.
 //! * **per-request** — `max_batch = 1`: the same stack forced to
 //!   dispatch one request per worker wakeup, i.e. what a server
 //!   without micro-batching would do. Every series pays its own
@@ -46,7 +47,6 @@ fn serve_config(max_batch: usize) -> ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         max_batch,
-        batch_window: Duration::from_millis(2),
         // Small enough that the sender pool (96 concurrent requests)
         // can actually fill it: backpressure never triggers if the
         // bound exceeds the in-flight ceiling.

@@ -1,14 +1,16 @@
-//! The bounded request queue and the adaptive micro-batching workers.
+//! The bounded request queue and the batch workers that drain it.
 //!
 //! Connection handlers push parsed requests into one [`BatchQueue`];
-//! worker threads pull them back out in *micro-batches*: a worker
-//! blocks for the first request, then keeps draining until either the
-//! batch holds [`max_batch`](crate::ServeConfig::max_batch) series or
-//! [`batch_window`](crate::ServeConfig::batch_window) has elapsed since
-//! the batch opened — whichever comes first. Under light traffic the
-//! window keeps added latency to a couple of milliseconds; under heavy
-//! traffic batches fill instantly and the per-series cost amortizes the
-//! way offline `predict_batch` calls do.
+//! worker threads pull them back out in batches, dispatched on arrival:
+//! a free worker blocks for the first request, takes every request
+//! already queued behind it while the batch stays within
+//! [`max_batch`](crate::ServeConfig::max_batch) series, and predicts at
+//! once — it never holds a batch open to wait for more. Under light
+//! traffic a request therefore waits only for a free worker; under
+//! load, requests queue while every worker is busy, and the next free
+//! worker takes up to `max_batch` series into one `predict_batch_with`
+//! call, so the per-series cost amortizes the way offline
+//! `predict_batch` calls do.
 //!
 //! The queue is bounded in **series** (not requests, so one fat request
 //! cannot sneak past the limit): when full, [`BatchQueue::try_push`]
@@ -26,7 +28,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rpm_core::PredictOptions;
 use rpm_obs::TraceCtx;
@@ -51,9 +53,8 @@ pub(crate) struct Pending {
     /// Parsed series buffers; workers borrow these (never copy them)
     /// into the batched `predict_batch` call.
     pub series: Vec<Vec<f64>>,
-    /// When the request entered the queue.
-    pub enqueued: Instant,
-    /// Queue-entry time on the observability clock (span timestamps).
+    /// Queue-entry time on the observability clock: the start of both
+    /// the `queue_wait` span and the `serve.queue_wait_ns` observation.
     pub enqueued_ns: u64,
     /// When the request stops being worth answering.
     pub deadline: Instant,
@@ -72,7 +73,7 @@ struct QueueState {
     open: bool,
 }
 
-/// Bounded MPMC queue feeding the micro-batching workers.
+/// Bounded MPMC queue feeding the batch workers.
 pub(crate) struct BatchQueue {
     state: Mutex<QueueState>,
     arrived: Condvar,
@@ -107,54 +108,34 @@ impl BatchQueue {
         Ok(())
     }
 
-    /// Blocks for the next micro-batch: waits for a first request, then
-    /// drains arrivals until the batch reaches `max_batch` series or
-    /// `window` has elapsed since the batch opened. Returns `None` only
-    /// when the queue is closed and drained — the workers' exit signal.
-    pub fn pop_batch(&self, max_batch: usize, window: Duration) -> Option<Vec<Pending>> {
-        let max_batch = max_batch.max(1);
+    /// Blocks for the next batch: waits for a first request, then takes
+    /// every request already queued behind it, in order, while the
+    /// batch stays within `max_batch` series, and returns without
+    /// waiting for more. A first request larger than `max_batch` goes
+    /// out alone. Returns `None` only when the queue is closed and
+    /// drained — the workers' exit signal.
+    pub fn pop_batch(&self, max_batch: usize) -> Option<Vec<Pending>> {
         let mut state = self.state.lock().expect("queue lock");
-        // Phase 1: block for the first request.
-        loop {
+        let first = loop {
             if let Some(first) = state.queue.pop_front() {
-                state.series -= first.series.len();
-                let mut batch_series = first.series.len();
-                let mut batch = vec![first];
-                // Phase 2: adaptive fill until size or time threshold.
-                let opened = Instant::now();
-                while batch_series < max_batch {
-                    match state.queue.pop_front() {
-                        Some(p) => {
-                            state.series -= p.series.len();
-                            batch_series += p.series.len();
-                            batch.push(p);
-                        }
-                        None => {
-                            if !state.open {
-                                break;
-                            }
-                            let elapsed = opened.elapsed();
-                            if elapsed >= window {
-                                break;
-                            }
-                            let (next, timeout) = self
-                                .arrived
-                                .wait_timeout(state, window - elapsed)
-                                .expect("queue lock");
-                            state = next;
-                            if timeout.timed_out() && state.queue.is_empty() {
-                                break;
-                            }
-                        }
-                    }
-                }
-                return Some(batch);
+                break first;
             }
             if !state.open {
                 return None;
             }
             state = self.arrived.wait(state).expect("queue lock");
+        };
+        let mut series = first.series.len();
+        let mut batch = vec![first];
+        while let Some(next) = state.queue.front().map(|p| p.series.len()) {
+            if series + next > max_batch {
+                break;
+            }
+            series += next;
+            batch.extend(state.queue.pop_front());
         }
+        state.series -= series;
+        Some(batch)
     }
 
     /// Series queued right now (what `/healthz` reports as
@@ -194,25 +175,20 @@ pub(crate) fn process_batch(
     // trace before the reply releases the waiting handler.
     let (live, expired): (Vec<Pending>, Vec<Pending>) =
         batch.into_iter().partition(|p| p.deadline > now);
+    let queue_wait = |p: &Pending| batch_start_ns.saturating_sub(p.enqueued_ns);
     for p in expired {
-        p.trace.add_span(
-            "queue_wait",
-            p.enqueued_ns,
-            batch_start_ns.saturating_sub(p.enqueued_ns),
-        );
+        p.trace
+            .add_span("queue_wait", p.enqueued_ns, queue_wait(&p));
         let _ = p.reply.send(Reply::DeadlineExceeded);
     }
     if live.is_empty() {
         return 0;
     }
+    // The histogram observes the very interval the span records, so a
+    // `serve.queue_wait_ns` exemplar carries its own observation.
     for p in &live {
-        m.serve_queue_wait
-            .observe(p.enqueued.elapsed().as_nanos() as u64);
-        p.trace.add_span(
-            "queue_wait",
-            p.enqueued_ns,
-            batch_start_ns.saturating_sub(p.enqueued_ns),
-        );
+        m.serve_queue_wait.observe(queue_wait(p));
+        p.trace.add_span("queue_wait", p.enqueued_ns, queue_wait(p));
     }
 
     // The zero-copy heart of the serve path: slices borrowed straight
@@ -319,8 +295,10 @@ pub(crate) fn process_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::mpsc::channel;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn pending(n_series: usize, len: usize) -> (Pending, std::sync::mpsc::Receiver<Reply>) {
         let (tx, rx) = channel();
@@ -328,7 +306,6 @@ mod tests {
         (
             Pending {
                 series: vec![vec![0.0; len]; n_series],
-                enqueued: now,
                 enqueued_ns: rpm_obs::now_ns(),
                 deadline: now + Duration::from_secs(5),
                 trace: TraceCtx::begin(None),
@@ -360,24 +337,29 @@ mod tests {
             assert!(q.try_push(p).is_ok());
         }
         // 4-series flush takes the first two requests only.
-        let batch = q.pop_batch(4, Duration::from_secs(10)).unwrap();
+        let batch = q.pop_batch(4).unwrap();
         assert_eq!(batch.len(), 2);
-        let batch = q.pop_batch(100, Duration::from_millis(1)).unwrap();
-        assert_eq!(batch.len(), 3, "window flush drains the rest");
+        let batch = q.pop_batch(100).unwrap();
+        assert_eq!(batch.len(), 3, "the next pop drains the rest");
     }
 
     #[test]
-    fn pop_batch_flushes_on_window_under_light_traffic() {
+    fn pop_batch_returns_what_is_queued_without_waiting() {
         let q = BatchQueue::new(64);
-        let (p, rx) = pending(1, 4);
-        std::mem::forget(rx);
-        assert!(q.try_push(p).is_ok());
+        for _ in 0..3 {
+            let (p, rx) = pending(1, 4);
+            std::mem::forget(rx);
+            assert!(q.try_push(p).is_ok());
+        }
+        // Three series against a 1000-series batch: nothing more will
+        // arrive, and the pop must not wait for it.
         let started = Instant::now();
-        let batch = q.pop_batch(1000, Duration::from_millis(20)).unwrap();
-        assert_eq!(batch.len(), 1);
+        let batch = q.pop_batch(1000).unwrap();
+        assert_eq!(batch.len(), 3);
+        assert_eq!(q.depth(), 0);
         assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "window flush must not wait for the size threshold"
+            started.elapsed() < Duration::from_secs(1),
+            "a pop on a non-empty queue returns at once"
         );
     }
 
@@ -390,17 +372,82 @@ mod tests {
         q.close();
         let (p2, _r2) = pending(1, 4);
         assert!(q.try_push(p2).is_err(), "closed queues shed");
-        assert!(q.pop_batch(8, Duration::from_millis(1)).is_some());
-        assert!(q.pop_batch(8, Duration::from_millis(1)).is_none());
+        assert!(q.pop_batch(8).is_some());
+        assert!(q.pop_batch(8).is_none());
     }
 
     #[test]
     fn blocked_pop_wakes_on_close() {
         let q = Arc::new(BatchQueue::new(16));
         let q2 = Arc::clone(&q);
-        let waiter = std::thread::spawn(move || q2.pop_batch(8, Duration::from_millis(5)));
+        let waiter = std::thread::spawn(move || q2.pop_batch(8));
         std::thread::sleep(Duration::from_millis(50));
         q.close();
         assert!(waiter.join().unwrap().is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Single-threaded runs of pushes, pops and a close against a
+        /// model of the queue as a FIFO of (tag, series) pairs; a
+        /// request's series are `tag + 1` long, so a popped request can
+        /// be told from the others. Op codes 0–5 push a request of
+        /// `op + 1` series, 6–9 pop (skipped on an empty open queue,
+        /// where a pop would block), 10 closes.
+        #[test]
+        fn queue_accounting_matches_a_fifo_model(
+            capacity in 1usize..12,
+            max_batch in 1usize..8,
+            ops in proptest::collection::vec(0usize..11, 1..64),
+        ) {
+            let q = BatchQueue::new(capacity);
+            let mut model: VecDeque<(usize, usize)> = VecDeque::new();
+            let mut open = true;
+            for (tag, &op) in ops.iter().enumerate() {
+                let queued: usize = model.iter().map(|&(_, n)| n).sum();
+                match op {
+                    0..=5 => {
+                        let n = op + 1;
+                        let (p, _rx) = pending(n, tag + 1);
+                        let fits = open && queued + n <= capacity;
+                        prop_assert_eq!(q.try_push(p).is_ok(), fits);
+                        if fits {
+                            model.push_back((tag, n));
+                        }
+                    }
+                    6..=9 if model.is_empty() && open => continue,
+                    6..=9 => {
+                        let started = Instant::now();
+                        let popped = q.pop_batch(max_batch);
+                        prop_assert!(started.elapsed() < Duration::from_secs(1));
+                        let Some(batch) = popped else {
+                            prop_assert!(model.is_empty() && !open);
+                            continue;
+                        };
+                        // Whole requests, in FIFO order: the model's head.
+                        let mut series = 0;
+                        for p in &batch {
+                            let (tag, n) = model.pop_front().expect("model has the request");
+                            prop_assert_eq!(p.series.len(), n);
+                            prop_assert!(p.series.iter().all(|s| s.len() == tag + 1));
+                            series += n;
+                        }
+                        // Past `max_batch` only when the first request is.
+                        prop_assert!(series <= max_batch || batch.len() == 1);
+                        // Nothing left behind that would have fitted.
+                        if let Some(&(_, next)) = model.front() {
+                            prop_assert!(series + next > max_batch);
+                        }
+                    }
+                    _ => {
+                        q.close();
+                        open = false;
+                    }
+                }
+                let queued: usize = model.iter().map(|&(_, n)| n).sum();
+                prop_assert_eq!(q.depth(), queued);
+            }
+        }
     }
 }

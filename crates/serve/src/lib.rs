@@ -2,10 +2,11 @@
 //!
 //! The serving story in one sentence: load a persisted model **once**
 //! (CRC-verified before the listener opens), share it immutably behind
-//! an `Arc` across a worker pool, and turn concurrent `/classify`
-//! requests into *micro-batches* so the per-series cost approaches
-//! offline [`predict_batch`](rpm_core::RpmClassifier::predict_batch)
-//! throughput instead of per-request latency.
+//! an `Arc` across a worker pool, and let a free worker take every
+//! request queued at that moment as one batch, so under load the
+//! per-series cost approaches offline
+//! [`predict_batch`](rpm_core::RpmClassifier::predict_batch) throughput
+//! while a lone request is predicted as soon as it arrives.
 //!
 //! Pipeline, per request:
 //!
@@ -13,7 +14,7 @@
 //! POST /classify (JSONL)
 //!   → parse            [proto]          400 on malformed lines
 //!   → bounded enqueue  [batch]          429 + Retry-After when full
-//!   → micro-batch pop  [worker pool]    flush on size or window
+//!   → batch pop        [worker pool]    what is queued, ≤ max_batch series
 //!   → predict_batch_with(refs, opts)    zero-copy borrow of request buffers;
 //!                                       opts attach kernel counters + drift
 //!   → JSONL response / 504 deadline / 500 fault
@@ -75,15 +76,17 @@ pub use supervise::SuperviseSettings;
 pub struct ServeConfig {
     /// Listen address; use port 0 to let the OS pick (tests do).
     pub addr: String,
-    /// Micro-batching worker threads popping the shared queue.
+    /// Batch worker threads popping the shared queue.
     pub workers: usize,
-    /// Flush a micro-batch at this many series.
+    /// Most series in one batch. A free worker takes the requests
+    /// already queued, in order, while they fit, and never waits for
+    /// more; a request larger than this goes out alone.
     pub max_batch: usize,
-    /// …or when this much time has passed since the batch opened.
-    pub batch_window: Duration,
     /// Queue bound in series; pushes beyond it shed with `429`.
     pub queue_depth: usize,
-    /// Per-request deadline, enqueue to reply.
+    /// Per-request deadline, from the start of the `/classify` handler
+    /// (before the body is parsed). A request still queued when it
+    /// passes is answered `504` without being predicted.
     pub deadline: Duration,
     /// Execution mode handed to `predict_batch_with` (as
     /// [`PredictOptions::parallelism`](rpm_core::PredictOptions)) per batch.
@@ -110,7 +113,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:9899".to_string(),
             workers: 2,
             max_batch: 32,
-            batch_window: Duration::from_millis(2),
             queue_depth: 1024,
             deadline: Duration::from_secs(2),
             parallelism: Parallelism::Serial,
@@ -186,8 +188,8 @@ pub fn load_verified_path(
     load_verified(&bytes, allow_unverified)
 }
 
-/// A running classify server: HTTP listener, supervised micro-batching
-/// worker pool, and the model lifecycle behind `/admin/reload` and
+/// A running classify server: HTTP listener, supervised batch worker
+/// pool, and the model lifecycle behind `/admin/reload` and
 /// `/admin/rollback`.
 pub struct Server {
     http: rpm_obs::MetricsServer,
@@ -251,7 +253,6 @@ impl Server {
             Arc::clone(&lifecycle),
             config.workers,
             config.max_batch,
-            config.batch_window,
             config.parallelism,
             config.supervise,
         );
@@ -485,7 +486,6 @@ fn classify(queue: &BatchQueue, m: &ServeMetrics, deadline: Duration, req: &Requ
     let (reply_tx, reply_rx) = channel();
     let pending = Pending {
         series,
-        enqueued: started,
         enqueued_ns: rpm_obs::now_ns(),
         deadline: started + deadline,
         trace: Arc::clone(&trace),

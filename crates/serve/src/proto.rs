@@ -36,9 +36,16 @@ pub struct SeriesRequest {
 }
 
 /// Parses a whole JSONL request body. Blank lines are skipped; an empty
-/// body (no series at all) is an error.
+/// body (no series at all) is an error. A body holding invalid UTF-8 is
+/// refused naming the first line that holds it.
 pub fn parse_body(body: &[u8]) -> Result<Vec<SeriesRequest>, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+    let text = std::str::from_utf8(body).map_err(|e| {
+        // `\n` never occurs inside a multi-byte sequence, so the
+        // newlines before the first invalid byte number its line.
+        let before = &body[..e.valid_up_to()];
+        let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+        format!("line {line}: not UTF-8")
+    })?;
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -374,6 +381,13 @@ mod tests {
         assert!(parse_body(b"\n\n").is_err());
         let e = parse_body(b"[1,2]\nnot json\n").unwrap_err();
         assert!(e.starts_with("line 2:"), "{e}");
+        // Invalid UTF-8 names its line too: a stray continuation byte, a
+        // truncated sequence at the end of a line, an overlong encoding.
+        for bad in [&b"[0x\x80]"[..], b"{\"id\":\"\xe2\x82\"}", b"[\xc0\xb1]"] {
+            let body = [&b"[1]\r\n\n"[..], bad, b"\n[2]\n"].concat();
+            let e = parse_body(&body).unwrap_err();
+            assert_eq!(e, "line 3: not UTF-8");
+        }
         assert!(parse_line("[1, 2,]").is_err());
         assert!(parse_line("[]").is_err(), "empty series");
         assert!(parse_line("[1] trailing").is_err());

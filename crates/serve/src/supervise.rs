@@ -85,7 +85,6 @@ struct WorkerContext {
     queue: Arc<BatchQueue>,
     lifecycle: Arc<Lifecycle>,
     max_batch: usize,
-    window: Duration,
     parallelism: Parallelism,
     exits: Sender<WorkerExit>,
 }
@@ -96,7 +95,6 @@ impl WorkerContext {
             queue: Arc::clone(&self.queue),
             lifecycle: Arc::clone(&self.lifecycle),
             max_batch: self.max_batch,
-            window: self.window,
             parallelism: self.parallelism,
             exits: self.exits.clone(),
         }
@@ -118,7 +116,6 @@ impl Supervisor {
         lifecycle: Arc<Lifecycle>,
         workers: usize,
         max_batch: usize,
-        window: Duration,
         parallelism: Parallelism,
         settings: SuperviseSettings,
     ) -> Self {
@@ -132,7 +129,6 @@ impl Supervisor {
                     lifecycle,
                     workers.max(1),
                     max_batch,
-                    window,
                     parallelism,
                     settings,
                     stop2,
@@ -162,13 +158,11 @@ impl Drop for Supervisor {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn supervise(
     queue: Arc<BatchQueue>,
     lifecycle: Arc<Lifecycle>,
     workers: usize,
     max_batch: usize,
-    window: Duration,
     parallelism: Parallelism,
     settings: SuperviseSettings,
     stop: Arc<AtomicBool>,
@@ -178,7 +172,6 @@ fn supervise(
         queue,
         lifecycle: Arc::clone(&lifecycle),
         max_batch,
-        window,
         parallelism,
         exits: exit_tx,
     };
@@ -297,13 +290,13 @@ fn spawn_worker(id: u64, ctx: WorkerContext) -> JoinHandle<()> {
         .expect("spawn worker thread")
 }
 
-/// The worker body: pop a micro-batch, pin the current model
+/// The worker body: pop a batch, pin the current model
 /// generation, process, repeat. Returns `true` when a batch panicked —
 /// the caught requests were already quarantined; the worker exits and
 /// the supervisor respawns a clean replacement (crash-only: no attempt
 /// to keep running on a stack that just unwound).
 fn worker_loop(ctx: &WorkerContext) -> bool {
-    while let Some(batch) = ctx.queue.pop_batch(ctx.max_batch, ctx.window) {
+    while let Some(batch) = ctx.queue.pop_batch(ctx.max_batch) {
         // Pin the generation for the whole batch: a swap mid-predict
         // does not retarget in-flight work, and the reply carries the
         // generation that actually served it.

@@ -12,8 +12,8 @@
 //!         [--metrics-linger SECS]          # keep serving after classify
 //! rpm-cli model verify <MODEL>             # checksum + structure check
 //! rpm-cli serve <MODEL> [--addr HOST:PORT] # HTTP/JSONL classify server
-//!         [--workers N] [--batch-max N]    # micro-batching worker pool
-//!         [--batch-window-ms MS]           # flush window per batch
+//!         [--workers N] [--batch-max N]    # batch workers; a free one takes
+//!                                          # what is queued, ≤N series
 //!         [--queue-depth N]                # series queued before 429
 //!         [--deadline-ms MS]               # per-request deadline (504)
 //!         [--threads N]                    # per-batch predict threads
@@ -27,6 +27,7 @@
 //!         [--reload-canary PSI]            # canary-gate divergence bound
 //!         [--probation-secs S]             # auto-rollback watch window
 //!         [--max-body-kb N]                # /classify body cap (413)
+//!                                          # any other flag is refused;
 //!                                          # SIGHUP hot-reloads the model
 //!                                          # file; SIGTERM/SIGINT drain
 //! rpm-cli serve reload <ADDR> [--model P]  # hot-reload a running server
@@ -261,6 +262,24 @@ fn cmd_model(args: &[String]) -> CliResult {
     }
 }
 
+/// Every flag `rpm-cli serve MODEL` takes.
+const SERVE_FLAGS: [&str; 14] = [
+    "--addr",
+    "--workers",
+    "--batch-max",
+    "--queue-depth",
+    "--deadline-ms",
+    "--threads",
+    "--allow-unverified",
+    "--duration-secs",
+    "--drift-warn",
+    "--drift-page",
+    "--drift-min-samples",
+    "--reload-canary",
+    "--probation-secs",
+    "--max-body-kb",
+];
+
 /// `rpm-cli serve MODEL …` — bring up the classify server. Verification
 /// is not optional: a model that fails its CRC check (or predates
 /// checksums, absent `--allow-unverified`) never reaches the listener.
@@ -271,6 +290,15 @@ fn cmd_serve(args: &[String]) -> CliResult {
         Ok("reload") => return cmd_serve_reload(&args[1..]),
         Ok("rollback") => return cmd_serve_rollback(&args[1..]),
         _ => {}
+    }
+    // Flags are looked up by name, so a misspelt or removed one would
+    // otherwise leave its setting at the default without a word.
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !SERVE_FLAGS.contains(&a.as_str()))
+    {
+        let known = SERVE_FLAGS.join(" ");
+        return Err(format!("unknown flag {flag} (known: {known})").into());
     }
     let model_path = positional(args, 0)?;
     let allow_unverified = flag_present(args, "--allow-unverified");
@@ -302,9 +330,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
         addr: flag_value(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:9899".to_string()),
         workers: parse_flag::<usize>(args, "--workers")?.unwrap_or(2),
         max_batch: parse_flag::<usize>(args, "--batch-max")?.unwrap_or(32),
-        batch_window: std::time::Duration::from_millis(
-            parse_flag::<u64>(args, "--batch-window-ms")?.unwrap_or(2),
-        ),
         queue_depth: parse_flag::<usize>(args, "--queue-depth")?.unwrap_or(1024),
         deadline: std::time::Duration::from_millis(
             parse_flag::<u64>(args, "--deadline-ms")?.unwrap_or(2000),
@@ -339,11 +364,10 @@ fn cmd_serve(args: &[String]) -> CliResult {
         rpm::serve::Server::start_verified(std::sync::Arc::new(model), &report, &config)?;
     eprintln!(
         "serving /classify, /metrics, /healthz, /admin/reload on {} \
-         ({} workers, batch ≤{} series / {}ms window)",
+         ({} workers, batch ≤{} series)",
         server.local_addr(),
         config.workers,
-        config.max_batch,
-        config.batch_window.as_millis()
+        config.max_batch
     );
 
     // The serve loop is signal-driven: SIGHUP hot-reloads the model

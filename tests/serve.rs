@@ -5,9 +5,10 @@
 //! `429`, refuse unverifiable (v1) models at startup, and survive an
 //! armed request-path fault without dying.
 //!
-//! The fault plan is process-global: the fault test arms it under an
-//! exclusive hold of [`GATE`], and every other test holds the gate
-//! shared, so none of their requests meets an armed fault.
+//! The fault plan and the serving histograms are process-global: a
+//! test that arms the plan or reads a histogram takes [`GATE`]
+//! exclusively, and every other test holds it shared, so none of their
+//! requests meets an armed fault or lands in another test's reading.
 
 use rpm::core::{RpmClassifier, RpmConfig};
 use rpm::data::generate;
@@ -17,8 +18,10 @@ use rpm::serve::{load_verified, LoadConfig, ServeConfig, ServeError, Server};
 use rpm::ts::Dataset;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::process::Command;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 static GATE: RwLock<()> = RwLock::new(());
 
@@ -27,7 +30,7 @@ fn shared() -> RwLockReadGuard<'static, ()> {
     GATE.read().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Held by the test that arms the process-global fault plan.
+/// Held by the tests that arm the fault plan or read a histogram.
 fn exclusive() -> RwLockWriteGuard<'static, ()> {
     GATE.write().unwrap_or_else(|e| e.into_inner())
 }
@@ -116,6 +119,44 @@ fn sampled_traceparent(tag: u32) -> (String, String) {
     (trace_hex, header)
 }
 
+/// Polls `ready` every millisecond; panics after ten seconds.
+fn wait_until(what: &str, ready: impl Fn() -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while !ready() {
+        assert!(Instant::now() < give_up, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Series queued on the server, as `/healthz` reports them.
+fn queue_depth(addr: std::net::SocketAddr) -> usize {
+    let health = get(addr, "/healthz");
+    health
+        .split("\"queue_depth\":")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no queue_depth in {health}"))
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .expect("numeric queue_depth")
+}
+
+/// Holds a one-worker server's worker for `ms` milliseconds, so that
+/// the requests sent next queue behind it: arms a `serve.batch` delay
+/// fault, which fires after the deadline gate and before predict, posts
+/// `body`, and returns once the worker sleeps in the fault. The caller
+/// holds [`exclusive`], clears the plan and joins the returned post.
+fn hold_the_worker(addr: std::net::SocketAddr, body: String, ms: u64) -> JoinHandle<String> {
+    let spec = format!("serve.batch:delay{ms}");
+    rpm::obs::fault::install(rpm::obs::fault::parse(&spec).expect("spec"));
+    let holder = std::thread::spawn(move || post(addr, &body));
+    wait_until("the worker to take the holding request", || {
+        rpm::obs::fault::injected_total() == 1
+    });
+    holder
+}
+
 fn label_of(response: &str) -> usize {
     assert!(response.starts_with("HTTP/1.0 200"), "{response}");
     let tail = response
@@ -196,11 +237,9 @@ fn expired_deadlines_answer_the_documented_504_code() {
     let _g = shared();
     let (model, test) = trained();
     let config = ServeConfig {
+        // A zero deadline has passed by the time a worker's gate checks
+        // it.
         deadline: Duration::from_millis(0),
-        // A wide window holds the batch open past the (zero) deadline,
-        // so the worker-side gate is what answers.
-        batch_window: Duration::from_millis(150),
-        max_batch: 10_000,
         ..test_config()
     };
     let mut server = Server::start(Arc::clone(&model), &config).expect("start");
@@ -215,12 +254,11 @@ fn overload_sheds_with_429_and_retry_after() {
     let _g = shared();
     let (model, test) = trained();
     let config = ServeConfig {
-        // One worker holding batches open, a one-series queue: the
-        // second concurrent request must shed.
+        // One worker taking one series at a time, a one-series queue:
+        // of eight concurrent requests, some must shed.
         workers: 1,
         queue_depth: 1,
         max_batch: 1,
-        batch_window: Duration::from_millis(200),
         ..test_config()
     };
     let mut server = Server::start(Arc::clone(&model), &config).expect("start");
@@ -361,22 +399,31 @@ fn trace_dur(trace_line: &str) -> u64 {
 
 #[test]
 fn deadline_miss_leaves_a_retained_trace_with_queue_wait() {
-    let _g = shared();
+    let _g = exclusive();
     let (model, test) = trained();
     let config = ServeConfig {
-        // deadline < batch_window < deadline + 50ms handler grace: the
-        // worker-side deadline gate answers (pushing the queue_wait
-        // span first) before the handler's own timeout gives up.
+        workers: 1,
         deadline: Duration::from_millis(150),
-        batch_window: Duration::from_millis(160),
-        max_batch: 10_000,
         ..test_config()
     };
     let mut server = Server::start(Arc::clone(&model), &config).expect("start");
     let addr = server.local_addr();
     let (trace_hex, traceparent) = sampled_traceparent(0x5104);
+    let body = jsonl_body(&test.series[0]);
 
-    let response = post_traced(addr, &jsonl_body(&test.series[0]), &traceparent);
+    // The worker is held for deadline + 40 ms, so the traced request's
+    // deadline passes while it queues. The worker's gate then answers
+    // (pushing the queue_wait span first) before the handler's own
+    // timeout (deadline + 50 ms grace) gives up, as long as the request
+    // arrived within 40 ms of the hold.
+    let holder = hold_the_worker(addr, body.clone(), 190);
+    let response = std::thread::scope(|scope| {
+        let traced = scope.spawn(|| post_traced(addr, &body, &traceparent));
+        wait_until("the traced request to queue", || queue_depth(addr) == 1);
+        rpm::obs::fault::clear();
+        traced.join().unwrap()
+    });
+    holder.join().unwrap();
     assert!(response.starts_with("HTTP/1.0 504"), "{response}");
     // The inbound trace identity comes back on the failure response.
     assert_eq!(
@@ -406,7 +453,8 @@ fn deadline_miss_leaves_a_retained_trace_with_queue_wait() {
         span_dur(line, "predict").is_none(),
         "an expired request must not reach predict: {line}"
     );
-    // The wall-time filter sees the ~160ms the request spent queued.
+    // The wall-time filter sees the ~150-190 ms the request spent
+    // queued.
     assert!(get(addr, "/debug/traces?min_ms=100").contains(&trace_hex));
     assert!(!get(addr, "/debug/traces?min_ms=60000").contains(&trace_hex));
     server.shutdown();
@@ -442,19 +490,18 @@ fn bad_requests_still_carry_trace_identity() {
 
 #[test]
 fn concurrent_traces_share_a_batch_and_exemplars_resolve() {
-    let _g = shared();
+    let _g = exclusive();
     let (model, test) = trained();
     let config = ServeConfig {
-        // One worker and a wide window force the concurrent requests
-        // into a single micro-batch.
         workers: 1,
-        max_batch: 10_000,
-        batch_window: Duration::from_millis(300),
         ..test_config()
     };
     let mut server = Server::start(Arc::clone(&model), &config).expect("start");
     let addr = server.local_addr();
 
+    // The only worker is held while the four concurrent requests queue
+    // behind it; once free, it takes all four into one batch.
+    let holder = hold_the_worker(addr, jsonl_body(&test.series[4]), 500);
     let parents: Vec<(String, String)> = (0..4).map(|i| sampled_traceparent(0xba7c + i)).collect();
     let responses: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = parents
@@ -465,8 +512,11 @@ fn concurrent_traces_share_a_batch_and_exemplars_resolve() {
                 scope.spawn(move || post_traced(addr, &body, header))
             })
             .collect();
+        wait_until("four queued requests", || queue_depth(addr) == 4);
+        rpm::obs::fault::clear();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
+    holder.join().unwrap();
     for (response, (trace_hex, _)) in responses.iter().zip(&parents) {
         assert!(response.starts_with("HTTP/1.0 200"), "{response}");
         assert_eq!(
@@ -515,9 +565,9 @@ fn concurrent_traces_share_a_batch_and_exemplars_resolve() {
         .iter()
         .filter(|(hex, _)| lines[0].contains(hex.as_str()))
         .count();
-    assert!(
-        siblings_linked >= 2,
-        "batch span should link >=2 sibling traces, linked {siblings_linked}: {}",
+    assert_eq!(
+        siblings_linked, 3,
+        "batch span should link the 3 sibling traces: {}",
         lines[0]
     );
 
@@ -563,4 +613,107 @@ fn loadgen_reports_against_a_live_server() {
     assert!(report.ok > 0, "{report:?}");
     assert!(report.p99_ms >= report.p50_ms, "{report:?}");
     server.shutdown();
+}
+
+/// `serve.queue_wait_ns` observes the interval the `queue_wait` span
+/// records, from enqueue (after the body is parsed) to the batch start:
+/// one multi-series request adds exactly its span's duration to the
+/// histogram's sum, however long its body took to parse.
+#[test]
+fn queue_wait_histogram_observes_the_span_interval() {
+    let _g = exclusive();
+    let (model, test) = trained();
+    let mut server = Server::start(Arc::clone(&model), &test_config()).expect("start");
+    let addr = server.local_addr();
+    let (trace_hex, traceparent) = sampled_traceparent(0x9a17);
+    let body: String = test.series.iter().map(|s| jsonl_body(s)).collect();
+
+    let before = rpm::obs::metrics().serve_queue_wait.snapshot();
+    let response = post_traced(addr, &body, &traceparent);
+    assert!(response.starts_with("HTTP/1.0 200"), "{response}");
+    let after = rpm::obs::metrics().serve_queue_wait.snapshot();
+
+    assert_eq!(after.count - before.count, 1, "one observation per request");
+    let traces = get(addr, "/debug/traces");
+    let line = traces
+        .lines()
+        .find(|l| l.contains(&trace_hex))
+        .unwrap_or_else(|| panic!("no retained trace for {trace_hex} in:\n{traces}"));
+    let span = span_dur(line, "queue_wait").expect("queue_wait span");
+    assert_eq!(after.sum - before.sum, span, "{line}");
+    server.shutdown();
+}
+
+/// `rpm-cli serve` refuses a flag it does not take (here the removed
+/// `--batch-window-ms`), naming it, before it loads the model; every
+/// flag it does take still starts a server.
+#[test]
+fn rpm_cli_serve_refuses_unknown_flags() {
+    let dir = std::env::temp_dir().join(format!("rpm-serve-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model_path = dir.join("model.rpm");
+    let (model, _) = trained();
+    model
+        .save(std::fs::File::create(&model_path).unwrap())
+        .unwrap();
+    let serve = |model: &std::path::Path, flags: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_rpm-cli"))
+            .arg("serve")
+            .arg(model)
+            .args(flags)
+            .env_remove("RPM_LOG")
+            .output()
+            .expect("spawn rpm-cli")
+    };
+
+    // The model path does not exist: the flag is refused first.
+    let missing = dir.join("missing.rpm");
+    for flag in ["--batch-window-ms", "--worker"] {
+        let out = serve(&missing, &[flag, "2", "--duration-secs", "1"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} accepted: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: unknown flag {flag} ")),
+            "{stderr}"
+        );
+    }
+
+    let out = serve(
+        &model_path,
+        &[
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "1",
+            "--batch-max",
+            "8",
+            "--queue-depth",
+            "64",
+            "--deadline-ms",
+            "500",
+            "--threads",
+            "1",
+            "--allow-unverified",
+            "--duration-secs",
+            "0",
+            "--drift-warn",
+            "0.2",
+            "--drift-page",
+            "0.5",
+            "--drift-min-samples",
+            "10",
+            "--reload-canary",
+            "0.5",
+            "--probation-secs",
+            "0",
+            "--max-body-kb",
+            "64",
+        ],
+    );
+    assert!(
+        out.status.success(),
+        "documented flags refused: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
