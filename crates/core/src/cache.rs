@@ -7,11 +7,16 @@
 //! the serial pipeline recomputes most, each in one family:
 //!
 //! * **PAA frames** — the alphabet-independent half of discretization,
-//!   keyed by `(set, class, window, paa)`. Grid/DIRECT neighbours that
-//!   differ only in alphabet size re-derive their words from the same
-//!   frames instead of re-running z-normalize + PAA over every window.
-//!   Words themselves are not memoized: the full `SaxConfig` that keys
-//!   them is scored once per `train` call, so they could never hit.
+//!   keyed by `(series, window, paa)`. A frame is a pure function of one
+//!   series' values, so the full training set, every validation split and
+//!   the final fit share the frames of the series they have in common,
+//!   and grid/DIRECT neighbours that differ only in alphabet size
+//!   re-derive their words from the same frames. A series is identified
+//!   by content: each distinct series is interned to an id the first time
+//!   it is seen, and a fingerprint match is confirmed bit for bit before
+//!   the id is reused. Words themselves are not memoized: the full
+//!   `SaxConfig` that keys them is scored once per `train` call, so they
+//!   could never hit.
 //! * **Combination scores** — the cross-validated objective of one
 //!   [`SaxConfig`] (Algorithm 3's inner loop). Per-class DIRECT runs
 //!   probe heavily overlapping point sets; each distinct combination is
@@ -31,14 +36,14 @@
 
 use crate::engine::Engine;
 use rpm_obs::CacheFamilyMetrics;
-use rpm_sax::{paa_frames, PaaFrame, SaxConfig};
+use rpm_sax::{paa_frames, PaaFrames, SaxConfig};
 use rpm_ts::Label;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Identifies which series collection a cached artifact was computed
+/// Identifies which series collection a transform column was computed
 /// from. Validation subsets are fully determined by the split seed (the
 /// stratified shuffle is deterministic), so the seed *is* the identity —
 /// every parameter combination probing the same split shares entries.
@@ -87,7 +92,8 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-type FramesKey = (SetId, Label, usize, usize);
+/// `(series id, window, paa)`; see [`SeriesInterner`].
+type FramesKey = (usize, usize, usize);
 pub(crate) type EvalValue = Option<(BTreeMap<Label, f64>, f64)>;
 type ColumnKey = (SetId, u64);
 
@@ -152,11 +158,37 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     }
 }
 
+/// Gives each distinct series (by exact bits) a dense id. A fingerprint
+/// picks the candidates and bit equality confirms the match, so two
+/// different series never share an id, whatever their fingerprints.
+#[derive(Debug, Default)]
+struct SeriesInterner {
+    by_fingerprint: HashMap<u64, Vec<usize>>,
+    series: Vec<Box<[f64]>>,
+}
+
+impl SeriesInterner {
+    fn id(&mut self, series: &[f64]) -> usize {
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        let ids = self.by_fingerprint.entry(fingerprint(series)).or_default();
+        if let Some(&id) = ids.iter().find(|&&id| same(&self.series[id], series)) {
+            return id;
+        }
+        let id = self.series.len();
+        self.series.push(series.into());
+        ids.push(id);
+        id
+    }
+}
+
 /// The per-training-run memoization cache. Construct one per
 /// `RpmClassifier::train` call.
 #[derive(Debug)]
 pub struct SaxCache {
-    frames: Memo<FramesKey, Arc<Vec<Vec<PaaFrame>>>>,
+    series: Mutex<SeriesInterner>,
+    frames: Memo<FramesKey, Arc<PaaFrames>>,
     evals: Memo<SaxConfig, EvalValue>,
     columns: Memo<ColumnKey, Arc<Vec<f64>>>,
 }
@@ -164,6 +196,7 @@ pub struct SaxCache {
 impl Default for SaxCache {
     fn default() -> Self {
         Self {
+            series: Mutex::default(),
             frames: Memo::new(&rpm_obs::metrics().cache_frames),
             evals: Memo::new(&rpm_obs::metrics().cache_evals),
             columns: Memo::new(&rpm_obs::metrics().cache_columns),
@@ -185,25 +218,19 @@ impl SaxCache {
         }
     }
 
-    /// PAA frames of every member of `(set, class)` under
-    /// `(window, paa)` — the alphabet-independent discretization stage.
-    pub fn frames(
-        &self,
-        set: SetId,
-        class: Label,
-        window: usize,
-        paa_size: usize,
-        members: &[&[f64]],
-    ) -> Arc<Vec<Vec<PaaFrame>>> {
-        self.frames
-            .get_or_insert_with((set, class, window, paa_size), || {
-                Arc::new(
-                    members
-                        .iter()
-                        .map(|s| paa_frames(s, window, paa_size))
-                        .collect(),
-                )
-            })
+    /// PAA frames of `series` under `(window, paa)` — the
+    /// alphabet-independent discretization stage. One lookup per call.
+    pub fn frames(&self, series: &[f64], window: usize, paa_size: usize) -> Arc<PaaFrames> {
+        // A panicking worker cannot leave the interner half-updated: its
+        // only mutations are whole pushes.
+        let id = self
+            .series
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .id(series);
+        self.frames.get_or_insert_with((id, window, paa_size), || {
+            Arc::new(paa_frames(series, window, paa_size))
+        })
     }
 
     /// Seeds the evaluation map with an already-known combination score
@@ -242,7 +269,7 @@ impl SaxCache {
     }
 }
 
-/// FNV-1a over the pattern's length and exact f64 bit patterns. Patterns
+/// FNV-1a over a slice's length and exact f64 bit patterns. Patterns
 /// are identical-by-construction when reused (clones of the same
 /// candidate values), so bit equality is the right notion.
 fn fingerprint(pattern: &[f64]) -> u64 {
@@ -332,26 +359,37 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_configs_and_sets_do_not_collide() {
-        let a = series(3, 64);
-        let b = series(5, 64);
-        let ma: Vec<&[f64]> = a.iter().map(Vec::as_slice).collect();
-        let mb: Vec<&[f64]> = b.iter().map(Vec::as_slice).collect();
+    fn interleaved_configs_and_series_do_not_collide() {
+        // Two overlapping collections (a full set and a split) share two
+        // series; a third series differs from one of them in a single bit.
+        let base = series(5, 64);
+        let mut flipped = base[0].clone();
+        flipped[10] = f64::from_bits(flipped[10].to_bits() ^ 1);
+        let full: Vec<&[f64]> = base.iter().map(Vec::as_slice).collect();
+        let split: Vec<&[f64]> = vec![&base[1], &base[3], &flipped];
         let cache = SaxCache::default();
-        // Interleave two (window, paa) keys across two sets; every answer
-        // must match a fresh computation regardless of what is cached.
+        // Interleave two (window, paa) keys across both collections; every
+        // answer must match a fresh computation regardless of what is
+        // cached.
         for _ in 0..2 {
-            for (set, members) in [(SetId::FullTrain, &ma), (SetId::Split(42), &mb)] {
+            for members in [&full, &split] {
                 for (window, paa) in [(16, 4), (24, 6)] {
-                    let got = cache.frames(set, 0, window, paa, members);
-                    let fresh: Vec<_> =
-                        members.iter().map(|s| paa_frames(s, window, paa)).collect();
-                    assert_eq!(*got, fresh, "{set:?} {window} {paa}");
+                    for s in members.iter() {
+                        let got = cache.frames(s, window, paa);
+                        assert_eq!(*got, paa_frames(s, window, paa), "{window} {paa}");
+                    }
                 }
             }
         }
-        // First sweep: 4 distinct keys, all misses. Second sweep: 4 hits.
-        assert_eq!(cache.stats(), CacheStats { hits: 4, misses: 4 });
+        // 6 distinct series (5 + the flipped one) × 2 configs = 12 misses;
+        // the other 2 × 2 × 8 − 12 = 20 lookups hit.
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 20,
+                misses: 12
+            }
+        );
     }
 
     #[test]
@@ -403,16 +441,18 @@ mod tests {
     #[test]
     fn concurrent_lookups_agree() {
         let data = series(6, 96);
-        let members: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
         let cache = SaxCache::default();
-        let reference = cache.frames(SetId::FullTrain, 0, 16, 4, &members);
+        let reference: Vec<_> = data.iter().map(|s| paa_frames(s, 16, 4)).collect();
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    let got = cache.frames(SetId::FullTrain, 0, 16, 4, &members);
-                    assert_eq!(got, reference);
+                    for (s, want) in data.iter().zip(&reference) {
+                        assert_eq!(*cache.frames(s, 16, 4), *want);
+                    }
                 });
             }
         });
+        // Every lookup counts once, whoever computed first.
+        assert_eq!(cache.stats().lookups(), 8 * 6);
     }
 }

@@ -76,9 +76,10 @@ pub fn find_candidates_for_class(
 }
 
 /// [`find_candidates_for_class`] inside a training run: PAA frames come
-/// from the run's cache (keyed by the context's set identity), so
-/// parameter-search neighbours sharing a `(window, paa)` never re-pay
-/// the z-normalize + PAA pass; only the cheap symbol lookup reruns.
+/// from the run's cache (keyed by series), so every parameter-search
+/// neighbour sharing a `(window, paa)` and every validation split
+/// sharing a series never re-pay its frames; only the cheap symbol
+/// lookup reruns.
 pub(crate) fn find_candidates_for_class_ctx(
     members: &[&[f64]],
     class: Label,
@@ -87,19 +88,15 @@ pub(crate) fn find_candidates_for_class_ctx(
     ctx: &Ctx<'_>,
 ) -> CandidateSet {
     // Runs on an engine worker when classes fan out, so this span roots
-    // its own per-thread stage ("mine_class") in the run report.
+    // its own per-thread stage ("mine_class") in the run report. Its
+    // three children ("sax", "grammar", "cluster") open once per call.
     let _span = rpm_obs::span!("mine_class");
     let mut out = CandidateSet::default();
-    if members.is_empty() {
-        return out;
-    }
 
     // --- Discretize each member separately; windows therefore never cross
     //     junctions, and sentinels below keep the grammar from joining
     //     words across them.
-    let frames = ctx
-        .cache
-        .frames(ctx.set, class, sax.window, sax.paa_size, members);
+    let sax_span = rpm_obs::span!("sax");
     let mut interner: HashMap<SaxWord, Token> = HashMap::new();
     let mut tokens: Vec<Token> = Vec::new();
     // origin[i] = Some((instance, window offset)) for word tokens.
@@ -107,8 +104,9 @@ pub(crate) fn find_candidates_for_class_ctx(
     let mut next_token: Token = 0;
     let mut sentinel_base: Token = Token::MAX;
 
-    for (inst, member) in frames.iter().enumerate() {
-        for w in words_from_frames(member, sax.alphabet, config.numerosity_reduction) {
+    for (inst, member) in members.iter().enumerate() {
+        let frames = ctx.cache.frames(member, sax.window, sax.paa_size);
+        for w in words_from_frames(&frames, sax.alphabet, config.numerosity_reduction) {
             let t = *interner.entry(w.word).or_insert_with(|| {
                 let t = next_token;
                 next_token += 1;
@@ -125,11 +123,10 @@ pub(crate) fn find_candidates_for_class_ctx(
             sentinel_base -= 1;
         }
     }
-    if tokens.is_empty() {
-        return out;
-    }
+    drop(sax_span);
 
     // --- Grammar induction over the junction-guarded stream.
+    let grammar_span = rpm_obs::span!("grammar");
     let grammar = match config.grammar {
         GrammarAlgorithm::Sequitur => {
             let mut seq = Sequitur::new();
@@ -140,8 +137,14 @@ pub(crate) fn find_candidates_for_class_ctx(
         }
         GrammarAlgorithm::RePair => infer_repair(&tokens),
     };
+    drop(grammar_span);
 
+    let _cluster_span = rpm_obs::span!("cluster");
     let min_coverage = ((config.gamma * members.len() as f64).ceil() as usize).max(2);
+    let mut rules_clustered = 0u64;
+    // covered[i] == rule number when instance i holds an occurrence of
+    // that rule (a stamp, so the vector is never cleared).
+    let mut covered: Vec<usize> = vec![usize::MAX; members.len()];
 
     for (_, rule) in grammar.repeated_rules() {
         out.rules_inspected += 1;
@@ -181,6 +184,21 @@ pub(crate) fn find_candidates_for_class_ctx(
                 .map(|i| occs[(i as f64 * step) as usize])
                 .collect();
         }
+        // Bisection partitions the occurrences, so no cluster covers more
+        // instances than the rule does: a rule below γ adds no candidate
+        // and no τ-pool distance, and its plans and matrix are skipped.
+        let stamp = out.rules_inspected;
+        let mut instances = 0;
+        for o in &occs {
+            if covered[o.instance] != stamp {
+                covered[o.instance] = stamp;
+                instances += 1;
+            }
+        }
+        if instances < min_coverage {
+            continue;
+        }
+        rules_clustered += 1;
 
         // Materialize the subsequences once, and a match plan per
         // subsequence: refinement, the τ pool, and medoid selection all
@@ -239,6 +257,7 @@ pub(crate) fn find_candidates_for_class_ctx(
     }
     let m = rpm_obs::metrics();
     m.mine_rules.add(out.rules_inspected as u64);
+    m.mine_rules_clustered.add(rules_clustered);
     m.mine_candidates.add(out.candidates.len() as u64);
     out
 }

@@ -165,7 +165,8 @@ fn evaluate_combination_uncached(
             sub_train.classes().iter().map(|&c| (c, *sax)).collect();
         // Avoid nested parameter search: train with these explicit
         // configs. The fold context is keyed by the split's identity so
-        // cached artifacts never leak across different subsets.
+        // cached transform columns never leak across different subsets
+        // (frames are keyed by series, so the split shares them).
         let fold_ctx = ctx.serial().with_set(SetId::Split(split_seed));
         let model = match RpmClassifier::train_with_configs_ctx(
             &sub_train,

@@ -364,6 +364,10 @@ metric_table! {
         params_eval: Histogram = "params.eval_ns",
         /// Grammar rules inspected by Algorithm 1.
         mine_rules: Counter = "mine.rules",
+        /// Grammar rules that reach clustering: their occurrences cover at
+        /// least γ of the class. `mine.rules − mine.rules_clustered` rules
+        /// were skipped, since no cluster of theirs could pass γ.
+        mine_rules_clustered: Counter = "mine.rules_clustered",
         /// Candidates surviving the γ filter.
         mine_candidates: Counter = "mine.candidates",
         /// Candidates entering Algorithm 2.

@@ -1,8 +1,10 @@
 //! Subsequence and sliding-window discretization (§3.2.1).
 
-use crate::breakpoints::breakpoints;
+use crate::breakpoints::{breakpoints, MAX_ALPHABET, MIN_ALPHABET};
 use crate::word::SaxWord;
-use rpm_ts::{paa, znorm};
+use rpm_ts::stats::VAR_REL_ERR;
+use rpm_ts::{paa, znorm, znorm_into, CompensatedSum, RollingStats, ZNORM_EPSILON};
+use std::sync::OnceLock;
 
 /// The three SAX granularity parameters the paper optimizes per class
 /// (Algorithm 3): sliding window length, PAA size, alphabet size.
@@ -73,15 +75,211 @@ pub fn sax_word(subsequence: &[f64], cfg: &SaxConfig) -> SaxWord {
 ///
 /// Returns words in offset order. A series shorter than the window yields
 /// an empty vector — the caller (parameter search) treats that as an
-/// infeasible configuration.
+/// infeasible configuration. Word `i` (before numerosity reduction) equals
+/// [`sax_word`] of the window at offset `i`.
 pub fn discretize(series: &[f64], cfg: &SaxConfig, numerosity_reduction: bool) -> Vec<SaxWordAt> {
-    let cuts = breakpoints(cfg.alphabet);
+    words_from_frames(
+        &paa_frames(series, cfg.window, cfg.paa_size),
+        cfg.alphabet,
+        numerosity_reduction,
+    )
+}
+
+/// The alphabet-independent half of discretization for one series: the
+/// PAA values of every z-normalized sliding window, stored flat (window
+/// `i` starts at offset `i`). Parameter-search grids vary the alphabet
+/// far more cheaply than the window/PAA pair, so `rpm-core` memoizes
+/// these frames per `(series, window, paa)` and derives words for every
+/// alphabet from the same frames (see `rpm_core::cache`).
+///
+/// Frames are *symbol-equivalent* to the two-pass z-normalize + PAA of
+/// each window, not bit-equal: under every alphabet from
+/// [`MIN_ALPHABET`] to [`MAX_ALPHABET`], each value falls in the same
+/// bin as the two-pass value (see [`paa_frames`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct PaaFrames {
+    /// PAA segments per window: the PAA size, clamped to the window.
+    width: usize,
+    values: Vec<f64>,
+}
+
+impl PaaFrames {
+    /// Number of windows (`series.len() - window + 1`, or 0).
+    pub fn count(&self) -> usize {
+        self.values.len() / self.width
+    }
+
+    /// The PAA values of the window starting at `offset`.
+    ///
+    /// # Panics
+    /// Panics when `offset >= self.count()`.
+    pub fn frame(&self, offset: usize) -> &[f64] {
+        &self.values[offset * self.width..(offset + 1) * self.width]
+    }
+
+    /// Every window's PAA values, in offset order.
+    pub fn iter(&self) -> impl Iterator<Item = &[f64]> + '_ {
+        self.values.chunks_exact(self.width)
+    }
+}
+
+/// Unit roundoff of `f64`.
+const U: f64 = f64::EPSILON / 2.0;
+
+/// A window whose rounding margin exceeds this is recomputed the
+/// two-pass way outright: near-constant windows of a wide-ranging series
+/// would otherwise fail the breakpoint test value by value.
+const LOOSEST_MARGIN: f64 = 1e-6;
+
+/// Every distinct breakpoint of every supported alphabet, ascending.
+fn all_cuts() -> &'static [f64] {
+    static CUTS: OnceLock<Vec<f64>> = OnceLock::new();
+    CUTS.get_or_init(|| {
+        let mut cuts: Vec<f64> = (MIN_ALPHABET..=MAX_ALPHABET)
+            .flat_map(breakpoints)
+            .collect();
+        cuts.sort_by(f64::total_cmp);
+        cuts.dedup();
+        cuts
+    })
+}
+
+/// True when `v` is finite and no breakpoint of any alphabet lies
+/// within `margin` of it, boundary included (a value equal to a cut goes
+/// to the upper bin, so a cut at distance exactly `margin` could still
+/// separate `v` from a value `margin` away).
+fn clear_of_cuts(v: f64, margin: f64) -> bool {
+    let cuts = all_cuts();
+    let first = cuts.partition_point(|&c| c < v - margin);
+    v.is_finite() && (first == cuts.len() || cuts[first] > v + margin)
+}
+
+/// Where one PAA segment reads its points, relative to the window start:
+/// the points it covers whole, and the partly covered points at either
+/// end with their weights (the fractional scheme of [`rpm_ts::paa()`]).
+struct Segment {
+    full: std::ops::Range<usize>,
+    head: Option<(usize, f64)>,
+    tail: Option<(usize, f64)>,
+}
+
+/// The `width` segments of a length-`n` window. Segment `s` spans
+/// `[s·n/width, (s+1)·n/width)` in point units; integer arithmetic puts
+/// its ends exactly.
+fn segments(n: usize, width: usize) -> Vec<Segment> {
+    (0..width)
+        .map(|s| {
+            let (a, ra) = (s * n / width, s * n % width);
+            let (b, rb) = ((s + 1) * n / width, (s + 1) * n % width);
+            let w = width as f64;
+            Segment {
+                full: a + usize::from(ra > 0)..b,
+                head: (ra > 0).then(|| (a, (width - ra) as f64 / w)),
+                tail: (rb > 0).then(|| (b, rb as f64 / w)),
+            }
+        })
+        .collect()
+}
+
+/// Computes the [`PaaFrames`] of every sliding window of `series`: the
+/// z-normalize + PAA stage of [`discretize`], with symbolization and
+/// numerosity reduction deferred to [`words_from_frames`]. A window costs
+/// O(paa), not O(window).
+///
+/// Z-normalization is affine, so PAA segment `s` of a z-normalized
+/// window is `(m_s − μ)/σ`, with `m_s` the segment's (weighted) mean.
+/// `μ` and `σ` come from [`RollingStats`]; segment means come from
+/// compensated prefix sums of its centred series. Each value carries an
+/// explicit rounding margin that bounds its distance from the two-pass
+/// value (DESIGN.md, "Candidate mining"). A window is recomputed the
+/// two-pass way (`znorm_into` + `paa`) when a value lies within its
+/// margin of any breakpoint of any alphabet, when `σ` lies within its
+/// error of [`ZNORM_EPSILON`], or when the margin exceeds
+/// `LOOSEST_MARGIN`. Every other window yields the two-pass symbols
+/// under every alphabet.
+///
+/// # Panics
+/// Panics when `paa_size == 0`.
+pub fn paa_frames(series: &[f64], window: usize, paa_size: usize) -> PaaFrames {
+    assert!(paa_size > 0, "PAA segment count must be positive");
+    let width = paa_size.min(window).max(1);
+    let Some(stats) = RollingStats::new(series, window) else {
+        return PaaFrames {
+            width,
+            values: Vec::new(),
+        };
+    };
+    let centered = stats.centered();
+    let mut prefix = Vec::with_capacity(centered.len() + 1);
+    let mut acc = CompensatedSum::new();
+    prefix.push(0.0);
+    for &v in centered {
+        acc.add(v);
+        prefix.push(acc.value());
+    }
+    let max_abs = |x: &[f64]| x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let n = window as f64;
+    let scale = width as f64 / n;
+    // Absolute error scales (DESIGN.md derives each): `spread` bounds the
+    // window mean, σ and the centring; `seg` a segment mean read off the
+    // prefix sums; `fixed` the two-pass PAA sums; `rel` σ's relative error.
+    let spread = 16.0 * U * (2.0 * max_abs(centered) + stats.shift().abs());
+    let seg = 16.0 * U * max_abs(&prefix) * scale;
+    let fixed = 32.0 * U * n * n.sqrt();
+    let rel = VAR_REL_ERR + 16.0 * U;
+
+    let segments = segments(window, width);
+    let mut values = vec![0.0; stats.count() * width];
+    let mut zbuf = vec![0.0; window];
+    for (p, frame) in values.chunks_exact_mut(width).enumerate() {
+        let sigma = stats.std(p);
+        let sigma_err = 2.0 * (sigma * rel + spread);
+        if sigma < ZNORM_EPSILON - sigma_err {
+            // Z-normalizes to all zeros (the σ = 0 convention of
+            // `rpm_ts::norm`); the frame already holds them.
+            continue;
+        }
+        let base = 2.0 * ((seg + spread) / sigma + fixed);
+        if sigma > ZNORM_EPSILON + sigma_err && base <= LOOSEST_MARGIN {
+            let mu = stats.mean_centered(p);
+            let x = &centered[p..p + window];
+            let fast = frame.iter_mut().zip(&segments).all(|(out, s)| {
+                let mut sum = prefix[p + s.full.end] - prefix[p + s.full.start];
+                if let Some((i, w)) = s.head {
+                    sum += w * x[i];
+                }
+                if let Some((i, w)) = s.tail {
+                    sum += w * x[i];
+                }
+                *out = (sum * scale - mu) / sigma;
+                clear_of_cuts(*out, base * (1.0 + out.abs()) + 2.0 * rel * out.abs())
+            });
+            if fast {
+                continue;
+            }
+        }
+        znorm_into(&series[p..p + window], &mut zbuf);
+        frame.copy_from_slice(&paa(&zbuf, width));
+    }
+    PaaFrames { width, values }
+}
+
+/// Completes discretization from precomputed frames: symbolize each frame
+/// with the `alphabet` breakpoints and optionally apply numerosity
+/// reduction. `words_from_frames(&paa_frames(s, w, p), a, nr)` is
+/// [`discretize`]`(s, &SaxConfig::new(w, p, a), nr)`.
+///
+/// # Panics
+/// Panics when `alphabet` is outside the supported range.
+pub fn words_from_frames(
+    frames: &PaaFrames,
+    alphabet: usize,
+    numerosity_reduction: bool,
+) -> Vec<SaxWordAt> {
+    let cuts = breakpoints(alphabet);
     let mut out: Vec<SaxWordAt> = Vec::new();
-    let mut zbuf = vec![0.0; cfg.window];
-    for (offset, w) in rpm_ts::sliding_windows(series, cfg.window) {
-        rpm_ts::znorm_into(w, &mut zbuf);
-        let p = paa(&zbuf, cfg.paa_size);
-        let word = symbolize(&p, &cuts);
+    for (offset, frame) in frames.iter().enumerate() {
+        let word = symbolize(frame, &cuts);
         if numerosity_reduction {
             if let Some(last) = out.last() {
                 if last.word == word {
@@ -90,63 +288,6 @@ pub fn discretize(series: &[f64], cfg: &SaxConfig, numerosity_reduction: bool) -
             }
         }
         out.push(SaxWordAt { offset, word });
-    }
-    out
-}
-
-/// The alphabet-independent half of discretization: a z-normalized,
-/// PAA-reduced sliding window. Parameter-search grids vary the alphabet
-/// far more cheaply than the window/PAA pair, so `rpm-core` memoizes
-/// these frames per `(window, paa)` and derives words for every alphabet
-/// from the same frames (see `rpm_core::cache`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct PaaFrame {
-    /// Start offset of the window in the source series.
-    pub offset: usize,
-    /// PAA segment means of the z-normalized window.
-    pub paa: Vec<f64>,
-}
-
-/// Computes the [`PaaFrame`]s of every sliding window: exactly the
-/// z-normalize + PAA stage of [`discretize`], with symbolization and
-/// numerosity reduction deferred to [`words_from_frames`].
-pub fn paa_frames(series: &[f64], window: usize, paa_size: usize) -> Vec<PaaFrame> {
-    let mut out = Vec::new();
-    let mut zbuf = vec![0.0; window];
-    for (offset, w) in rpm_ts::sliding_windows(series, window) {
-        rpm_ts::znorm_into(w, &mut zbuf);
-        out.push(PaaFrame {
-            offset,
-            paa: paa(&zbuf, paa_size),
-        });
-    }
-    out
-}
-
-/// Completes discretization from precomputed frames: symbolize each frame
-/// with the `alphabet` breakpoints and optionally apply numerosity
-/// reduction. `words_from_frames(paa_frames(s, w, p), a, nr)` is
-/// guaranteed to equal `discretize(s, &SaxConfig::new(w, p, a), nr)`.
-pub fn words_from_frames(
-    frames: &[PaaFrame],
-    alphabet: usize,
-    numerosity_reduction: bool,
-) -> Vec<SaxWordAt> {
-    let cuts = breakpoints(alphabet);
-    let mut out: Vec<SaxWordAt> = Vec::new();
-    for frame in frames {
-        let word = symbolize(&frame.paa, &cuts);
-        if numerosity_reduction {
-            if let Some(last) = out.last() {
-                if last.word == word {
-                    continue;
-                }
-            }
-        }
-        out.push(SaxWordAt {
-            offset: frame.offset,
-            word,
-        });
     }
     out
 }
@@ -273,10 +414,14 @@ mod tests {
         let s: Vec<f64> = (0..120)
             .map(|i| (i as f64 * 0.23).sin() + (i as f64 * 0.05).cos())
             .collect();
-        for (w, p) in [(8usize, 4usize), (16, 4), (16, 8), (24, 6)] {
+        for (w, p) in [(8usize, 4usize), (16, 4), (16, 8), (24, 6), (10, 4), (3, 5)] {
             let frames = paa_frames(&s, w, p);
+            assert_eq!(frames.count(), s.len() - w + 1);
             for a in [3usize, 4, 6, 8] {
                 let cfg = SaxConfig::new(w, p, a);
+                for (i, word) in words_from_frames(&frames, a, false).iter().enumerate() {
+                    assert_eq!(word.word, sax_word(&s[i..i + w], &cfg), "w={w} p={p} a={a}");
+                }
                 for nr in [false, true] {
                     assert_eq!(
                         words_from_frames(&frames, a, nr),
@@ -290,7 +435,8 @@ mod tests {
 
     #[test]
     fn frames_of_short_series_are_empty() {
-        assert!(paa_frames(&[1.0, 2.0], 8, 4).is_empty());
-        assert!(words_from_frames(&[], 4, true).is_empty());
+        let frames = paa_frames(&[1.0, 2.0], 8, 4);
+        assert_eq!(frames.count(), 0);
+        assert!(words_from_frames(&frames, 4, true).is_empty());
     }
 }

@@ -21,7 +21,7 @@ pub mod word;
 pub use bag::BagOfWords;
 pub use breakpoints::{breakpoints, inv_norm_cdf, MAX_ALPHABET, MIN_ALPHABET};
 pub use discretize::{
-    discretize, paa_frames, sax_word, words_from_frames, PaaFrame, SaxConfig, SaxWordAt,
+    discretize, paa_frames, sax_word, words_from_frames, PaaFrames, SaxConfig, SaxWordAt,
 };
 pub use mindist::mindist;
 pub use word::SaxWord;

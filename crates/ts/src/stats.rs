@@ -73,8 +73,9 @@ const VAR_RELIABLE_FACTOR: f64 = 1e-5;
 /// Bound on the relative error of a [`RollingStats`] variance against the
 /// variance about the window mean it reports: `4·ε / VAR_RELIABLE_FACTOR`
 /// on the rolling path (≈ 9·10⁻¹¹), a few ε on the two-pass fallback.
-/// The batched kernel's lower bound budgets for it in its rounding margin.
-pub(crate) const VAR_REL_ERR: f64 = 4.0 * f64::EPSILON / VAR_RELIABLE_FACTOR;
+/// The batched kernel's lower bound and `rpm-sax`'s fast PAA frames
+/// budget for it in their rounding margins.
+pub const VAR_REL_ERR: f64 = 4.0 * f64::EPSILON / VAR_RELIABLE_FACTOR;
 
 /// Per-window mean and population standard deviation of every sliding
 /// window of a series, computed in O(series) total via rolling

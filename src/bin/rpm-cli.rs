@@ -27,7 +27,6 @@
 //!         [--reload-canary PSI]            # canary-gate divergence bound
 //!         [--probation-secs S]             # auto-rollback watch window
 //!         [--max-body-kb N]                # /classify body cap (413)
-//!                                          # any other flag is refused;
 //!                                          # SIGHUP hot-reloads the model
 //!                                          # file; SIGTERM/SIGINT drain
 //! rpm-cli serve reload <ADDR> [--model P]  # hot-reload a running server
@@ -48,6 +47,12 @@
 //! rpm-cli obs drift <ADDR> [--json]        # drift verdict vs the model's
 //!                                          # training reference profile
 //! ```
+//!
+//! Each subcommand refuses a flag it does not take, before it reads a
+//! file or starts any work. Flags shown without a value
+//! (`--per-class`, `--rotation-invariant`, `--allow-unverified`,
+//! `--time-gate`, and `--json` of `obs drift`) take none, so the word
+//! after them is read as usual.
 //!
 //! Files use the UCR archive format: one series per line, class label
 //! first, comma- or whitespace-separated; malformed rows (bad labels or
@@ -101,50 +106,162 @@ fn main() -> ExitCode {
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
-/// Pulls `--flag value` out of the argument list. A flag given more than
-/// once, or present without a value (end of args, or followed by another
-/// `--flag`), is a usage error rather than a panic or silent pick.
-fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    let mut found: Option<String> = None;
-    for (i, a) in args.iter().enumerate() {
-        if a != flag {
-            continue;
-        }
-        if found.is_some() {
-            return Err(format!("{flag} given more than once"));
-        }
-        match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => found = Some(v.clone()),
-            _ => return Err(format!("{flag} requires a value")),
-        }
+/// One flag a subcommand takes: its name, and whether the next word is
+/// its value (`--window 32`) or the flag stands alone (`--json`).
+#[derive(Clone, Copy, Debug)]
+struct Flag {
+    name: &'static str,
+    takes_value: bool,
+}
+
+const fn value(name: &'static str) -> Flag {
+    Flag {
+        name,
+        takes_value: true,
     }
-    Ok(found)
 }
 
-fn flag_present(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
+const fn switch(name: &'static str) -> Flag {
+    Flag {
+        name,
+        takes_value: false,
+    }
 }
 
-fn positional(args: &[String], index: usize) -> Result<&String, String> {
-    args.iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            // A --flag is not positional, and neither is the value
-            // following one.
-            !a.starts_with("--") && (*i == 0 || !args[*i - 1].starts_with("--"))
-        })
-        .map(|(_, a)| a)
-        .nth(index)
-        .ok_or_else(|| format!("missing positional argument #{index}"))
+/// The flags of each subcommand; any other flag is refused.
+const TRAIN_FLAGS: &[Flag] = &[
+    value("--model"),
+    value("--window"),
+    value("--paa"),
+    value("--alpha"),
+    value("--direct"),
+    switch("--per-class"),
+    value("--gamma"),
+    switch("--rotation-invariant"),
+    value("--checkpoint"),
+    value("--budget-evals"),
+    value("--budget-secs"),
+];
+const CLASSIFY_FLAGS: &[Flag] = &[value("--metrics-addr"), value("--metrics-linger")];
+const SERVE_FLAGS: &[Flag] = &[
+    value("--addr"),
+    value("--workers"),
+    value("--batch-max"),
+    value("--queue-depth"),
+    value("--deadline-ms"),
+    value("--threads"),
+    switch("--allow-unverified"),
+    value("--duration-secs"),
+    value("--drift-warn"),
+    value("--drift-page"),
+    value("--drift-min-samples"),
+    value("--reload-canary"),
+    value("--probation-secs"),
+    value("--max-body-kb"),
+];
+const SERVE_RELOAD_FLAGS: &[Flag] = &[value("--model")];
+const LOAD_GEN_FLAGS: &[Flag] = &[
+    value("--qps"),
+    value("--duration-secs"),
+    value("--senders"),
+    value("--json"),
+    value("--amplitude"),
+    value("--offset"),
+];
+const MOTIFS_FLAGS: &[Flag] = &[value("--window"), value("--paa"), value("--alpha")];
+const GENERATE_FLAGS: &[Flag] = &[value("--seed")];
+const OBS_DIFF_FLAGS: &[Flag] = &[value("--tolerance"), switch("--time-gate")];
+const OBS_TRACES_FLAGS: &[Flag] = &[value("--min-ms"), value("--outcome")];
+const OBS_DRIFT_FLAGS: &[Flag] = &[switch("--json")];
+/// `model verify`, `patterns`, `serve rollback` and `obs summary`.
+const NO_FLAGS: &[Flag] = &[];
+
+/// One subcommand's arguments, read against its flag table.
+struct Args<'a> {
+    words: &'a [String],
+    flags: &'static [Flag],
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String>
-where
-    T::Err: std::fmt::Display,
-{
-    match flag_value(args, flag)? {
-        None => Ok(None),
-        Some(v) => v.parse::<T>().map(Some).map_err(|e| format!("{flag}: {e}")),
+impl<'a> Args<'a> {
+    /// Refuses any `--flag` the table does not name. Flags are looked up
+    /// by name, so a misspelt or removed one would otherwise leave its
+    /// setting at the default without a word; callers check before any
+    /// file is read or any work starts.
+    fn new(words: &'a [String], flags: &'static [Flag]) -> Result<Self, String> {
+        let args = Self { words, flags };
+        if let Some(word) = words
+            .iter()
+            .find(|w| w.starts_with("--") && args.flag(w).is_none())
+        {
+            let known: Vec<&str> = flags.iter().map(|f| f.name).collect();
+            return Err(if known.is_empty() {
+                format!("unknown flag {word} (this command takes none)")
+            } else {
+                format!("unknown flag {word} (known: {})", known.join(" "))
+            });
+        }
+        Ok(args)
+    }
+
+    fn flag(&self, name: &str) -> Option<&Flag> {
+        self.flags.iter().find(|f| f.name == name)
+    }
+
+    /// The value of `--flag value`. A flag given more than once, or
+    /// present without a value (end of args, or followed by another
+    /// `--flag`), is a usage error rather than a panic or silent pick.
+    fn flag_value(&self, flag: &str) -> Result<Option<String>, String> {
+        debug_assert!(self.flag(flag).is_some_and(|f| f.takes_value), "{flag}");
+        let mut found: Option<String> = None;
+        for (i, a) in self.words.iter().enumerate() {
+            if a != flag {
+                continue;
+            }
+            if found.is_some() {
+                return Err(format!("{flag} given more than once"));
+            }
+            match self.words.get(i + 1) {
+                Some(v) if !v.starts_with("--") => found = Some(v.clone()),
+                _ => return Err(format!("{flag} requires a value")),
+            }
+        }
+        Ok(found)
+    }
+
+    /// Whether the boolean `flag` was given.
+    fn flag_present(&self, flag: &str) -> bool {
+        debug_assert!(self.flag(flag).is_some_and(|f| !f.takes_value), "{flag}");
+        self.words.iter().any(|a| a == flag)
+    }
+
+    /// The `index`-th word that is neither a flag nor the value of one;
+    /// a boolean flag takes no value, so the word after it counts.
+    fn positional(&self, index: usize) -> Result<&'a String, String> {
+        let mut words = self.words.iter().peekable();
+        let mut seen = 0;
+        while let Some(word) = words.next() {
+            if word.starts_with("--") {
+                if self.flag(word).is_some_and(|f| f.takes_value) {
+                    words.next_if(|v| !v.starts_with("--"));
+                }
+                continue;
+            }
+            if seen == index {
+                return Ok(word);
+            }
+            seen += 1;
+        }
+        Err(format!("missing positional argument #{index}"))
+    }
+
+    fn parse_flag<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        match self.flag_value(flag)? {
+            None => Ok(None),
+            Some(v) => v.parse::<T>().map(Some).map_err(|e| format!("{flag}: {e}")),
+        }
     }
 }
 
@@ -165,10 +282,12 @@ fn parse_tolerance(s: &str) -> Result<f64, String> {
     Ok(v)
 }
 
-fn sax_from_flags(args: &[String], default_len: usize) -> Result<SaxConfig, String> {
-    let window = parse_flag::<usize>(args, "--window")?.unwrap_or((default_len / 4).max(4));
-    let paa = parse_flag::<usize>(args, "--paa")?.unwrap_or(4);
-    let alpha = parse_flag::<usize>(args, "--alpha")?.unwrap_or(4);
+fn sax_from_flags(args: &Args<'_>, default_len: usize) -> Result<SaxConfig, String> {
+    let window = args
+        .parse_flag::<usize>("--window")?
+        .unwrap_or((default_len / 4).max(4));
+    let paa = args.parse_flag::<usize>("--paa")?.unwrap_or(4);
+    let alpha = args.parse_flag::<usize>("--alpha")?.unwrap_or(4);
     Ok(SaxConfig::new(window, paa.min(window), alpha))
 }
 
@@ -181,19 +300,22 @@ fn report_quarantine(path: &str, q: &Quarantine) {
 }
 
 fn cmd_train(args: &[String]) -> CliResult {
-    let train_path = positional(args, 0)?;
-    let model_path = flag_value(args, "--model")?.ok_or("train requires --model <OUT>")?;
+    let args = Args::new(args, TRAIN_FLAGS)?;
+    let train_path = args.positional(0)?;
+    let model_path = args
+        .flag_value("--model")?
+        .ok_or("train requires --model <OUT>")?;
     let (train, _, quarantine) = read_ucr_file_lenient(train_path)?;
     report_quarantine(train_path, &quarantine);
     eprintln!("loaded {train}");
 
-    let param_search = if let Some(n) = parse_flag::<usize>(args, "--direct")? {
+    let param_search = if let Some(n) = args.parse_flag::<usize>("--direct")? {
         ParamSearch::Direct {
             max_evals: n,
-            per_class: flag_present(args, "--per-class"),
+            per_class: args.flag_present("--per-class"),
         }
-    } else if flag_present(args, "--window") {
-        ParamSearch::Fixed(sax_from_flags(args, train.min_len())?)
+    } else if args.flag_value("--window")?.is_some() {
+        ParamSearch::Fixed(sax_from_flags(&args, train.min_len())?)
     } else {
         ParamSearch::Direct {
             max_evals: 12,
@@ -201,15 +323,19 @@ fn cmd_train(args: &[String]) -> CliResult {
         }
     };
     let budget = TrainBudget {
-        wall_clock: parse_flag::<u64>(args, "--budget-secs")?.map(std::time::Duration::from_secs),
-        max_evals: parse_flag::<usize>(args, "--budget-evals")?,
+        wall_clock: args
+            .parse_flag::<u64>("--budget-secs")?
+            .map(std::time::Duration::from_secs),
+        max_evals: args.parse_flag::<usize>("--budget-evals")?,
     };
     let config = RpmConfig {
         param_search,
-        gamma: parse_flag::<f64>(args, "--gamma")?.unwrap_or(0.2),
-        rotation_invariant: flag_present(args, "--rotation-invariant"),
+        gamma: args.parse_flag::<f64>("--gamma")?.unwrap_or(0.2),
+        rotation_invariant: args.flag_present("--rotation-invariant"),
         budget,
-        checkpoint: flag_value(args, "--checkpoint")?.map(std::path::PathBuf::from),
+        checkpoint: args
+            .flag_value("--checkpoint")?
+            .map(std::path::PathBuf::from),
         ..RpmConfig::default()
     };
     let model = RpmClassifier::train(&train, &config)?;
@@ -229,8 +355,7 @@ fn cmd_train(args: &[String]) -> CliResult {
 fn cmd_model(args: &[String]) -> CliResult {
     match args.first().map(String::as_str) {
         Some("verify") => {
-            let rest = &args[1..];
-            let path = positional(rest, 0)?;
+            let path = Args::new(&args[1..], NO_FLAGS)?.positional(0)?;
             let report = RpmClassifier::verify(std::fs::File::open(path)?)
                 .map_err(|e| format!("{path}: {e}"))?;
             println!("{path}: OK (format v{})", report.version);
@@ -262,46 +387,20 @@ fn cmd_model(args: &[String]) -> CliResult {
     }
 }
 
-/// Every flag `rpm-cli serve MODEL` takes.
-const SERVE_FLAGS: [&str; 14] = [
-    "--addr",
-    "--workers",
-    "--batch-max",
-    "--queue-depth",
-    "--deadline-ms",
-    "--threads",
-    "--allow-unverified",
-    "--duration-secs",
-    "--drift-warn",
-    "--drift-page",
-    "--drift-min-samples",
-    "--reload-canary",
-    "--probation-secs",
-    "--max-body-kb",
-];
-
 /// `rpm-cli serve MODEL …` — bring up the classify server. Verification
 /// is not optional: a model that fails its CRC check (or predates
 /// checksums, absent `--allow-unverified`) never reaches the listener.
 /// `rpm-cli serve reload|rollback ADDR` are thin clients for the admin
 /// endpoints of an already-running server.
 fn cmd_serve(args: &[String]) -> CliResult {
-    match positional(args, 0).map(String::as_str) {
-        Ok("reload") => return cmd_serve_reload(&args[1..]),
-        Ok("rollback") => return cmd_serve_rollback(&args[1..]),
+    match args.first().map(String::as_str) {
+        Some("reload") => return cmd_serve_reload(&args[1..]),
+        Some("rollback") => return cmd_serve_rollback(&args[1..]),
         _ => {}
     }
-    // Flags are looked up by name, so a misspelt or removed one would
-    // otherwise leave its setting at the default without a word.
-    if let Some(flag) = args
-        .iter()
-        .find(|a| a.starts_with("--") && !SERVE_FLAGS.contains(&a.as_str()))
-    {
-        let known = SERVE_FLAGS.join(" ");
-        return Err(format!("unknown flag {flag} (known: {known})").into());
-    }
-    let model_path = positional(args, 0)?;
-    let allow_unverified = flag_present(args, "--allow-unverified");
+    let args = Args::new(args, SERVE_FLAGS)?;
+    let model_path = args.positional(0)?;
+    let allow_unverified = args.flag_present("--allow-unverified");
     let (model, report) =
         rpm::serve::load_verified_path(std::path::Path::new(model_path), allow_unverified)
             .map_err(|e| format!("{model_path}: {e}"))?;
@@ -327,30 +426,35 @@ fn cmd_serve(args: &[String]) -> CliResult {
     }
 
     let config = rpm::serve::ServeConfig {
-        addr: flag_value(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:9899".to_string()),
-        workers: parse_flag::<usize>(args, "--workers")?.unwrap_or(2),
-        max_batch: parse_flag::<usize>(args, "--batch-max")?.unwrap_or(32),
-        queue_depth: parse_flag::<usize>(args, "--queue-depth")?.unwrap_or(1024),
+        addr: args
+            .flag_value("--addr")?
+            .unwrap_or_else(|| "127.0.0.1:9899".to_string()),
+        workers: args.parse_flag::<usize>("--workers")?.unwrap_or(2),
+        max_batch: args.parse_flag::<usize>("--batch-max")?.unwrap_or(32),
+        queue_depth: args.parse_flag::<usize>("--queue-depth")?.unwrap_or(1024),
         deadline: std::time::Duration::from_millis(
-            parse_flag::<u64>(args, "--deadline-ms")?.unwrap_or(2000),
+            args.parse_flag::<u64>("--deadline-ms")?.unwrap_or(2000),
         ),
-        parallelism: match parse_flag::<usize>(args, "--threads")?.unwrap_or(1) {
+        parallelism: match args.parse_flag::<usize>("--threads")?.unwrap_or(1) {
             0 | 1 => rpm::core::Parallelism::Serial,
             n => rpm::core::Parallelism::Threads(n),
         },
         limits: rpm::obs::ServeLimits {
-            max_body_bytes: parse_flag::<usize>(args, "--max-body-kb")?
+            max_body_bytes: args
+                .parse_flag::<usize>("--max-body-kb")?
                 .map(|kb| kb * 1024)
                 .unwrap_or(rpm::obs::ServeLimits::default().max_body_bytes),
             ..rpm::obs::ServeLimits::default()
         },
-        drift: drift_config_from(args)?,
+        drift: drift_config_from(&args)?,
         reload: {
             let defaults = rpm::serve::ReloadPolicy::default();
             rpm::serve::ReloadPolicy {
-                canary_psi: parse_flag::<f64>(args, "--reload-canary")?
+                canary_psi: args
+                    .parse_flag::<f64>("--reload-canary")?
                     .unwrap_or(defaults.canary_psi),
-                probation: parse_flag::<u64>(args, "--probation-secs")?
+                probation: args
+                    .parse_flag::<u64>("--probation-secs")?
                     .map(std::time::Duration::from_secs)
                     .unwrap_or(defaults.probation),
                 allow_unverified,
@@ -376,7 +480,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
     // smoke tests.
     rpm::serve::signals::reset();
     rpm::serve::signals::install();
-    let until = parse_flag::<u64>(args, "--duration-secs")?
+    let until = args
+        .parse_flag::<u64>("--duration-secs")?
         .map(|secs| std::time::Instant::now() + std::time::Duration::from_secs(secs));
     loop {
         if rpm::serve::signals::shutdown_requested() {
@@ -409,8 +514,9 @@ fn cmd_serve(args: &[String]) -> CliResult {
 /// hot-reload (its own model path unless `--model` names another
 /// candidate). Exits nonzero when the canary gate rejects it.
 fn cmd_serve_reload(args: &[String]) -> CliResult {
-    let addr = positional(args, 0)?;
-    let body = match flag_value(args, "--model")? {
+    let args = Args::new(args, SERVE_RELOAD_FLAGS)?;
+    let addr = args.positional(0)?;
+    let body = match args.flag_value("--model")? {
         Some(path) => format!("{{\"path\":{}}}", rpm::serve::proto::quote_json(&path)),
         None => "{}".to_string(),
     };
@@ -425,7 +531,7 @@ fn cmd_serve_reload(args: &[String]) -> CliResult {
 /// `rpm-cli serve rollback ADDR` — swap a running server back to its
 /// warm previous generation.
 fn cmd_serve_rollback(args: &[String]) -> CliResult {
-    let addr = positional(args, 0)?;
+    let addr = Args::new(args, NO_FLAGS)?.positional(0)?;
     let (status, response) = http_post(addr, "/admin/rollback", "")?;
     print!("{response}");
     if status != 200 {
@@ -437,7 +543,7 @@ fn cmd_serve_rollback(args: &[String]) -> CliResult {
 /// Drift thresholds for `rpm-cli serve`: flags win, the `RPM_DRIFT_WARN`
 /// / `RPM_DRIFT_PAGE` environment variables are the fleet-config
 /// fallback, then the library defaults.
-fn drift_config_from(args: &[String]) -> Result<rpm::obs::DriftConfig, String> {
+fn drift_config_from(args: &Args<'_>) -> Result<rpm::obs::DriftConfig, String> {
     let env_threshold = |name: &str| -> Result<Option<f64>, String> {
         match std::env::var(name) {
             Ok(v) => v
@@ -450,15 +556,16 @@ fn drift_config_from(args: &[String]) -> Result<rpm::obs::DriftConfig, String> {
     };
     let defaults = rpm::obs::DriftConfig::default();
     Ok(rpm::obs::DriftConfig {
-        warn: match parse_flag::<f64>(args, "--drift-warn")? {
+        warn: match args.parse_flag::<f64>("--drift-warn")? {
             Some(v) => v,
             None => env_threshold("RPM_DRIFT_WARN")?.unwrap_or(defaults.warn),
         },
-        page: match parse_flag::<f64>(args, "--drift-page")? {
+        page: match args.parse_flag::<f64>("--drift-page")? {
             Some(v) => v,
             None => env_threshold("RPM_DRIFT_PAGE")?.unwrap_or(defaults.page),
         },
-        min_samples: parse_flag::<u64>(args, "--drift-min-samples")?
+        min_samples: args
+            .parse_flag::<u64>("--drift-min-samples")?
             .unwrap_or(defaults.min_samples),
         ..defaults
     })
@@ -469,16 +576,18 @@ fn drift_config_from(args: &[String]) -> Result<rpm::obs::DriftConfig, String> {
 /// The file's rows are replayed round-robin (optionally `A*x + B`
 /// shifted), so the offered traffic carries the file's distribution.
 fn cmd_load_gen(args: &[String]) -> CliResult {
-    let addr: std::net::SocketAddr = positional(args, 0)?
+    let args = Args::new(args, LOAD_GEN_FLAGS)?;
+    let addr: std::net::SocketAddr = args
+        .positional(0)?
         .parse()
         .map_err(|e| format!("bad address: {e}"))?;
-    let test_path = positional(args, 1)?;
+    let test_path = args.positional(1)?;
     let (test, _, quarantine) = read_ucr_file_lenient(test_path)?;
     report_quarantine(test_path, &quarantine);
     // Optional distribution shift for drift sweeps: replay `A*x + B`
     // instead of the clean series.
-    let amplitude = parse_flag::<f64>(args, "--amplitude")?.unwrap_or(1.0);
-    let offset = parse_flag::<f64>(args, "--offset")?.unwrap_or(0.0);
+    let amplitude = args.parse_flag::<f64>("--amplitude")?.unwrap_or(1.0);
+    let offset = args.parse_flag::<f64>("--offset")?.unwrap_or(0.0);
     // Every row of the file, cycled round-robin by the generator, so
     // the offered traffic replays the file's distribution rather than
     // hammering one series into a point mass the drift monitor would
@@ -498,7 +607,7 @@ fn cmd_load_gen(args: &[String]) -> CliResult {
         return Err("test file is empty".into());
     }
 
-    let qps_list: Vec<f64> = match flag_value(args, "--qps")? {
+    let qps_list: Vec<f64> = match args.flag_value("--qps")? {
         Some(spec) => spec
             .split(',')
             .map(|s| s.trim().parse::<f64>().map_err(|e| format!("--qps: {e}")))
@@ -506,8 +615,8 @@ fn cmd_load_gen(args: &[String]) -> CliResult {
         None => vec![50.0, 200.0, 800.0],
     };
     let duration =
-        std::time::Duration::from_secs(parse_flag::<u64>(args, "--duration-secs")?.unwrap_or(5));
-    let senders = parse_flag::<usize>(args, "--senders")?.unwrap_or(8);
+        std::time::Duration::from_secs(args.parse_flag::<u64>("--duration-secs")?.unwrap_or(5));
+    let senders = args.parse_flag::<usize>("--senders")?.unwrap_or(8);
 
     println!(
         "| run | offered qps | achieved qps | 200 | 429 | 504 | err | p50 ms | p99 ms | shed p99 ms |"
@@ -526,7 +635,7 @@ fn cmd_load_gen(args: &[String]) -> CliResult {
         println!("{}", report.markdown_row(&label));
         json_lines.push(report.to_json(&label));
     }
-    if let Some(path) = flag_value(args, "--json")? {
+    if let Some(path) = args.flag_value("--json")? {
         std::fs::write(&path, format!("[{}]\n", json_lines.join(",\n ")))?;
         eprintln!("wrote {path}");
     }
@@ -534,10 +643,11 @@ fn cmd_load_gen(args: &[String]) -> CliResult {
 }
 
 fn cmd_classify(args: &[String]) -> CliResult {
-    let model_path = positional(args, 0)?;
-    let test_path = positional(args, 1)?;
-    let metrics_addr = flag_value(args, "--metrics-addr")?;
-    let linger = parse_flag::<u64>(args, "--metrics-linger")?.unwrap_or(0);
+    let args = Args::new(args, CLASSIFY_FLAGS)?;
+    let model_path = args.positional(0)?;
+    let test_path = args.positional(1)?;
+    let metrics_addr = args.flag_value("--metrics-addr")?;
+    let linger = args.parse_flag::<u64>("--metrics-linger")?.unwrap_or(0);
     let server = match &metrics_addr {
         Some(addr) => {
             if !rpm::obs::enabled() {
@@ -587,20 +697,19 @@ fn cmd_classify(args: &[String]) -> CliResult {
 fn cmd_obs(args: &[String]) -> CliResult {
     match args.first().map(String::as_str) {
         Some("summary") => {
-            let rest = &args[1..];
-            let path = positional(rest, 0)?;
+            let path = Args::new(&args[1..], NO_FLAGS)?.positional(0)?;
             let summary = validate_jsonl(path)?;
             print!("{}", summary.render());
             Ok(())
         }
         Some("traces") => {
-            let rest = &args[1..];
-            let addr = positional(rest, 0)?;
+            let rest = Args::new(&args[1..], OBS_TRACES_FLAGS)?;
+            let addr = rest.positional(0)?;
             let mut query = Vec::new();
-            if let Some(min_ms) = parse_flag::<u64>(rest, "--min-ms")? {
+            if let Some(min_ms) = rest.parse_flag::<u64>("--min-ms")? {
                 query.push(format!("min_ms={min_ms}"));
             }
-            if let Some(outcome) = flag_value(rest, "--outcome")? {
+            if let Some(outcome) = rest.flag_value("--outcome")? {
                 query.push(format!("outcome={outcome}"));
             }
             let path = if query.is_empty() {
@@ -612,10 +721,10 @@ fn cmd_obs(args: &[String]) -> CliResult {
             Ok(())
         }
         Some("drift") => {
-            let rest = &args[1..];
-            let addr = positional(rest, 0)?;
+            let rest = Args::new(&args[1..], OBS_DRIFT_FLAGS)?;
+            let addr = rest.positional(0)?;
             let body = http_get(addr, "/debug/drift")?;
-            if flag_present(rest, "--json") {
+            if rest.flag_present("--json") {
                 println!("{}", body.trim_end());
             } else {
                 print!("{}", render_drift(&body)?);
@@ -623,16 +732,16 @@ fn cmd_obs(args: &[String]) -> CliResult {
             Ok(())
         }
         Some("diff") => {
-            let rest = &args[1..];
-            let baseline_path = positional(rest, 0)?;
-            let current_path = positional(rest, 1)?;
-            let tolerance = match flag_value(rest, "--tolerance")? {
+            let rest = Args::new(&args[1..], OBS_DIFF_FLAGS)?;
+            let baseline_path = rest.positional(0)?;
+            let current_path = rest.positional(1)?;
+            let tolerance = match rest.flag_value("--tolerance")? {
                 Some(t) => parse_tolerance(&t)?,
                 None => 0.0,
             };
             let opts = DiffOptions {
                 tolerance,
-                time_gate: flag_present(rest, "--time-gate"),
+                time_gate: rest.flag_present("--time-gate"),
             };
             let baseline = validate_jsonl(baseline_path)?;
             let current = validate_jsonl(current_path)?;
@@ -758,7 +867,7 @@ fn http_post(
 }
 
 fn cmd_patterns(args: &[String]) -> CliResult {
-    let model_path = positional(args, 0)?;
+    let model_path = Args::new(args, NO_FLAGS)?.positional(0)?;
     let model = RpmClassifier::load(std::fs::File::open(model_path)?)?;
     println!("class,length,frequency,coverage,window,paa,alphabet");
     for p in model.patterns() {
@@ -777,10 +886,11 @@ fn cmd_patterns(args: &[String]) -> CliResult {
 }
 
 fn cmd_motifs(args: &[String]) -> CliResult {
-    let series_path = positional(args, 0)?;
+    let args = Args::new(args, MOTIFS_FLAGS)?;
+    let series_path = args.positional(0)?;
     let (data, _) = read_ucr_file(series_path)?;
     let series = data.series.first().ok_or("series file is empty")?;
-    let sax = sax_from_flags(args, series.len())?;
+    let sax = sax_from_flags(&args, series.len())?;
     let motifs = discover_motifs(series, &sax);
     println!("top motifs (count, word length, first occurrences):");
     for m in motifs.iter().take(10) {
@@ -809,13 +919,14 @@ fn cmd_motifs(args: &[String]) -> CliResult {
 }
 
 fn cmd_generate(args: &[String]) -> CliResult {
-    let name = positional(args, 0)?;
-    let prefix = positional(args, 1)?;
+    let args = Args::new(args, GENERATE_FLAGS)?;
+    let name = args.positional(0)?;
+    let prefix = args.positional(1)?;
     let spec = spec_by_name(name).ok_or_else(|| {
         let names: Vec<&str> = rpm::data::suite().iter().map(|s| s.name).collect();
         format!("unknown dataset {name:?}; available: {}", names.join(", "))
     })?;
-    let seed = parse_flag::<u64>(args, "--seed")?.unwrap_or(2016);
+    let seed = args.parse_flag::<u64>("--seed")?.unwrap_or(2016);
     let (train, test) = rpm::data::generate(&spec, seed);
     write_ucr(&train, std::fs::File::create(format!("{prefix}_TRAIN"))?)?;
     write_ucr(&test, std::fs::File::create(format!("{prefix}_TEST"))?)?;
@@ -838,53 +949,114 @@ mod tests {
     #[test]
     fn flag_value_extracts_and_errors_on_malformed_usage() {
         let ok = argv(&["train", "file", "--model", "out.rpm"]);
+        let ok = Args::new(&ok, TRAIN_FLAGS).unwrap();
         assert_eq!(
-            flag_value(&ok, "--model").unwrap().as_deref(),
+            ok.flag_value("--model").unwrap().as_deref(),
             Some("out.rpm")
         );
-        assert_eq!(flag_value(&ok, "--gamma").unwrap(), None);
+        assert_eq!(ok.flag_value("--gamma").unwrap(), None);
 
         // Flag at the end with no value.
         let dangling = argv(&["train", "file", "--model"]);
-        let err = flag_value(&dangling, "--model").unwrap_err();
+        let err = Args::new(&dangling, TRAIN_FLAGS)
+            .unwrap()
+            .flag_value("--model")
+            .unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
 
         // Flag followed by another flag instead of a value.
         let eaten = argv(&["train", "file", "--model", "--gamma", "0.2"]);
-        let err = flag_value(&eaten, "--model").unwrap_err();
+        let err = Args::new(&eaten, TRAIN_FLAGS)
+            .unwrap()
+            .flag_value("--model")
+            .unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
 
         // Repeated flag.
         let twice = argv(&["--model", "a", "--model", "b"]);
-        let err = flag_value(&twice, "--model").unwrap_err();
+        let err = Args::new(&twice, TRAIN_FLAGS)
+            .unwrap()
+            .flag_value("--model")
+            .unwrap_err();
         assert!(err.contains("more than once"), "{err}");
     }
 
     #[test]
     fn positional_skips_flags_and_their_values() {
         let args = argv(&["model.rpm", "--tolerance", "20%", "test.ucr"]);
-        assert_eq!(positional(&args, 0).unwrap(), "model.rpm");
-        assert_eq!(positional(&args, 1).unwrap(), "test.ucr");
-        assert!(positional(&args, 2).is_err());
+        let args = Args::new(&args, OBS_DIFF_FLAGS).unwrap();
+        assert_eq!(args.positional(0).unwrap(), "model.rpm");
+        assert_eq!(args.positional(1).unwrap(), "test.ucr");
+        assert!(args.positional(2).is_err());
     }
 
     #[test]
     fn positional_handles_repeated_values() {
         // The same string as a flag value and a positional must not
-        // confuse the index-based scan.
+        // confuse the scan.
         let args = argv(&["--model", "x", "x"]);
-        assert_eq!(positional(&args, 0).unwrap(), "x");
-        assert!(positional(&args, 1).is_err());
+        let args = Args::new(&args, TRAIN_FLAGS).unwrap();
+        assert_eq!(args.positional(0).unwrap(), "x");
+        assert!(args.positional(1).is_err());
+    }
+
+    #[test]
+    fn boolean_flags_take_no_value() {
+        let words = argv(&["--rotation-invariant", "cbf_TRAIN", "--model", "m"]);
+        let args = Args::new(&words, TRAIN_FLAGS).unwrap();
+        assert_eq!(args.positional(0).unwrap(), "cbf_TRAIN");
+        assert!(args.flag_present("--rotation-invariant"));
+        assert_eq!(args.flag_value("--model").unwrap().as_deref(), Some("m"));
+
+        let words = argv(&["--allow-unverified", "model.rpm", "--addr", "a:1"]);
+        let args = Args::new(&words, SERVE_FLAGS).unwrap();
+        assert_eq!(args.positional(0).unwrap(), "model.rpm");
+        assert!(args.positional(1).is_err());
+
+        // The same word is a value under one table and a switch under
+        // another.
+        let words = argv(&["--json", "out.json", "addr", "file"]);
+        let load_gen = Args::new(&words, LOAD_GEN_FLAGS).unwrap();
+        assert_eq!(load_gen.positional(0).unwrap(), "addr");
+        let drift = Args::new(&words, OBS_DRIFT_FLAGS).unwrap();
+        assert_eq!(drift.positional(0).unwrap(), "out.json");
+    }
+
+    #[test]
+    fn every_table_refuses_a_flag_it_does_not_name() {
+        let tables = [
+            TRAIN_FLAGS,
+            CLASSIFY_FLAGS,
+            SERVE_FLAGS,
+            SERVE_RELOAD_FLAGS,
+            LOAD_GEN_FLAGS,
+            MOTIFS_FLAGS,
+            GENERATE_FLAGS,
+            OBS_DIFF_FLAGS,
+            OBS_TRACES_FLAGS,
+            OBS_DRIFT_FLAGS,
+            NO_FLAGS,
+        ];
+        for table in tables {
+            let words = argv(&["file", "--windw", "32"]);
+            let err = Args::new(&words, table).err().expect("refused");
+            assert!(err.starts_with("unknown flag --windw ("), "{err}");
+            // Every flag a table names is accepted.
+            for flag in table {
+                let words = argv(&[flag.name, "1"]);
+                assert!(Args::new(&words, table).is_ok(), "{}", flag.name);
+            }
+        }
     }
 
     #[test]
     fn drift_config_flags_override_defaults() {
         let defaults = rpm::obs::DriftConfig::default();
-        let none = drift_config_from(&argv(&["serve", "m.rpm"])).unwrap();
+        let none = argv(&["m.rpm"]);
+        let none = drift_config_from(&Args::new(&none, SERVE_FLAGS).unwrap()).unwrap();
         assert_eq!(none.warn, defaults.warn);
         assert_eq!(none.page, defaults.page);
-        let set = drift_config_from(&argv(&[
-            "serve",
+        let set = argv(&[
             "m.rpm",
             "--drift-warn",
             "0.1",
@@ -892,8 +1064,8 @@ mod tests {
             "0.3",
             "--drift-min-samples",
             "7",
-        ]))
-        .unwrap();
+        ]);
+        let set = drift_config_from(&Args::new(&set, SERVE_FLAGS).unwrap()).unwrap();
         assert_eq!(set.warn, 0.1);
         assert_eq!(set.page, 0.3);
         assert_eq!(set.min_samples, 7);

@@ -234,3 +234,48 @@ fn every_memo_family_hits_under_per_class_direct_search() {
         .filter(|l| l.starts_with("{\"type\":\"cache\""));
     assert_eq!(cache_lines.count(), 3, "{jsonl}");
 }
+
+/// The run report splits mining: every `mine_class` call opens one
+/// `sax`, one `grammar` and one `cluster` child, and
+/// `mine.rules_clustered` counts the rules that reach clustering — on
+/// the quickstart data some, but not all, rules cover γ of their class.
+#[test]
+fn mining_stages_split_once_per_mine_class_call() {
+    let _g = gate();
+    reset();
+    ObsConfig {
+        level: ObsLevel::Spans,
+        json_path: None,
+        http_addr: None,
+    }
+    .install();
+    let train = rpm::data::cbf::generate(10, 128, 1);
+    RpmClassifier::train(&train, &RpmConfig::default()).unwrap();
+    let report = rpm::obs::finish().expect("observability is on");
+    ObsConfig::default().install();
+
+    let calls = |name: &str| -> u64 {
+        report
+            .stages
+            .iter()
+            .filter(|s| s.path.ends_with(&format!("mine_class/{name}")))
+            .map(|s| s.calls)
+            .sum()
+    };
+    let mine_class: u64 = report
+        .stages
+        .iter()
+        .filter(|s| s.name == "mine_class")
+        .map(|s| s.calls)
+        .sum();
+    assert!(mine_class > 0);
+    for child in ["sax", "grammar", "cluster"] {
+        assert_eq!(calls(child), mine_class, "{child}");
+    }
+    let rules = report.metrics.counter("mine.rules").unwrap_or(0);
+    let clustered = report.metrics.counter("mine.rules_clustered").unwrap_or(0);
+    assert!(
+        0 < clustered && clustered < rules,
+        "{clustered} of {rules} rules clustered"
+    );
+}
