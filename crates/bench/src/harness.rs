@@ -256,22 +256,19 @@ pub fn run_suite(specs: &[DatasetSpec], options: &SuiteOptions) -> Vec<DatasetRe
 ///
 /// Method entries appear in evaluation order; errors are test error
 /// rates in `[0, 1]`, `seconds` is train+classify wall time (Table 2's
-/// metric). Hand-rolled writer — dataset/method names come from the
-/// static registry, so only `"` and `\` need escaping.
+/// metric). Names are quoted through [`rpm_obs::json::quote`].
 pub fn results_to_json(results: &[DatasetResult]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
+    use rpm_obs::json::quote;
     let mut out = String::from("{\n  \"schema\": 1,\n  \"datasets\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"methods\": [\n",
-            esc(&r.name)
+            "    {{\"name\": {}, \"methods\": [\n",
+            quote(&r.name)
         ));
         for (j, (kind, o)) in r.outcomes.iter().enumerate() {
             out.push_str(&format!(
-                "      {{\"method\": \"{}\", \"error\": {:.6}, \"seconds\": {:.6}}}{}\n",
-                esc(kind.name()),
+                "      {{\"method\": {}, \"error\": {:.6}, \"seconds\": {:.6}}}{}\n",
+                quote(kind.name()),
                 o.error,
                 o.time.as_secs_f64(),
                 if j + 1 < r.outcomes.len() { "," } else { "" }

@@ -4,7 +4,6 @@
 
 use rpm_cluster::BisectParams;
 use rpm_ml::{CfsParams, SvmParams};
-use rpm_obs::ObsConfig;
 use rpm_sax::{SaxConfig, MAX_ALPHABET, MIN_ALPHABET};
 use rpm_ts::MatchKernel;
 use std::fmt;
@@ -195,11 +194,6 @@ pub struct RpmConfig {
     /// available CPU, any other value spawns exactly that many workers.
     /// Results are bit-identical across all settings (DESIGN.md §5).
     pub n_threads: usize,
-    /// Observability settings (recording level + JSONL report path),
-    /// installed globally when training starts. Recording never changes
-    /// results — only what is measured. Binaries usually leave this at
-    /// the default and rely on `RPM_LOG` instead (`rpm_obs::init_env`).
-    pub obs: ObsConfig,
     /// Resource budget for the parameter search; exhausting it degrades
     /// (best-so-far parameters) instead of erroring.
     pub budget: TrainBudget,
@@ -235,7 +229,6 @@ impl Default for RpmConfig {
             validation_train_fraction: 0.7,
             seed: 0xC0FFEE,
             n_threads: 1,
-            obs: ObsConfig::default(),
             budget: TrainBudget::unlimited(),
             checkpoint: None,
         }
@@ -295,12 +288,6 @@ impl RpmConfigBuilder {
     /// Training-engine worker threads (`0` = one per CPU, `1` = serial).
     pub fn threads(mut self, n_threads: usize) -> Self {
         self.config.n_threads = n_threads;
-        self
-    }
-
-    /// Observability settings (recording level + JSONL report path).
-    pub fn obs(mut self, obs: ObsConfig) -> Self {
-        self.config.obs = obs;
         self
     }
 

@@ -170,9 +170,6 @@ impl RpmClassifier {
     /// Trains on `train` per `config`, running the configured SAX
     /// parameter search first (§4), then Algorithms 1 + 2, then the SVM.
     pub fn train(train: &Dataset, config: &RpmConfig) -> Result<Self, TrainError> {
-        if config.obs.level != rpm_obs::ObsLevel::Off {
-            config.obs.install();
-        }
         if train.is_empty() {
             return Err(TrainError::EmptyTrainingSet);
         }

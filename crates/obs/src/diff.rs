@@ -16,8 +16,9 @@
 use crate::report::ReportSummary;
 use std::fmt::Write as _;
 
-/// Knobs for [`diff_reports`].
-#[derive(Clone, Copy, Debug)]
+/// Knobs for [`diff_reports`]; the default is exact matching with no
+/// time gate.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct DiffOptions {
     /// Allowed relative drift for counters (0.2 = ±20%). Exact matching
     /// is `0.0`.
@@ -25,15 +26,6 @@ pub struct DiffOptions {
     /// Whether slower wall/stage times count as regressions (off by
     /// default — shared CI runners are too noisy to gate on time).
     pub time_gate: bool,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        Self {
-            tolerance: 0.0,
-            time_gate: false,
-        }
-    }
 }
 
 /// One comparison line in a diff.
@@ -101,100 +93,92 @@ impl DiffReport {
 
 /// Compares `current` against `baseline`. Counters (including cache
 /// lookup totals) regress when they drift beyond `opts.tolerance` or
-/// disappear; times regress only under `opts.time_gate`. New counters
-/// (present only in `current`) are reported but never gate — adding
-/// instrumentation must not fail CI.
+/// disappear; times regress only under `opts.time_gate`. New counters,
+/// cache families and stages (present only in `current`) are reported
+/// as `(new)` but never gate — adding instrumentation must not fail CI.
 pub fn diff_reports(
     baseline: &ReportSummary,
     current: &ReportSummary,
     opts: &DiffOptions,
 ) -> DiffReport {
-    let mut lines = Vec::new();
-
     let drifts = |b: u64, a: u64| -> bool {
-        if b == a {
-            return false;
-        }
-        if b == 0 {
-            return true;
-        }
-        let rel = (a as f64 - b as f64).abs() / b as f64;
-        rel > opts.tolerance
+        b != a && (b == 0 || (a as f64 - b as f64).abs() / b as f64 > opts.tolerance)
     };
-
-    for (name, b) in &baseline.counters {
-        let a = current.counter(name);
-        let regression = match a {
-            Some(a) => drifts(*b, a),
-            None => true,
-        };
-        lines.push(DiffLine {
-            what: format!("counter {name}"),
-            before: Some(*b),
-            after: a,
-            regression,
-        });
-    }
-    for (name, a) in &current.counters {
-        if baseline.counter(name).is_none() {
-            lines.push(DiffLine {
-                what: format!("counter {name} (new)"),
-                before: None,
-                after: Some(*a),
-                regression: false,
-            });
-        }
-    }
-
-    for (family, b) in &baseline.caches {
-        let a = current
-            .caches
-            .iter()
-            .find(|(f, _)| f == family)
-            .map(|(_, v)| *v);
-        let regression = match a {
-            Some(a) => drifts(*b, a),
-            None => *b > 0,
-        };
-        lines.push(DiffLine {
-            what: format!("cache {family} lookups"),
-            before: Some(*b),
-            after: a,
-            regression,
-        });
-    }
-
     // Times: gate only when asked, and only on slowdowns.
     let slower = |b: u64, a: u64| -> bool {
         opts.time_gate && a > b && (b == 0 || (a - b) as f64 / b as f64 > opts.tolerance)
     };
+    let stages = |s: &ReportSummary| -> Vec<(String, u64)> {
+        s.stages
+            .iter()
+            .map(|s| (s.path.clone(), s.total_ns))
+            .collect()
+    };
+    let mut lines = Vec::new();
+    compare(
+        &mut lines,
+        |name| format!("counter {name}"),
+        &baseline.counters,
+        &current.counters,
+        |b, a| a.is_none_or(|a| drifts(b, a)),
+    );
+    compare(
+        &mut lines,
+        |family| format!("cache {family} lookups"),
+        &baseline.caches,
+        &current.caches,
+        |b, a| a.map_or(b > 0, |a| drifts(b, a)),
+    );
     lines.push(DiffLine {
         what: "wall_ns".to_string(),
         before: Some(baseline.wall_ns),
         after: Some(current.wall_ns),
         regression: slower(baseline.wall_ns, current.wall_ns),
     });
-    for s in &baseline.stages {
-        let a = current
-            .stages
-            .iter()
-            .find(|c| c.path == s.path)
-            .map(|c| c.total_ns);
-        lines.push(DiffLine {
-            what: format!("stage {} total_ns", s.path),
-            before: Some(s.total_ns),
-            after: a,
-            regression: match a {
-                Some(a) => slower(s.total_ns, a),
-                // A stage vanishing entirely is structural, not noise.
-                None => true,
-            },
-        });
-    }
-
+    // A stage vanishing entirely is structural, not noise.
+    compare(
+        &mut lines,
+        |path| format!("stage {path} total_ns"),
+        &stages(baseline),
+        &stages(current),
+        |b, a| a.is_none_or(|a| slower(b, a)),
+    );
     lines.sort_by_key(|l| !l.regression);
     let regressions = lines.iter().filter(|l| l.regression).count();
     DiffReport { lines, regressions }
+}
+
+/// Compares one family of named values: each baseline entry against the
+/// run's (`regresses` gets `None` when the run lacks it), then what only
+/// the run has, as `(new)` lines that never gate.
+fn compare(
+    lines: &mut Vec<DiffLine>,
+    label: impl Fn(&str) -> String,
+    before: &[(String, u64)],
+    after: &[(String, u64)],
+    regresses: impl Fn(u64, Option<u64>) -> bool,
+) {
+    let find =
+        |list: &[(String, u64)], name: &str| list.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+    for (name, b) in before {
+        let a = find(after, name);
+        lines.push(DiffLine {
+            what: label(name),
+            before: Some(*b),
+            after: a,
+            regression: regresses(*b, a),
+        });
+    }
+    for (name, a) in after {
+        if find(before, name).is_none() {
+            lines.push(DiffLine {
+                what: format!("{} (new)", label(name)),
+                before: None,
+                after: Some(*a),
+                regression: false,
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -247,6 +231,33 @@ mod tests {
         // engine.jobs vanished (regression); mine.rules is new (not).
         assert_eq!(d.regressions, 1, "{}", d.render());
         assert!(d.render().contains("(new)"), "{}", d.render());
+    }
+
+    #[test]
+    fn new_stages_and_cache_families_show_but_never_gate() {
+        let base = summary(&[], 1000);
+        let mut cur = summary(&[], 1000);
+        cur.stages.push(StageSummary {
+            path: "train/sax".to_string(),
+            calls: 3,
+            total_ns: 200,
+        });
+        cur.caches.push(("columns".to_string(), 40));
+        let gated = DiffOptions {
+            tolerance: 0.0,
+            time_gate: true,
+        };
+        let d = diff_reports(&base, &cur, &gated);
+        assert_eq!(d.regressions, 0, "{}", d.render());
+        let rendered = d.render();
+        assert!(
+            rendered.contains("stage train/sax total_ns (new)"),
+            "{rendered}"
+        );
+        assert!(
+            rendered.contains("cache columns lookups (new)"),
+            "{rendered}"
+        );
     }
 
     #[test]

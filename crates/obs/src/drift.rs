@@ -501,12 +501,21 @@ impl DriftReport {
 
     /// The full JSON object served by `GET /debug/drift`.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
+        let metrics: Vec<String> = self
+            .metrics
+            .iter()
+            .map(|m| {
+                let ks = m.ks.map_or("null".to_string(), |ks| format!("{ks:.6}"));
+                format!(
+                    "{{\"metric\":\"{}\",\"psi\":{:.6},\"ks\":{ks},\"verdict\":\"{}\"}}",
+                    m.metric, m.psi, m.verdict
+                )
+            })
+            .collect();
+        format!(
             "{{\"status\":\"{}\",\"live_samples\":{},\"reference_samples\":{},\
              \"window_secs\":{},\"epoch_secs\":{},\"epochs\":{},\
-             \"warn\":{:.6},\"page\":{:.6},\"metrics\":[",
+             \"warn\":{:.6},\"page\":{:.6},\"metrics\":[{}]}}",
             self.status,
             self.live_samples,
             self.reference_samples,
@@ -515,22 +524,8 @@ impl DriftReport {
             self.epochs,
             self.warn,
             self.page,
-        );
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"metric\":\"{}\",\"psi\":{:.6},", m.metric, m.psi);
-            match m.ks {
-                Some(ks) => {
-                    let _ = write!(out, "\"ks\":{ks:.6},");
-                }
-                None => out.push_str("\"ks\":null,"),
-            }
-            let _ = write!(out, "\"verdict\":\"{}\"}}", m.verdict);
-        }
-        out.push_str("]}");
-        out
+            metrics.join(","),
+        )
     }
 }
 

@@ -328,7 +328,7 @@ fn health_json(serving: Option<ServingModel>) -> String {
         .map_or_else(Arc::default, |s| Arc::clone(&s.counters));
     let queue_depth = serving.as_ref().map_or(0, |s| s.queue_depth);
     let (model, generation, drift) = match serving {
-        Some(s) => (format!("\"{}\"", s.fingerprint), s.generation, s.drift),
+        Some(s) => (crate::json::quote(&s.fingerprint), s.generation, s.drift),
         None => ("null".to_string(), 0, DriftReport::unavailable()),
     };
     let status = if drift.degraded() { "degraded" } else { "ok" };

@@ -17,11 +17,12 @@
 //!   structured progress logger ([`logger`]) replacing ad-hoc prints. A
 //!   saved report is read back by one validating reader,
 //!   [`validate_jsonl`], whose [`ReportSummary`] feeds [`diff_reports`].
+//! * **JSON** ([`json`]) — the one codec for every JSON line the
+//!   workspace writes or reads: an escaper and a strict reader.
 //!
 //! Everything is gated by a single global [`ObsLevel`], set either
-//! programmatically ([`ObsConfig::install`], reachable through
-//! `RpmConfig { obs }` in `rpm-core`) or from the `RPM_LOG` environment
-//! variable ([`init_env`]) for binaries and examples. At
+//! programmatically ([`ObsConfig::install`]) or from the `RPM_LOG`
+//! environment variable ([`init_env`]) for binaries and examples. At
 //! [`ObsLevel::Off`] (the default) every probe is a no-op behind one
 //! relaxed atomic load — the disabled path allocates nothing, takes no
 //! lock, and never reads the clock (benchmarked in
@@ -46,6 +47,7 @@ pub mod drift;
 pub mod export;
 pub mod fault;
 pub mod http;
+pub mod json;
 pub mod logger;
 pub mod metrics;
 pub mod report;
@@ -120,9 +122,9 @@ impl std::fmt::Display for ObsLevel {
     }
 }
 
-/// Observability knobs carried by `RpmConfig { obs }` (and parsed from
-/// `RPM_LOG` for binaries): the recording level and an optional JSONL
-/// report path.
+/// Observability knobs, installed with [`ObsConfig::install`] (or
+/// parsed from `RPM_LOG` by [`init_env`]): the recording level, an
+/// optional JSONL report path and an optional `/metrics` address.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Recording level; [`ObsLevel::Off`] disables everything.

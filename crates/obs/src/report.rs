@@ -27,17 +27,21 @@
 //! one served model generation, which a run report does not see. They
 //! are no longer read either.
 //!
-//! [`validate_jsonl`] is the one reader: it checks every line and
+//! [`validate_jsonl`] is the one reader: it parses each line with
+//! [`crate::json`] (which writes every string here too), so a line that
+//! is not exactly one JSON object is refused, checks its fields and
 //! returns the [`ReportSummary`] that [`crate::diff`] and `rpm-cli obs
 //! summary` consume. It reads every version above, ignores unknown
 //! fields, and rejects unknown line types — a v4 `drift` line among
 //! them.
 
+use crate::json::{self, Value};
 use crate::logger::{self, LogEvent};
 use crate::metrics::{self, MetricsSnapshot};
 use crate::span::{self, SpanRecord};
+use crate::trace::{SpanId, TraceId};
 use crate::ObsLevel;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 
 /// Report schema version emitted in the `meta` line.
@@ -205,9 +209,9 @@ impl RunReport {
         );
         for r in &self.records {
             out.push_str("{\"type\":\"span\",\"path\":");
-            push_json_str(&mut out, &r.path);
+            json::push_str(&mut out, &r.path);
             out.push_str(",\"name\":");
-            push_json_str(&mut out, r.name);
+            json::push_str(&mut out, r.name);
             let _ = writeln!(
                 out,
                 ",\"depth\":{},\"thread\":{},\"start_ns\":{},\"dur_ns\":{}}}",
@@ -216,7 +220,7 @@ impl RunReport {
         }
         for s in &self.stages {
             out.push_str("{\"type\":\"stage\",\"path\":");
-            push_json_str(&mut out, &s.path);
+            json::push_str(&mut out, &s.path);
             let _ = writeln!(out, ",\"calls\":{},\"total_ns\":{}}}", s.calls, s.total_ns);
         }
         let named = self
@@ -228,7 +232,7 @@ impl RunReport {
             .chain(self.metrics.labeled.iter().cloned());
         for (name, value) in named {
             out.push_str("{\"type\":\"counter\",\"name\":");
-            push_json_str(&mut out, &name);
+            json::push_str(&mut out, &name);
             let _ = writeln!(out, ",\"value\":{value}}}");
         }
         for (family, hits, misses, evictions) in &self.metrics.cache {
@@ -239,7 +243,7 @@ impl RunReport {
                 0.0
             };
             out.push_str("{\"type\":\"cache\",\"family\":");
-            push_json_str(&mut out, family);
+            json::push_str(&mut out, family);
             let _ = writeln!(
                 out,
                 ",\"hits\":{hits},\"misses\":{misses},\"evictions\":{evictions},\"lookups\":{lookups},\"hit_rate\":{hit_rate:.6}}}"
@@ -247,7 +251,7 @@ impl RunReport {
         }
         for (name, h) in &self.metrics.histograms {
             out.push_str("{\"type\":\"histogram\",\"name\":");
-            push_json_str(&mut out, name);
+            json::push_str(&mut out, name);
             let buckets: Vec<String> = h
                 .buckets
                 .iter()
@@ -271,12 +275,12 @@ impl RunReport {
                 "{{\"type\":\"log\",\"t_ns\":{},\"level\":\"{}\",\"target\":",
                 event.t_ns, event.level
             );
-            push_json_str(&mut out, &event.target);
+            json::push_str(&mut out, &event.target);
             out.push_str(",\"message\":");
-            push_json_str(&mut out, &event.message);
+            json::push_str(&mut out, &event.message);
             if let Some(trace) = &event.trace {
                 out.push_str(",\"trace\":");
-                push_json_str(&mut out, trace);
+                json::push_str(&mut out, trace);
             }
             out.push_str("}\n");
         }
@@ -397,24 +401,6 @@ pub fn snapshot() -> RunReport {
     build(span::peek_records(), logger::peek())
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Formats one histogram statistic for the stderr tree: `*_ns`
 /// histograms hold nanoseconds, `*distance*` histograms hold millionths
 /// of the unitless match distance, anything else prints raw.
@@ -441,43 +427,6 @@ fn fmt_ns(ns: u64) -> String {
 }
 
 // --- Reading a report back ------------------------------------------------
-// The reports are emitted by this crate, so a full JSON parser is not
-// needed: minimal field extraction over our own single-line objects.
-
-fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let i = line.find(&pat)? + pat.len();
-    let digits: String = line[i..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-fn f64_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let i = line.find(&pat)? + pat.len();
-    let number: String = line[i..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        .collect();
-    number.parse().ok()
-}
-
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let i = line.find(&pat)? + pat.len();
-    let mut out = String::new();
-    let mut chars = line[i..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
-            c => out.push(c),
-        }
-    }
-    None
-}
 
 /// One stage aggregate read back from a report.
 #[derive(Clone, Debug, PartialEq)]
@@ -610,187 +559,164 @@ impl ReportSummary {
     }
 }
 
-/// Splits the `"spans":[{…},{…}]` array of a trace line into its
-/// top-level `{…}` blocks by brace depth. Sufficient for our own
-/// emitter: span names are static identifiers and attribute values are
-/// numbers-as-strings, so no brace ever appears inside a JSON string
-/// on these lines.
-fn trace_span_blocks(line: &str) -> Option<Vec<&str>> {
-    array_blocks(line, "spans")
-}
-
-/// Splits the `"<key>":[{…},{…}]` array of a line into its top-level
-/// `{…}` blocks by brace depth (same emitter caveats as
-/// [`trace_span_blocks`]).
-fn array_blocks<'a>(line: &'a str, key: &str) -> Option<Vec<&'a str>> {
-    let pat = format!("\"{key}\":[");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let mut blocks = Vec::new();
-    let mut depth = 0usize;
-    let mut block_start = 0usize;
-    for (i, b) in rest.bytes().enumerate() {
-        match b {
-            b'{' => {
-                if depth == 0 {
-                    block_start = i;
-                }
-                depth += 1;
-            }
-            b'}' => {
-                depth = depth.checked_sub(1)?;
-                if depth == 0 {
-                    blocks.push(&rest[block_start..=i]);
-                }
-            }
-            b']' if depth == 0 => return Some(blocks),
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Extracts the `"links":["…",…]` ids of one span block (empty when the
-/// span has no links).
-fn link_ids(block: &str) -> Vec<String> {
-    let pat = "\"links\":[";
-    let Some(i) = block.find(pat) else {
-        return Vec::new();
-    };
-    let rest = &block[i + pat.len()..];
-    let Some(end) = rest.find(']') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .split(',')
-        .filter_map(|s| {
-            let s = s.trim().trim_matches('"');
-            (!s.is_empty()).then(|| s.to_string())
-        })
-        .collect()
-}
-
-/// Parses the `"buckets":[[upper,n],…]` array of a histogram line.
-fn bucket_pairs(line: &str) -> Option<Vec<(u64, u64)>> {
-    let pat = "\"buckets\":[";
-    let i = line.find(pat)? + pat.len();
-    let rest = &line[i..];
-    if rest.starts_with(']') {
-        return Some(Vec::new());
-    }
-    let content = &rest[..rest.find("]]")? + 1]; // "[0,1],[4,2]"
-    let trimmed = content.trim_start_matches('[').trim_end_matches(']');
-    let mut out = Vec::new();
-    for pair in trimmed.split("],[") {
-        let (a, b) = pair.split_once(',')?;
-        out.push((a.trim().parse().ok()?, b.trim().parse().ok()?));
-    }
-    Some(out)
-}
-
 /// Reads a JSONL run report back, the one reader every consumer uses
 /// (`obs summary`, `obs diff`, the `validate` example), and checks it on
-/// the way: every line has a known `type` and its required fields, a
-/// `meta` line exists, spans carry monotone start timestamps and end
-/// within wall time (and are present at all for a spans-level report),
-/// every cache line satisfies `hits + misses == lookups`, every histogram
-/// line satisfies the bucket invariants (`count == Σ bucket counts`,
-/// buckets sorted by ascending upper bound, `sum_ns ≤ count × max bucket
-/// upper`), trace lines hold their invariants, and the counters
-/// reconcile (`match.pruned_envelope + match.abandoned ≤ match.windows`,
-/// `cfs.survivors` equals the sum of its `cfs.survivors.class=*` lines).
-/// Unknown fields are ignored. A v4 `drift` line is no longer read: it
-/// is refused as an unknown type. Returns the summary, or the first
-/// violation prefixed with `<path>: ` (and `line <n>: ` when one line
-/// breaks it).
+/// the way: every line is one JSON object with a known `type` and its
+/// required fields, a `meta` line exists, spans carry monotone start
+/// timestamps and end within wall time (and are present at all for a
+/// spans-level report), every cache line satisfies `hits + misses ==
+/// lookups`, every histogram line satisfies the bucket invariants
+/// (`count == Σ bucket counts`, buckets sorted by ascending upper bound,
+/// `sum_ns ≤ count × max bucket upper`), trace lines hold their
+/// invariants, and the counters reconcile (`match.pruned_envelope +
+/// match.abandoned ≤ match.windows`, `cfs.survivors` equals the sum of
+/// its `cfs.survivors.class=*` lines). Unknown fields are ignored. A v4
+/// `drift` line is no longer read: it is refused as an unknown type.
+/// Returns the summary, or the first violation prefixed with `<path>: `
+/// (and `line <n>: ` when one line breaks it).
 pub fn validate_jsonl(path: &str) -> Result<ReportSummary, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    read_report(&text).map_err(|e| format!("{path}: {e}"))
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    read_report(&bytes).map_err(|e| format!("{path}: {e}"))
 }
 
-fn read_report(text: &str) -> Result<ReportSummary, String> {
-    let mut check = ReportSummary::default();
-    let mut last_start = 0u64;
-    let mut main_thread: Option<u64> = None;
-    let mut covered_ns = 0u64;
-    let mut trace_ids: std::collections::HashSet<String> = std::collections::HashSet::new();
-    let mut pending_links: Vec<(usize, String)> = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
+fn read_report(bytes: &[u8]) -> Result<ReportSummary, String> {
+    let text = json::text(bytes)?;
+    let mut reader = Reader::default();
+    for (lineno, line) in (1..).zip(text.lines()) {
+        if !line.trim().is_empty() {
+            reader.summary.lines += 1;
+            reader
+                .line(lineno, line)
+                .map_err(|e| format!("line {lineno}: {e}"))?;
         }
-        check.lines += 1;
-        let kind =
-            str_field(line, "type").ok_or_else(|| format!("line {lineno}: no \"type\" field"))?;
-        match kind.as_str() {
+    }
+    reader.finish()
+}
+
+/// One report line's (or trace span's) kind and fields, read by name.
+/// Errors name the kind (`counter without value`).
+struct Fields<'a>(&'a str, &'a Value);
+
+impl<'a> Fields<'a> {
+    /// The field `key`, which `read` refuses unless it is `what`.
+    fn read<T>(
+        &self,
+        key: &str,
+        what: &str,
+        read: impl Fn(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        let Fields(kind, fields) = self;
+        let value = fields
+            .get(key)
+            .ok_or_else(|| format!("{kind} without {key}"))?;
+        read(value).ok_or_else(|| format!("{kind} {key} is not {what}"))
+    }
+
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        self.read(key, "an unsigned integer", Value::as_u64)
+    }
+
+    fn f64(&self, key: &str) -> Result<f64, String> {
+        self.read(key, "a number", Value::as_f64)
+    }
+
+    fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.read(key, "a string", Value::as_str)
+    }
+
+    fn array(&self, key: &str) -> Result<&'a [Value], String> {
+        self.read(key, "an array", Value::as_array)
+    }
+
+    /// An optional field: `None` when it is left out or `null`.
+    fn optional<T>(
+        &self,
+        key: &str,
+        read: impl Fn(&Self, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self.1.get(key) {
+            None | Some(Value::Null) => Ok(None),
+            Some(_) => read(self, key).map(Some),
+        }
+    }
+}
+
+/// What the reader carries from one line to the next.
+#[derive(Default)]
+struct Reader {
+    summary: ReportSummary,
+    last_start: u64,
+    main_thread: Option<u64>,
+    covered_ns: u64,
+    trace_ids: HashSet<String>,
+    /// Batch links as `(line, trace id)`, resolved once every line is read.
+    pending_links: Vec<(usize, String)>,
+}
+
+impl Reader {
+    /// Parses one line and checks the fields and invariants of its type.
+    fn line(&mut self, lineno: usize, line: &str) -> Result<(), String> {
+        let value = json::parse(line)?;
+        let kind = match value.get("type") {
+            Some(Value::String(kind)) => kind.as_str(),
+            Some(_) => return Err("\"type\" is not a string".to_string()),
+            None if matches!(value, Value::Object(_)) => return Err("no \"type\" field".into()),
+            None => return Err("not a JSON object".to_string()),
+        };
+        let f = Fields(kind, &value);
+        let check = &mut self.summary;
+        match kind {
             "meta" => {
-                check.wall_ns = u64_field(line, "wall_ns")
-                    .ok_or_else(|| format!("line {lineno}: meta without wall_ns"))?;
-                check.level = str_field(line, "level")
-                    .ok_or_else(|| format!("line {lineno}: meta without level"))?;
+                check.wall_ns = f.u64("wall_ns")?;
+                check.level = f.str("level")?.to_string();
             }
             "span" => {
-                let start = u64_field(line, "start_ns")
-                    .ok_or_else(|| format!("line {lineno}: span without start_ns"))?;
-                let dur = u64_field(line, "dur_ns")
-                    .ok_or_else(|| format!("line {lineno}: span without dur_ns"))?;
-                let depth = u64_field(line, "depth")
-                    .ok_or_else(|| format!("line {lineno}: span without depth"))?;
-                let thread = u64_field(line, "thread")
-                    .ok_or_else(|| format!("line {lineno}: span without thread"))?;
-                if start < last_start {
+                let start = f.u64("start_ns")?;
+                let dur = f.u64("dur_ns")?;
+                let depth = f.u64("depth")?;
+                let thread = f.u64("thread")?;
+                if start < self.last_start {
                     return Err(format!(
-                        "line {lineno}: span start_ns {start} < previous {last_start} (not monotone)"
+                        "span start_ns {start} < previous {} (not monotone)",
+                        self.last_start
                     ));
                 }
-                last_start = start;
-                if check.wall_ns > 0 && start + dur > check.wall_ns {
+                self.last_start = start;
+                let end = start.saturating_add(dur);
+                if check.wall_ns > 0 && end > check.wall_ns {
                     return Err(format!(
-                        "line {lineno}: span ends at {} beyond wall_ns {}",
-                        start + dur,
+                        "span ends at {end} beyond wall_ns {}",
                         check.wall_ns
                     ));
                 }
-                let main = *main_thread.get_or_insert(thread);
+                let main = *self.main_thread.get_or_insert(thread);
                 if depth == 0 && thread == main {
-                    covered_ns += dur;
+                    self.covered_ns = self.covered_ns.saturating_add(dur);
                 }
                 check.spans += 1;
             }
-            "counter" => {
-                let name = str_field(line, "name")
-                    .ok_or_else(|| format!("line {lineno}: counter without name"))?;
-                let value = u64_field(line, "value")
-                    .ok_or_else(|| format!("line {lineno}: counter without value"))?;
-                check.counters.push((name, value));
-            }
+            "counter" => check
+                .counters
+                .push((f.str("name")?.to_string(), f.u64("value")?)),
             "cache" => {
-                let family = str_field(line, "family")
-                    .ok_or_else(|| format!("line {lineno}: cache without family"))?;
-                let hits = u64_field(line, "hits")
-                    .ok_or_else(|| format!("line {lineno}: cache without hits"))?;
-                let misses = u64_field(line, "misses")
-                    .ok_or_else(|| format!("line {lineno}: cache without misses"))?;
-                let lookups = u64_field(line, "lookups")
-                    .ok_or_else(|| format!("line {lineno}: cache without lookups"))?;
-                if hits + misses != lookups {
+                let family = f.str("family")?;
+                let hits = f.u64("hits")?;
+                let misses = f.u64("misses")?;
+                let lookups = f.u64("lookups")?;
+                if hits.checked_add(misses) != Some(lookups) {
                     return Err(format!(
-                        "line {lineno}: cache invariant broken: {hits} + {misses} != {lookups}"
+                        "cache invariant broken: {hits} + {misses} != {lookups}"
                     ));
                 }
-                check.caches.push((family, lookups));
+                check.caches.push((family.to_string(), lookups));
             }
             "log" => check.logs += 1,
             "stage" => {
-                let path = str_field(line, "path")
-                    .ok_or_else(|| format!("line {lineno}: stage without path"))?;
-                let calls = u64_field(line, "calls")
-                    .ok_or_else(|| format!("line {lineno}: stage without calls"))?;
-                let total_ns = u64_field(line, "total_ns")
-                    .ok_or_else(|| format!("line {lineno}: stage without total_ns"))?;
+                let path = f.str("path")?.to_string();
+                let calls = f.u64("calls")?;
+                let total_ns = f.u64("total_ns")?;
                 if calls == 0 {
-                    return Err(format!("line {lineno}: stage aggregate with zero calls"));
+                    return Err("stage aggregate with zero calls".to_string());
                 }
                 check.stages.push(StageSummary {
                     path,
@@ -798,180 +724,178 @@ fn read_report(text: &str) -> Result<ReportSummary, String> {
                     total_ns,
                 });
             }
-            "histogram" => {
-                let name = str_field(line, "name")
-                    .ok_or_else(|| format!("line {lineno}: histogram without name"))?;
-                let count = u64_field(line, "count")
-                    .ok_or_else(|| format!("line {lineno}: histogram without count"))?;
-                let sum_ns = u64_field(line, "sum_ns")
-                    .ok_or_else(|| format!("line {lineno}: histogram without sum_ns"))?;
-                let buckets = bucket_pairs(line)
-                    .ok_or_else(|| format!("line {lineno}: histogram without buckets"))?;
-                let total: u64 = buckets.iter().map(|(_, n)| n).sum();
-                if total != count {
-                    return Err(format!(
-                        "line {lineno}: histogram {name}: count {count} != sum of bucket counts {total}"
-                    ));
-                }
-                if buckets.windows(2).any(|w| w[0].0 >= w[1].0) {
-                    return Err(format!(
-                        "line {lineno}: histogram {name}: bucket upper bounds not ascending"
-                    ));
-                }
-                let max_upper = buckets.last().map_or(0, |&(u, _)| u);
-                // Every observation is strictly below its bucket's upper
-                // bound (bucket 0 holds exactly 0), bounding the sum.
-                if sum_ns > count.saturating_mul(max_upper) {
-                    return Err(format!(
-                        "line {lineno}: histogram {name}: sum_ns {sum_ns} exceeds count {count} × max upper {max_upper}"
-                    ));
-                }
-                check.histograms.push(HistogramSummary {
-                    name,
-                    count,
-                    sum_ns,
-                    p50: f64_field(line, "p50").unwrap_or(0.0),
-                    p90: f64_field(line, "p90").unwrap_or(0.0),
-                    p99: f64_field(line, "p99").unwrap_or(0.0),
-                });
-            }
-            "trace" => {
-                let trace_id = str_field(line, "trace_id")
-                    .ok_or_else(|| format!("line {lineno}: trace without trace_id"))?;
-                if crate::trace::TraceId::from_hex(&trace_id).is_none() {
-                    return Err(format!(
-                        "line {lineno}: trace_id {trace_id:?} is not 32 lowercase hex digits"
-                    ));
-                }
-                let root = str_field(line, "root")
-                    .ok_or_else(|| format!("line {lineno}: trace without root"))?;
-                let start = u64_field(line, "start_ns")
-                    .ok_or_else(|| format!("line {lineno}: trace without start_ns"))?;
-                let dur = u64_field(line, "dur_ns")
-                    .ok_or_else(|| format!("line {lineno}: trace without dur_ns"))?;
-                str_field(line, "outcome")
-                    .ok_or_else(|| format!("line {lineno}: trace without outcome"))?;
-                let blocks = trace_span_blocks(line)
-                    .ok_or_else(|| format!("line {lineno}: trace without a spans array"))?;
-                if blocks.is_empty() {
-                    return Err(format!("line {lineno}: trace with no spans"));
-                }
-                // First pass: collect span ids (and reject duplicates).
-                let mut span_ids: std::collections::HashSet<String> =
-                    std::collections::HashSet::new();
-                for block in &blocks {
-                    let id = str_field(block, "id")
-                        .ok_or_else(|| format!("line {lineno}: span without id"))?;
-                    if crate::trace::SpanId::from_hex(&id).is_none() {
-                        return Err(format!(
-                            "line {lineno}: span id {id:?} is not 16 lowercase hex digits"
-                        ));
-                    }
-                    if !span_ids.insert(id.clone()) {
-                        return Err(format!("line {lineno}: duplicate span id {id}"));
-                    }
-                }
-                // Second pass: parents resolve, the parentless span is
-                // the declared root, spans sit inside the trace window,
-                // links are well-formed and deferred for resolution.
-                for block in &blocks {
-                    let id = str_field(block, "id").unwrap_or_default();
-                    match str_field(block, "parent") {
-                        Some(parent) => {
-                            if !span_ids.contains(&parent) {
-                                return Err(format!(
-                                    "line {lineno}: span {id} has parent {parent} not in the trace"
-                                ));
-                            }
-                        }
-                        None => {
-                            if id != root {
-                                return Err(format!(
-                                    "line {lineno}: parentless span {id} is not the root {root}"
-                                ));
-                            }
-                        }
-                    }
-                    let s_start = u64_field(block, "start_ns")
-                        .ok_or_else(|| format!("line {lineno}: span without start_ns"))?;
-                    let s_dur = u64_field(block, "dur_ns")
-                        .ok_or_else(|| format!("line {lineno}: span without dur_ns"))?;
-                    if s_start < start || s_start + s_dur > start + dur {
-                        return Err(format!(
-                            "line {lineno}: span {id} [{s_start}, {}] outside its trace [{start}, {}]",
-                            s_start + s_dur,
-                            start + dur
-                        ));
-                    }
-                    for link in link_ids(block) {
-                        if crate::trace::TraceId::from_hex(&link).is_none() {
-                            return Err(format!(
-                                "line {lineno}: link {link:?} is not 32 lowercase hex digits"
-                            ));
-                        }
-                        if link == trace_id {
-                            return Err(format!("line {lineno}: span {id} links its own trace"));
-                        }
-                        pending_links.push((lineno, link));
-                    }
-                }
-                trace_ids.insert(trace_id);
-                check.traces += 1;
-            }
-            other => return Err(format!("line {lineno}: unknown type {other:?}")),
+            "histogram" => check.histograms.push(read_histogram(&f)?),
+            "trace" => self.trace(lineno, &f)?,
+            other => return Err(format!("unknown type {other:?}")),
         }
+        Ok(())
     }
-    if check.wall_ns == 0 {
-        return Err("no meta line with wall_ns".to_string());
-    }
-    // Summary-level runs legitimately record no spans; a spans-level
-    // report without any is broken.
-    if check.spans == 0 && matches!(check.level.as_str(), "spans" | "debug") {
-        return Err("no span lines in a spans-level report".to_string());
-    }
-    // Batch links are only useful if they can be followed: every link
-    // must name a trace line present in this report (the report builder
-    // guarantees it by filtering to the retained set).
-    for (lineno, link) in pending_links {
-        if !trace_ids.contains(&link) {
+
+    /// A trace line: well-formed ids, parents inside the trace, the
+    /// parentless span as the root, spans inside the trace window.
+    fn trace(&mut self, lineno: usize, f: &Fields<'_>) -> Result<(), String> {
+        let trace_id = f.str("trace_id")?;
+        if TraceId::from_hex(trace_id).is_none() {
             return Err(format!(
-                "line {lineno}: batch link {link} does not resolve to a trace in this report"
+                "trace_id {trace_id:?} is not 32 lowercase hex digits"
             ));
         }
+        let root = f.str("root")?;
+        let start = f.u64("start_ns")?;
+        let end = start.saturating_add(f.u64("dur_ns")?);
+        f.str("outcome")?;
+        let spans = f.array("spans")?;
+        if spans.is_empty() {
+            return Err("trace with no spans".to_string());
+        }
+        let mut span_ids = HashSet::new();
+        for span in spans.iter().map(|v| Fields("span", v)) {
+            let id = span.str("id")?;
+            if SpanId::from_hex(id).is_none() {
+                return Err(format!("span id {id:?} is not 16 lowercase hex digits"));
+            }
+            if !span_ids.insert(id) {
+                return Err(format!("duplicate span id {id}"));
+            }
+        }
+        for span in spans.iter().map(|v| Fields("span", v)) {
+            let id = span.str("id")?;
+            match span.optional("parent", Fields::str)? {
+                None if id != root => {
+                    return Err(format!("parentless span {id} is not the root {root}"));
+                }
+                Some(parent) if !span_ids.contains(parent) => {
+                    return Err(format!("span {id} has parent {parent} not in the trace"));
+                }
+                _ => {}
+            }
+            let s_start = span.u64("start_ns")?;
+            let s_end = s_start.saturating_add(span.u64("dur_ns")?);
+            if s_start < start || s_end > end {
+                return Err(format!(
+                    "span {id} [{s_start}, {s_end}] outside its trace [{start}, {end}]"
+                ));
+            }
+            for link in span.optional("links", Fields::array)?.unwrap_or_default() {
+                let link = link
+                    .as_str()
+                    .ok_or_else(|| format!("span {id} link is not a string"))?;
+                if TraceId::from_hex(link).is_none() {
+                    return Err(format!("link {link:?} is not 32 lowercase hex digits"));
+                }
+                if link == trace_id {
+                    return Err(format!("span {id} links its own trace"));
+                }
+                self.pending_links.push((lineno, link.to_string()));
+            }
+        }
+        self.trace_ids.insert(trace_id.to_string());
+        self.summary.traces += 1;
+        Ok(())
     }
-    // Counter reconciliation: a window is pruned or abandoned only after
-    // it was counted as scanned, and each CFS survivor counts once in
-    // total and once under its class.
-    let value = |name: &str| check.counter(name).unwrap_or(0);
-    let (windows, pruned, abandoned) = (
-        value("match.windows"),
-        value("match.pruned_envelope"),
-        value("match.abandoned"),
-    );
-    if pruned.saturating_add(abandoned) > windows {
-        return Err(format!(
-            "match.pruned_envelope {pruned} + match.abandoned {abandoned} > match.windows {windows}"
-        ));
+
+    /// The checks across lines: a meta line, spans in a spans-level
+    /// report, batch links that resolve, and reconciled counters.
+    fn finish(self) -> Result<ReportSummary, String> {
+        let mut check = self.summary;
+        if check.wall_ns == 0 {
+            return Err("no meta line with wall_ns".to_string());
+        }
+        // Summary-level runs legitimately record no spans; a spans-level
+        // report without any is broken.
+        if check.spans == 0 && matches!(check.level.as_str(), "spans" | "debug") {
+            return Err("no span lines in a spans-level report".to_string());
+        }
+        // Batch links are only useful if they can be followed: every link
+        // must name a trace line present in this report (the report
+        // builder guarantees it by filtering to the retained set).
+        for (lineno, link) in self.pending_links {
+            if !self.trace_ids.contains(&link) {
+                return Err(format!(
+                    "line {lineno}: batch link {link} does not resolve to a trace in this report"
+                ));
+            }
+        }
+        // Counter reconciliation: a window is pruned or abandoned only
+        // after it was counted as scanned, and each CFS survivor counts
+        // once in total and once under its class.
+        let value = |name: &str| check.counter(name).unwrap_or(0);
+        let (windows, pruned, abandoned) = (
+            value("match.windows"),
+            value("match.pruned_envelope"),
+            value("match.abandoned"),
+        );
+        if pruned.saturating_add(abandoned) > windows {
+            return Err(format!(
+                "match.pruned_envelope {pruned} + match.abandoned {abandoned} > match.windows {windows}"
+            ));
+        }
+        let survivors = value("cfs.survivors");
+        let by_class = check
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("cfs.survivors.class="))
+            .fold(0u64, |sum, (_, v)| sum.saturating_add(*v));
+        if survivors != by_class {
+            return Err(format!(
+                "cfs.survivors {survivors} != {by_class} summed over cfs.survivors.class=*"
+            ));
+        }
+        check.coverage = self.covered_ns as f64 / check.wall_ns as f64;
+        Ok(check)
     }
-    let survivors = value("cfs.survivors");
-    let by_class = check
-        .counters
+}
+
+/// A histogram line, checked against the bucket invariants.
+fn read_histogram(f: &Fields<'_>) -> Result<HistogramSummary, String> {
+    let name = f.str("name")?;
+    let count = f.u64("count")?;
+    let sum_ns = f.u64("sum_ns")?;
+    let buckets: Vec<(u64, u64)> = f
+        .array("buckets")?
         .iter()
-        .filter(|(name, _)| name.starts_with("cfs.survivors.class="))
-        .fold(0u64, |sum, (_, v)| sum.saturating_add(*v));
-    if survivors != by_class {
+        .map(|pair| match pair.as_array()? {
+            [upper, n] => Some((upper.as_u64()?, n.as_u64()?)),
+            _ => None,
+        })
+        .collect::<Option<_>>()
+        .ok_or_else(|| format!("histogram {name}: buckets are not [upper, count] pairs"))?;
+    let total = buckets
+        .iter()
+        .fold(0u64, |sum, (_, n)| sum.saturating_add(*n));
+    if total != count {
         return Err(format!(
-            "cfs.survivors {survivors} != {by_class} summed over cfs.survivors.class=*"
+            "histogram {name}: count {count} != sum of bucket counts {total}"
         ));
     }
-    check.coverage = covered_ns as f64 / check.wall_ns as f64;
-    Ok(check)
+    if buckets.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return Err(format!(
+            "histogram {name}: bucket upper bounds not ascending"
+        ));
+    }
+    let max_upper = buckets.last().map_or(0, |&(u, _)| u);
+    // Every observation is strictly below its bucket's upper bound
+    // (bucket 0 holds exactly 0), bounding the sum.
+    if sum_ns > count.saturating_mul(max_upper) {
+        return Err(format!(
+            "histogram {name}: sum_ns {sum_ns} exceeds count {count} × max upper {max_upper}"
+        ));
+    }
+    Ok(HistogramSummary {
+        name: name.to_string(),
+        count,
+        sum_ns,
+        p50: f.optional("p50", Fields::f64)?.unwrap_or(0.0),
+        p90: f.optional("p90", Fields::f64)?.unwrap_or(0.0),
+        p99: f.optional("p99", Fields::f64)?.unwrap_or(0.0),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{ObsConfig, ObsLevel};
+    use proptest::prelude::*;
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("rpm_obs_{tag}_{}.jsonl", std::process::id()))
@@ -1310,10 +1234,181 @@ mod tests {
         assert_eq!(order, vec!["train", "train/mine", "train/svm", "predict"]);
     }
 
+    /// A small report holding one line of each type, with values chosen
+    /// so that no single-byte change to one line breaks an invariant
+    /// that another line checks (the span ends far below any `wall_ns` a
+    /// flip can leave, and only one trace, without links).
+    const ONE_OF_EACH: &str = concat!(
+        "{\"type\":\"meta\",\"version\":4,\"wall_ns\":900000,\"level\":\"spans\"}\n",
+        "{\"type\":\"span\",\"path\":\"train\",\"name\":\"train\",\"depth\":0,\"thread\":3,",
+        "\"start_ns\":10,\"dur_ns\":6000}\n",
+        "{\"type\":\"stage\",\"path\":\"train\",\"calls\":1,\"total_ns\":6000}\n",
+        "{\"type\":\"counter\",\"name\":\"engine.jobs\",\"value\":12}\n",
+        "{\"type\":\"cache\",\"family\":\"frames\",\"hits\":6,\"misses\":4,\"evictions\":0,",
+        "\"lookups\":10,\"hit_rate\":0.600000}\n",
+        "{\"type\":\"histogram\",\"name\":\"predict.latency_ns\",\"count\":3,\"sum_ns\":2100,",
+        "\"mean_ns\":700.0,\"p50\":700.0,\"p90\":900.0,\"p99\":990.0,\"buckets\":[[512,1],[1024,2]]}\n",
+        "{\"type\":\"log\",\"t_ns\":50,\"level\":\"info\",\"target\":\"test\",",
+        "\"message\":\"stage \\\"done\\\"\\n\"}\n",
+        "{\"type\":\"trace\",\"trace_id\":\"4bf92f3577b34da6a3ce929d0e0e4736\",",
+        "\"root\":\"00f067aa0ba902b7\",\"outcome\":\"ok\",\"status\":200,\"sampled\":true,",
+        "\"start_ns\":10,\"dur_ns\":50,\"spans\":[{\"name\":\"request\",\"id\":\"00f067aa0ba902b7\",",
+        "\"parent\":null,\"start_ns\":10,\"dur_ns\":50},{\"name\":\"parse\",",
+        "\"id\":\"00f067aa0ba902b8\",\"parent\":\"00f067aa0ba902b7\",\"start_ns\":12,",
+        "\"dur_ns\":5,\"attrs\":{\"series\":\"3\"}}]}\n",
+    );
+
     #[test]
-    fn json_strings_are_escaped() {
-        let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+    fn every_proper_prefix_of_a_line_is_refused_naming_it() {
+        let check = read_report(ONE_OF_EACH.as_bytes()).expect("the report itself is valid");
+        assert_eq!(check.lines, 8);
+        let lines: Vec<&[u8]> = ONE_OF_EACH.as_bytes().split(|&b| b == b'\n').collect();
+        for (k, line) in lines.iter().enumerate() {
+            for cut in 1..line.len() {
+                let mut text = Vec::new();
+                for (j, other) in lines.iter().enumerate().filter(|(_, l)| !l.is_empty()) {
+                    text.extend_from_slice(if j == k { &line[..cut] } else { other });
+                    text.push(b'\n');
+                }
+                let prefix = String::from_utf8_lossy(&line[..cut]);
+                let err = read_report(&text).expect_err(&prefix);
+                assert!(
+                    err.starts_with(&format!("line {}: ", k + 1)),
+                    "{prefix}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_byte_flip_reads_back_or_is_refused_naming_its_line() {
+        let bytes = ONE_OF_EACH.as_bytes();
+        for (at, &byte) in bytes.iter().enumerate() {
+            let line = 1 + bytes[..at].iter().filter(|&&b| b == b'\n').count();
+            for mask in [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xff] {
+                let mut flipped = bytes.to_vec();
+                flipped[at] = byte ^ mask;
+                if let Err(err) = read_report(&flipped) {
+                    assert!(
+                        err.starts_with(&format!("line {line}: ")),
+                        "byte {at} ^ {mask:#04x}: {err}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_lines_are_refused_by_line() {
+        let meta = "{\"type\":\"meta\",\"version\":4,\"wall_ns\":100,\"level\":\"summary\"}\n";
+        let counter = "{\"type\":\"counter\",\"name\":\"engine.jobs\"";
+        for (probe, why) in [
+            (
+                format!("{counter},\"value\":12abc}}"),
+                "expected ',' or '}', found 'a'",
+            ),
+            (
+                format!("{counter},\"value\":1e3}}"),
+                "counter value is not an unsigned integer",
+            ),
+            (
+                format!("{counter},\"value\":-5}}"),
+                "counter value is not an unsigned integer",
+            ),
+            (
+                format!("{counter},\"value\":18446744073709551616}}"),
+                "counter value is not an unsigned integer",
+            ),
+            (
+                "{\"type\":\"counter\"\"name\":\"engine.jobs\"\"value\":7}".to_string(),
+                "expected ',' or '}', found '\"'",
+            ),
+            (
+                "\"type\":\"counter\",\"name\":\"engine.jobs\",\"value\":5".to_string(),
+                "trailing characters after the JSON value",
+            ),
+            ("[\"counter\",5]".to_string(), "not a JSON object"),
+            (
+                format!("{counter},\"value\":5}} x"),
+                "trailing characters after the JSON value",
+            ),
+            (
+                format!("{counter},\"value\":5,\"value\":6}}"),
+                "duplicate key \"value\"",
+            ),
+            (
+                "{\"type\":\"counter\",\"name\":7,\"value\":5}".to_string(),
+                "counter name is not a string",
+            ),
+            ("{\"type\":4}".to_string(), "\"type\" is not a string"),
+        ] {
+            let err = read_report(format!("{meta}{probe}\n").as_bytes()).unwrap_err();
+            assert_eq!(err, format!("line 2: {why}"), "{probe}");
+        }
+        let not_utf8 = [
+            meta.as_bytes(),
+            b"{\"type\":\"log\",\"message\":\"\xff\"}\n",
+        ]
+        .concat();
+        assert_eq!(read_report(&not_utf8).unwrap_err(), "line 2: not UTF-8");
+
+        // Escapes decode: a name written with `\n` reads back holding a
+        // newline.
+        let text = format!("{meta}{{\"type\":\"counter\",\"name\":\"a\\nb\",\"value\":3}}\n");
+        let check = read_report(text.as_bytes()).unwrap();
+        assert_eq!(check.counters, vec![("a\nb".to_string(), 3)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any counter name, stage path or log message the writer emits
+        /// reads back byte-identical, whatever code points it holds.
+        #[test]
+        fn written_strings_read_back(
+            name in proptest::collection::vec(0u32..0x11_0000, 0..40),
+            path in proptest::collection::vec(0u32..0x11_0000, 0..40),
+            message in proptest::collection::vec(0u32..0x11_0000, 0..40),
+        ) {
+            let text = |codes: Vec<u32>| -> String {
+                codes.into_iter().filter_map(char::from_u32).collect()
+            };
+            let (name, path, message) = (text(name), text(path), text(message));
+            let report = RunReport {
+                wall_ns: 1_000,
+                level: ObsLevel::Summary,
+                stages: vec![StageAgg {
+                    path: path.clone(),
+                    name: "stage".to_string(),
+                    depth: 0,
+                    calls: 1,
+                    total_ns: 5,
+                    min_start_ns: 0,
+                    max_end_ns: 5,
+                }],
+                records: Vec::new(),
+                metrics: MetricsSnapshot {
+                    labeled: vec![(name.clone(), 7)],
+                    ..MetricsSnapshot::default()
+                },
+                logs: vec![LogEvent {
+                    t_ns: 1,
+                    level: "info",
+                    target: "test".to_string(),
+                    message: message.clone(),
+                    trace: None,
+                }],
+                traces: Vec::new(),
+            };
+            let jsonl = report.to_jsonl();
+            let check = read_report(jsonl.as_bytes());
+            prop_assert!(check.is_ok(), "{:?}", check);
+            let check = check.unwrap();
+            prop_assert_eq!(&check.counters, &vec![(name, 7)]);
+            prop_assert_eq!(&check.stages[0].path, &path);
+            let log = jsonl.lines().find(|l| l.starts_with("{\"type\":\"log\"")).unwrap();
+            let log = json::parse(log).unwrap();
+            prop_assert_eq!(log.get("message").and_then(Value::as_str), Some(message.as_str()));
+        }
     }
 }

@@ -45,7 +45,9 @@
 //! an exemplar is recorded only for *retained* traces, so every trace
 //! id a scrape shows resolves against the recorder.
 
+use crate::json;
 use crate::metrics::{bucket_index, HIST_BUCKETS};
+use std::fmt::Write as _;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -427,95 +429,55 @@ impl TraceRecord {
     /// trailing newline) — the shape shared by `/debug/traces`, run
     /// reports, and `rpm-cli obs traces`.
     pub fn to_jsonl_line(&self) -> String {
-        let mut out = String::with_capacity(256 + self.spans.len() * 128);
-        out.push_str("{\"type\":\"trace\",\"trace_id\":\"");
-        out.push_str(&self.trace_id.to_hex());
-        out.push_str("\",\"root\":\"");
-        out.push_str(&self.root.to_hex());
-        out.push('"');
+        let mut out = format!(
+            "{{\"type\":\"trace\",\"trace_id\":\"{}\",\"root\":\"{}\"",
+            self.trace_id.to_hex(),
+            self.root.to_hex()
+        );
         if let Some(parent) = self.remote_parent {
-            out.push_str(",\"remote_parent\":\"");
-            out.push_str(&parent.to_hex());
-            out.push('"');
+            let _ = write!(out, ",\"remote_parent\":\"{}\"", parent.to_hex());
         }
-        out.push_str(",\"outcome\":\"");
-        out.push_str(self.outcome.as_str());
-        out.push_str("\",\"status\":");
-        out.push_str(&self.status.to_string());
-        out.push_str(",\"sampled\":");
-        out.push_str(if self.sampled { "true" } else { "false" });
-        out.push_str(",\"start_ns\":");
-        out.push_str(&self.start_ns.to_string());
-        out.push_str(",\"dur_ns\":");
-        out.push_str(&self.dur_ns.to_string());
-        out.push_str(",\"spans\":[");
+        let _ = write!(
+            out,
+            ",\"outcome\":\"{}\",\"status\":{},\"sampled\":{},\"start_ns\":{},\"dur_ns\":{},\"spans\":[",
+            self.outcome.as_str(),
+            self.status,
+            self.sampled,
+            self.start_ns,
+            self.dur_ns
+        );
         for (i, span) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+            out.push_str(if i > 0 { ",{\"name\":" } else { "{\"name\":" });
+            json::push_str(&mut out, span.name);
+            let _ = write!(
+                out,
+                ",\"id\":\"{}\",\"parent\":{},\"start_ns\":{},\"dur_ns\":{}",
+                span.id.to_hex(),
+                span.parent
+                    .map_or("null".to_string(), |p| format!("\"{}\"", p.to_hex())),
+                span.start_ns,
+                span.dur_ns
+            );
+            let attrs: Vec<String> = span
+                .attrs
+                .iter()
+                .map(|(key, value)| format!("{}:{}", json::quote(key), json::quote(value)))
+                .collect();
+            if !attrs.is_empty() {
+                let _ = write!(out, ",\"attrs\":{{{}}}", attrs.join(","));
             }
-            out.push_str("{\"name\":\"");
-            out.push_str(span.name);
-            out.push_str("\",\"id\":\"");
-            out.push_str(&span.id.to_hex());
-            out.push_str("\",\"parent\":");
-            match span.parent {
-                Some(p) => {
-                    out.push('"');
-                    out.push_str(&p.to_hex());
-                    out.push('"');
-                }
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"start_ns\":");
-            out.push_str(&span.start_ns.to_string());
-            out.push_str(",\"dur_ns\":");
-            out.push_str(&span.dur_ns.to_string());
-            if !span.attrs.is_empty() {
-                out.push_str(",\"attrs\":{");
-                for (j, (key, value)) in span.attrs.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(key);
-                    out.push_str("\":\"");
-                    push_escaped(&mut out, value);
-                    out.push('"');
-                }
-                out.push('}');
-            }
-            if !span.links.is_empty() {
-                out.push_str(",\"links\":[");
-                for (j, link) in span.links.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(&link.to_hex());
-                    out.push('"');
-                }
-                out.push(']');
+            let links: Vec<String> = span
+                .links
+                .iter()
+                .map(|l| format!("\"{}\"", l.to_hex()))
+                .collect();
+            if !links.is_empty() {
+                let _ = write!(out, ",\"links\":[{}]", links.join(","));
             }
             out.push('}');
         }
         out.push_str("]}");
         out
-    }
-}
-
-/// Minimal JSON string escaping for attribute values (names and ids
-/// are static/hex and never need it).
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }
 

@@ -9,13 +9,11 @@
 //!   [`sax_word`]),
 //! * sliding-window discretization of a whole series with optional
 //!   **numerosity reduction** ([`discretize()`]),
-//! * the MINDIST lower bound between SAX words ([`mindist()`]),
 //! * per-class bag-of-words construction ([`bag::BagOfWords`]).
 
 pub mod bag;
 pub mod breakpoints;
 pub mod discretize;
-pub mod mindist;
 pub mod word;
 
 pub use bag::BagOfWords;
@@ -23,5 +21,4 @@ pub use breakpoints::{breakpoints, inv_norm_cdf, MAX_ALPHABET, MIN_ALPHABET};
 pub use discretize::{
     discretize, paa_frames, sax_word, words_from_frames, PaaFrames, SaxConfig, SaxWordAt,
 };
-pub use mindist::mindist;
 pub use word::SaxWord;

@@ -61,7 +61,7 @@ use std::time::{Duration, Instant};
 
 use batch::{BatchQueue, Pending, Reply};
 use rpm_core::{PersistError, RpmClassifier, VerifyReport};
-use rpm_obs::{Request, Response, ServeLimits, ServeMetrics, TraceCtx, TraceOutcome};
+use rpm_obs::{json, Request, Response, ServeLimits, ServeMetrics, TraceCtx, TraceOutcome};
 use rpm_ts::Parallelism;
 use supervise::Supervisor;
 
@@ -333,68 +333,59 @@ fn admin_reload(
     default_path: Option<&std::path::Path>,
     req: &Request,
 ) -> Response {
-    let explicit = match proto::parse_reload_body(&req.body) {
-        Ok(path) => path,
-        Err(e) => {
-            return Response::json(
-                400,
-                proto::format_error("bad_request", &format!("reload body: {e}")),
-            )
-        }
+    let bad_request =
+        |detail: &str| Response::json(400, proto::format_error("bad_request", detail));
+    let path = match proto::parse_reload_body(&req.body) {
+        Ok(explicit) => explicit
+            .map(PathBuf::from)
+            .or_else(|| default_path.map(std::path::Path::to_path_buf)),
+        Err(e) => return bad_request(&format!("reload body: {e}")),
     };
-    let outcome = match (&explicit, default_path) {
-        (Some(path), _) => lifecycle.reload_from_path(std::path::Path::new(path)),
-        (None, Some(path)) => lifecycle.reload_from_path(path),
-        (None, None) => {
-            return Response::json(
-                400,
-                proto::format_error(
-                    "bad_request",
-                    "no candidate: POST {\"path\":\"…\"} or start the server with a model path",
-                ),
-            )
+    match path {
+        Some(path) => swap_response(
+            lifecycle.reload_from_path(&path),
+            "swapped",
+            "reload_rejected",
+        ),
+        None => {
+            bad_request("no candidate: POST {\"path\":\"…\"} or start the server with a model path")
         }
-    };
-    match outcome {
-        Ok(o) => Response::json(
-            200,
-            format!(
-                "{{\"result\":\"swapped\",\"generation\":{},\"fingerprint\":{},\"displaced\":{}}}\n",
-                o.generation,
-                proto::quote_json(&o.fingerprint),
-                proto::quote_json(&o.displaced)
-            ),
-        ),
-        Err(e) => Response::json(
-            409,
-            format!(
-                "{{\"error\":\"reload_rejected\",\"reason\":{},\"detail\":{}}}\n",
-                proto::quote_json(e.code()),
-                proto::quote_json(&e.to_string())
-            ),
-        ),
     }
 }
 
 /// `POST /admin/rollback`: swap back to the warm previous generation.
 /// `409` when there is none.
 fn admin_rollback(lifecycle: &Lifecycle) -> Response {
-    match lifecycle.rollback("admin request") {
+    swap_response(
+        lifecycle.rollback("admin request"),
+        "rolled_back",
+        "rollback_rejected",
+    )
+}
+
+/// The admin answer to a swap: `200` naming the new and displaced
+/// generations, or `409` with the rejection's machine-readable `reason`.
+fn swap_response(
+    outcome: Result<lifecycle::ReloadOutcome, lifecycle::ReloadError>,
+    result: &str,
+    error: &str,
+) -> Response {
+    match outcome {
         Ok(o) => Response::json(
             200,
             format!(
-                "{{\"result\":\"rolled_back\",\"generation\":{},\"fingerprint\":{},\"displaced\":{}}}\n",
+                "{{\"result\":\"{result}\",\"generation\":{},\"fingerprint\":{},\"displaced\":{}}}\n",
                 o.generation,
-                proto::quote_json(&o.fingerprint),
-                proto::quote_json(&o.displaced)
+                json::quote(&o.fingerprint),
+                json::quote(&o.displaced)
             ),
         ),
         Err(e) => Response::json(
             409,
             format!(
-                "{{\"error\":\"rollback_rejected\",\"reason\":{},\"detail\":{}}}\n",
-                proto::quote_json(e.code()),
-                proto::quote_json(&e.to_string())
+                "{{\"error\":\"{error}\",\"reason\":{},\"detail\":{}}}\n",
+                json::quote(e.code()),
+                json::quote(&e.to_string())
             ),
         ),
     }

@@ -94,9 +94,10 @@ impl LoadReport {
     /// JSON object for machine-readable benchmark artifacts.
     pub fn to_json(&self, label: &str) -> String {
         format!(
-            "{{\"label\":\"{label}\",\"offered_qps\":{:.1},\"achieved_qps\":{:.1},\
+            "{{\"label\":{},\"offered_qps\":{:.1},\"achieved_qps\":{:.1},\
              \"sent\":{},\"missed\":{},\"ok\":{},\"shed\":{},\"deadline\":{},\"errors\":{},\
              \"p50_ms\":{:.3},\"p99_ms\":{:.3},\"mean_ms\":{:.3},\"shed_p99_ms\":{:.3}}}",
+            rpm_obs::json::quote(label),
             self.offered_qps,
             self.achieved_qps,
             self.sent,

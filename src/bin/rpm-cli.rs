@@ -425,43 +425,43 @@ fn cmd_serve(args: &[String]) -> CliResult {
         eprintln!("model carries no drift reference profile; /debug/drift will report unavailable");
     }
 
+    // Every flag left unset keeps the library's default.
+    let defaults = rpm::serve::ServeConfig::default();
     let config = rpm::serve::ServeConfig {
-        addr: args
-            .flag_value("--addr")?
-            .unwrap_or_else(|| "127.0.0.1:9899".to_string()),
-        workers: args.parse_flag::<usize>("--workers")?.unwrap_or(2),
-        max_batch: args.parse_flag::<usize>("--batch-max")?.unwrap_or(32),
-        queue_depth: args.parse_flag::<usize>("--queue-depth")?.unwrap_or(1024),
-        deadline: std::time::Duration::from_millis(
-            args.parse_flag::<u64>("--deadline-ms")?.unwrap_or(2000),
-        ),
-        parallelism: match args.parse_flag::<usize>("--threads")?.unwrap_or(1) {
-            0 | 1 => rpm::core::Parallelism::Serial,
-            n => rpm::core::Parallelism::Threads(n),
+        addr: args.flag_value("--addr")?.unwrap_or(defaults.addr),
+        workers: args.parse_flag("--workers")?.unwrap_or(defaults.workers),
+        max_batch: args
+            .parse_flag("--batch-max")?
+            .unwrap_or(defaults.max_batch),
+        queue_depth: args
+            .parse_flag("--queue-depth")?
+            .unwrap_or(defaults.queue_depth),
+        deadline: args
+            .parse_flag("--deadline-ms")?
+            .map_or(defaults.deadline, std::time::Duration::from_millis),
+        parallelism: match args.parse_flag::<usize>("--threads")? {
+            None => defaults.parallelism,
+            Some(0 | 1) => rpm::core::Parallelism::Serial,
+            Some(n) => rpm::core::Parallelism::Threads(n),
         },
         limits: rpm::obs::ServeLimits {
             max_body_bytes: args
                 .parse_flag::<usize>("--max-body-kb")?
-                .map(|kb| kb * 1024)
-                .unwrap_or(rpm::obs::ServeLimits::default().max_body_bytes),
-            ..rpm::obs::ServeLimits::default()
+                .map_or(defaults.limits.max_body_bytes, |kb| kb * 1024),
+            ..defaults.limits
         },
         drift: drift_config_from(&args)?,
-        reload: {
-            let defaults = rpm::serve::ReloadPolicy::default();
-            rpm::serve::ReloadPolicy {
-                canary_psi: args
-                    .parse_flag::<f64>("--reload-canary")?
-                    .unwrap_or(defaults.canary_psi),
-                probation: args
-                    .parse_flag::<u64>("--probation-secs")?
-                    .map(std::time::Duration::from_secs)
-                    .unwrap_or(defaults.probation),
-                allow_unverified,
-                ..defaults
-            }
+        reload: rpm::serve::ReloadPolicy {
+            canary_psi: args
+                .parse_flag("--reload-canary")?
+                .unwrap_or(defaults.reload.canary_psi),
+            probation: args
+                .parse_flag("--probation-secs")?
+                .map_or(defaults.reload.probation, std::time::Duration::from_secs),
+            allow_unverified,
+            ..defaults.reload
         },
-        supervise: rpm::serve::SuperviseSettings::default(),
+        supervise: defaults.supervise,
         model_path: Some(std::path::PathBuf::from(model_path)),
     };
     let mut server =
@@ -517,10 +517,10 @@ fn cmd_serve_reload(args: &[String]) -> CliResult {
     let args = Args::new(args, SERVE_RELOAD_FLAGS)?;
     let addr = args.positional(0)?;
     let body = match args.flag_value("--model")? {
-        Some(path) => format!("{{\"path\":{}}}", rpm::serve::proto::quote_json(&path)),
+        Some(path) => format!("{{\"path\":{}}}", rpm::obs::json::quote(&path)),
         None => "{}".to_string(),
     };
-    let (status, response) = http_post(addr, "/admin/reload", &body)?;
+    let (status, response) = http(addr, "POST", "/admin/reload", &body)?;
     print!("{response}");
     if status != 200 {
         return Err(format!("reload refused (HTTP {status})").into());
@@ -532,7 +532,7 @@ fn cmd_serve_reload(args: &[String]) -> CliResult {
 /// warm previous generation.
 fn cmd_serve_rollback(args: &[String]) -> CliResult {
     let addr = Args::new(args, NO_FLAGS)?.positional(0)?;
-    let (status, response) = http_post(addr, "/admin/rollback", "")?;
+    let (status, response) = http(addr, "POST", "/admin/rollback", "")?;
     print!("{response}");
     if status != 200 {
         return Err(format!("rollback refused (HTTP {status})").into());
@@ -765,50 +765,37 @@ fn cmd_obs(args: &[String]) -> CliResult {
     }
 }
 
-/// Pulls a `"key":"value"` string field out of a flat JSON object.
-fn json_string(json: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let at = json.find(&pat)? + pat.len();
-    json[at..].split('"').next().map(str::to_string)
-}
-
-/// Pulls a `"key":<number>` field out of a flat JSON object.
-fn json_number(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = &json[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Renders the `/debug/drift` JSON as the human-facing drift table.
 fn render_drift(body: &str) -> Result<String, Box<dyn std::error::Error>> {
-    let status = json_string(body, "status").ok_or("malformed drift report (no status)")?;
+    use rpm::obs::json::Value;
+    let report = rpm::obs::json::parse(body).map_err(|e| format!("malformed drift report: {e}"))?;
+    let number = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64);
+    let status = report
+        .get("status")
+        .and_then(Value::as_str)
+        .ok_or("malformed drift report (no status)")?;
     let mut out = format!("drift status: {status}\n");
     if status == "unavailable" {
         out.push_str("the served model carries no training reference profile\n");
         return Ok(out);
     }
-    let live = json_number(body, "live_samples").unwrap_or(0.0);
-    let reference = json_number(body, "reference_samples").unwrap_or(0.0);
-    let window = json_number(body, "window_secs").unwrap_or(0.0);
-    let warn = json_number(body, "warn").unwrap_or(0.0);
-    let page = json_number(body, "page").unwrap_or(0.0);
+    let live = number(&report, "live_samples").unwrap_or(0.0);
+    let reference = number(&report, "reference_samples").unwrap_or(0.0);
+    let window = number(&report, "window_secs").unwrap_or(0.0);
+    let warn = number(&report, "warn").unwrap_or(0.0);
+    let page = number(&report, "page").unwrap_or(0.0);
     let _ = writeln!(
         out,
         "live window: {live:.0} samples over {window:.0}s (reference {reference:.0}); \
          thresholds warn ≥ {warn} / page ≥ {page}",
     );
     let _ = writeln!(out, "{:<16} {:>9} {:>9}  verdict", "metric", "psi", "ks");
-    for block in body.split("{\"metric\":\"").skip(1) {
-        let seg = &block[..block.find('}').unwrap_or(block.len())];
-        let name = seg.split('"').next().unwrap_or("?");
-        let psi = json_number(seg, "psi").unwrap_or(f64::NAN);
-        let ks = json_number(seg, "ks");
-        let verdict = json_string(seg, "verdict").unwrap_or_else(|| "?".to_string());
-        let ks_cell = match ks {
+    let metrics = report.get("metrics").and_then(Value::as_array);
+    for m in metrics.unwrap_or_default() {
+        let name = m.get("metric").and_then(Value::as_str).unwrap_or("?");
+        let psi = number(m, "psi").unwrap_or(f64::NAN);
+        let verdict = m.get("verdict").and_then(Value::as_str).unwrap_or("?");
+        let ks_cell = match number(m, "ks") {
             Some(v) => format!("{v:>9.4}"),
             None => format!("{:>9}", "-"),
         };
@@ -817,30 +804,21 @@ fn render_drift(body: &str) -> Result<String, Box<dyn std::error::Error>> {
     Ok(out)
 }
 
-/// A one-shot HTTP/1.0 GET against a serving endpoint (the flight
-/// recorder's `/debug/traces`), returning the body. Std-only — no HTTP
-/// client dependency for a line-oriented debug fetch.
+/// A GET that must answer `200` (the flight recorder's
+/// `/debug/traces`, the drift verdict), returning the body.
 fn http_get(addr: &str, path: &str) -> Result<String, Box<dyn std::error::Error>> {
-    use std::io::{Read as _, Write as _};
-    let mut stream =
-        std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    write!(stream, "GET {path} HTTP/1.0\r\nHost: {addr}\r\n\r\n")?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or("malformed HTTP response")?;
-    let status_line = head.lines().next().unwrap_or_default();
-    if !status_line.contains(" 200 ") && !status_line.ends_with(" 200") {
-        return Err(format!("{addr}{path}: {status_line}").into());
+    match http(addr, "GET", path, "")? {
+        (200, body) => Ok(body),
+        (status, _) => Err(format!("{addr}{path}: HTTP {status}").into()),
     }
-    Ok(body.to_string())
 }
 
-/// One-shot HTTP/1.0 POST; returns (status, body) so admin clients can
-/// surface `409 Conflict` bodies instead of erroring on the transport.
-fn http_post(
+/// One-shot HTTP/1.0 request; returns (status, body) so admin clients
+/// can surface `409 Conflict` bodies instead of erroring on the
+/// transport. Std-only — no HTTP client dependency.
+fn http(
     addr: &str,
+    method: &str,
     path: &str,
     body: &str,
 ) -> Result<(u16, String), Box<dyn std::error::Error>> {
@@ -849,7 +827,7 @@ fn http_post(
         std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     write!(
         stream,
-        "POST {path} HTTP/1.0\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
+        "{method} {path} HTTP/1.0\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     )?;
     let mut response = String::new();

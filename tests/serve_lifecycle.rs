@@ -14,8 +14,8 @@
 use rpm::core::{model_fingerprint, RpmClassifier, RpmConfig};
 use rpm::data::generate;
 use rpm::data::registry::spec_by_name;
+use rpm::obs::json::quote;
 use rpm::sax::SaxConfig;
-use rpm::serve::proto::quote_json;
 use rpm::serve::{load_verified, ReloadPolicy, ServeConfig, Server};
 use rpm::ts::Dataset;
 use std::io::{Read, Write};
@@ -665,7 +665,7 @@ fn reload_bodies_name_a_path_or_nothing() {
 
     let escaped = format!(
         "{{\"path\":{}}}",
-        quote_json(path_b.to_str().expect("UTF-8 temp path"))
+        quote(path_b.to_str().expect("UTF-8 temp path"))
     );
     let swapped = request(addr, "POST", "/admin/reload", &escaped);
     assert!(swapped.starts_with("HTTP/1.0 200"), "{swapped}");
