@@ -147,21 +147,22 @@ impl SaxVsm {
         let min_len = sub.min_len().max(8) as i64;
         let lo = [(min_len / 8).clamp(4, min_len / 2), 3, 3];
         let hi = [(min_len / 2).max(lo[0]), 8, 8];
+        let error = |p: &[i64]| {
+            let window = p[0].max(2) as usize;
+            if window > sub.min_len() {
+                return 1.0;
+            }
+            let cfg = SaxConfig::new(
+                window,
+                (p[1].max(2) as usize).min(window),
+                p[2].clamp(2, 12) as usize,
+            );
+            let model = fit_weights(&sub, &cfg);
+            let correct = val.iter().filter(|(s, l)| model.predict(s) == *l).count();
+            1.0 - correct as f64 / val.len().max(1) as f64
+        };
         let (point, _err, _n) = rpm_opt::direct_minimize_integer(
-            |p| {
-                let window = p[0].max(2) as usize;
-                if window > sub.min_len() {
-                    return 1.0;
-                }
-                let cfg = SaxConfig::new(
-                    window,
-                    (p[1].max(2) as usize).min(window),
-                    p[2].clamp(2, 12) as usize,
-                );
-                let model = fit_weights(&sub, &cfg);
-                let correct = val.iter().filter(|(s, l)| model.predict(s) == *l).count();
-                1.0 - correct as f64 / val.len().max(1) as f64
-            },
+            |batch| batch.iter().map(|p| error(p)).collect(),
             &lo,
             &hi,
             &rpm_opt::DirectParams {

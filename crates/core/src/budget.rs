@@ -2,8 +2,11 @@
 //!
 //! One [`BudgetState`] lives for the duration of a parameter search and
 //! is consulted before every *fresh* combination evaluation (cache hits
-//! and checkpoint-restored scores never spend budget). Exhaustion is
-//! sticky: once either bound trips, every later claim is refused, the
+//! and checkpoint-restored scores never spend budget), by the searching
+//! thread, in the search's order, as each batch claims its combinations.
+//! Each (combination × split) job checks the deadline again as it
+//! starts, so at most one job per engine worker runs past it. Exhaustion
+//! is sticky: once either bound trips, every later claim is refused, the
 //! search finishes with whatever scores it has, and the outcome is
 //! flagged degraded instead of erroring.
 
@@ -35,16 +38,10 @@ impl BudgetState {
 
     /// Claims one fresh evaluation. Returns `false` — and latches the
     /// exhausted flag — once the deadline has passed or the evaluation
-    /// cap is spent. Safe to call from engine workers.
+    /// cap is spent.
     pub fn try_claim(&self) -> bool {
-        if self.exhausted.load(Ordering::Relaxed) {
+        if self.exhausted.load(Ordering::Relaxed) || self.past_deadline() {
             return false;
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.exhausted.store(true, Ordering::Relaxed);
-                return false;
-            }
         }
         if let Some(max) = self.max_evals {
             // fetch_add claims a slot atomically; over-claims past the
@@ -57,7 +54,18 @@ impl BudgetState {
         true
     }
 
-    /// Whether a claim was ever refused.
+    /// Whether the deadline has passed, latching the exhausted flag when
+    /// it has. Safe from any thread: engine jobs call it as they start.
+    pub fn past_deadline(&self) -> bool {
+        let past = self.deadline.is_some_and(|d| Instant::now() >= d);
+        if past {
+            self.exhausted.store(true, Ordering::Relaxed);
+        }
+        past
+    }
+
+    /// Whether a claim was ever refused or a job found the deadline
+    /// passed.
     pub fn exhausted(&self) -> bool {
         self.exhausted.load(Ordering::Relaxed)
     }
@@ -114,6 +122,22 @@ mod tests {
         assert!(!b.try_claim());
         assert!(b.exhausted());
         assert_eq!(b.remaining(), Some(Duration::ZERO));
+    }
+
+    #[test]
+    fn a_passed_deadline_latches_exhaustion() {
+        let b = BudgetState::new(&TrainBudget {
+            wall_clock: Some(Duration::ZERO),
+            max_evals: None,
+        });
+        assert!(b.past_deadline());
+        assert!(
+            b.exhausted(),
+            "a job that finds the deadline passed latches it"
+        );
+        let unbounded = BudgetState::new(&TrainBudget::unlimited());
+        assert!(!unbounded.past_deadline());
+        assert!(!unbounded.exhausted());
     }
 
     #[test]

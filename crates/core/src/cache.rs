@@ -20,19 +20,25 @@
 //! * **Combination scores** — the cross-validated objective of one
 //!   [`SaxConfig`] (Algorithm 3's inner loop). Per-class DIRECT runs
 //!   probe heavily overlapping point sets; each distinct combination is
-//!   scored once per `train` call.
+//!   scored once per `train` call. Only the searching thread looks
+//!   combinations up.
 //! * **Transform columns** — the distance of every series in a set to one
 //!   pattern, keyed by `(set, pattern fingerprint)`. Both transforms that
 //!   fill it (CFS selection and the final SVM fit) scan the plain view
 //!   with the run's one config, so the key needs nothing else; they
-//!   share their columns for every pattern that survives selection.
+//!   share their columns for every pattern that survives selection. A
+//!   validation split's set names its combination too, so each fold
+//!   model reads only the columns it computed itself (see [`SetId`]).
 //!
-//! Every family is one private `Memo`: a map behind a `std::sync::Mutex`
-//! (values are `Arc`-shared or small) so engine workers can hit the
-//! cache concurrently. Cached values are pure functions of their keys,
-//! so a racy double compute inserts the same value twice and the first
-//! write wins — correctness never depends on scheduling, which is what
-//! keeps parallel training bit-identical to serial (see DESIGN.md §5).
+//! Every family is one private `Memo`: a map from key to a
+//! [`OnceLock`] cell, behind a `std::sync::Mutex` (values are
+//! `Arc`-shared or small) so engine workers can share the cache. Each
+//! key is computed once: the first lookup counts a miss and computes,
+//! and a lookup that arrives meanwhile counts a hit and waits for that
+//! value. So the hit/miss split is the same at any thread count, and
+//! cached values — pure functions of their keys — keep parallel training
+//! bit-identical to serial (see DESIGN.md §5). A computation that
+//! unwinds leaves its key empty; the next lookup computes it.
 
 use crate::engine::Engine;
 use rpm_obs::CacheFamilyMetrics;
@@ -41,18 +47,23 @@ use rpm_ts::Label;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Identifies which series collection a transform column was computed
-/// from. Validation subsets are fully determined by the split seed (the
-/// stratified shuffle is deterministic), so the seed *is* the identity —
-/// every parameter combination probing the same split shares entries.
+/// from, and for whom. Validation subsets are fully determined by the
+/// split seed (the stratified shuffle is deterministic), so the seed
+/// identifies the series. A split's columns are also keyed by the
+/// combination whose fold model scans them: the folds of a search run
+/// side by side, and a column computed in another fold's scan would
+/// change how this fold's scan groups its patterns by length, so its
+/// kernel counters would follow scheduling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SetId {
     /// The full training set of the current `train` call.
     FullTrain,
-    /// The training half of the validation split drawn with this seed.
-    Split(u64),
+    /// The training half of the validation split drawn with this seed,
+    /// scanned by the fold model of this combination.
+    Split(u64, SaxConfig),
 }
 
 /// Hit/miss counters of one [`SaxCache`].
@@ -97,11 +108,11 @@ type FramesKey = (usize, usize, usize);
 pub(crate) type EvalValue = Option<(BTreeMap<Label, f64>, f64)>;
 type ColumnKey = (SetId, u64);
 
-/// One memo family: its map, its own hit/miss counts, and the global
-/// metrics family it reports to.
+/// One memo family: its map of compute-once cells, its own hit/miss
+/// counts, and the global metrics family it reports to.
 #[derive(Debug)]
 struct Memo<K, V> {
-    map: Mutex<HashMap<K, V>>,
+    map: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     family: &'static CacheFamilyMetrics,
@@ -117,37 +128,61 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
         }
     }
 
-    /// The map. Every update is one whole-value insert, so a map whose
-    /// lock was poisoned by a panicking worker is still valid.
-    fn map(&self) -> MutexGuard<'_, HashMap<K, V>> {
+    /// The map. Every update is one whole-cell insert, and no value is
+    /// computed under the lock, so a poisoned lock still guards a valid
+    /// map.
+    fn map(&self) -> MutexGuard<'_, HashMap<K, Arc<OnceLock<V>>>> {
         self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The stored value for `key`, recording a hit or a miss.
-    fn lookup(&self, key: &K) -> Option<V> {
-        let found = self.map().get(key).cloned();
-        if found.is_some() {
+    /// The cell of `key`, inserted empty when the key is new.
+    fn cell(&self, key: K) -> Arc<OnceLock<V>> {
+        Arc::clone(self.map().entry(key).or_default())
+    }
+
+    fn count(&self, hit: bool) {
+        if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.family.hits.inc();
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             self.family.misses.inc();
         }
+    }
+
+    /// The stored value for `key`, recording a hit or a miss. For
+    /// families whose caller computes a miss itself and then
+    /// [`insert`](Self::insert)s it.
+    fn lookup(&self, key: &K) -> Option<V> {
+        let found = self.map().get(key).and_then(|cell| cell.get().cloned());
+        self.count(found.is_some());
         found
     }
 
     /// Stores `value` unless `key` already has one; returns the stored
     /// value (first write wins). Records neither hit nor miss.
     fn insert(&self, key: K, value: V) -> V {
-        self.map().entry(key).or_insert(value).clone()
+        self.cell(key).get_or_init(|| value).clone()
     }
 
-    /// [`lookup`](Self::lookup), computing and inserting on a miss.
+    /// The value of `key`, computed once. The first lookup counts a miss
+    /// and runs `compute`; a lookup arriving while it runs counts a hit
+    /// and waits for its value. A `compute` that unwinds leaves the key
+    /// empty, and the next lookup computes it.
     fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        match self.lookup(&key) {
-            Some(v) => v,
-            None => self.insert(key, compute()),
+        let cell = self.cell(key);
+        let mut computed = false;
+        let value = cell
+            .get_or_init(|| {
+                computed = true;
+                self.count(false);
+                compute()
+            })
+            .clone();
+        if !computed {
+            self.count(true);
         }
+        value
     }
 
     fn stats(&self) -> CacheStats {
@@ -233,18 +268,20 @@ impl SaxCache {
         })
     }
 
-    /// Seeds the evaluation map with an already-known combination score
-    /// (checkpoint resume). Counts as neither hit nor miss.
-    pub(crate) fn preload_eval(&self, sax: SaxConfig, value: EvalValue) {
-        self.evals.insert(sax, value);
+    /// The memoized cross-validation score of one parameter combination
+    /// (Algorithm 3's objective), recording a hit or a miss. The
+    /// combination is always scored against the full training set with
+    /// splits derived from the config seed, so the [`SaxConfig`] alone
+    /// identifies the result.
+    pub(crate) fn lookup_eval(&self, sax: &SaxConfig) -> Option<EvalValue> {
+        self.evals.lookup(sax)
     }
 
-    /// Memoized cross-validation score of one parameter combination
-    /// (Algorithm 3's objective). The combination is always scored
-    /// against the full training set with splits derived from the config
-    /// seed, so the [`SaxConfig`] alone identifies the result.
-    pub fn eval(&self, sax: &SaxConfig, compute: impl FnOnce() -> EvalValue) -> EvalValue {
-        self.evals.get_or_insert_with(*sax, compute)
+    /// Stores a combination's score: one scored after a
+    /// [`lookup_eval`](Self::lookup_eval) miss, or one restored from a
+    /// checkpoint. Counts as neither hit nor miss; first write wins.
+    pub(crate) fn store_eval(&self, sax: SaxConfig, value: EvalValue) {
+        self.evals.insert(sax, value);
     }
 
     /// Memoized transform column: the distance of every series in `set`
@@ -396,20 +433,15 @@ mod tests {
     fn eval_memoizes_including_none() {
         let cache = SaxCache::default();
         let sax = SaxConfig::new(8, 4, 4);
-        let mut calls = 0usize;
-        let v1 = cache.eval(&sax, || {
-            calls += 1;
-            None
-        });
-        let v2 = cache.eval(&sax, || {
-            calls += 1;
-            Some((BTreeMap::new(), 0.5))
-        });
-        assert_eq!(calls, 1, "second lookup must not recompute");
-        assert!(
-            v1.is_none() && v2.is_none(),
-            "first (None) answer is sticky"
+        assert_eq!(cache.lookup_eval(&sax), None, "unscored: a miss");
+        cache.store_eval(sax, None);
+        cache.store_eval(sax, Some((BTreeMap::new(), 0.5)));
+        assert_eq!(
+            cache.lookup_eval(&sax),
+            Some(None),
+            "the first (None) score is sticky"
         );
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]
@@ -431,11 +463,17 @@ mod tests {
             Some(&vec![0.1]),
             "exact repeat is served from memory"
         );
+        let (a, b) = (SaxConfig::new(8, 4, 4), SaxConfig::new(8, 4, 5));
         assert!(
-            cache.try_column(SetId::Split(7), &p1).is_none(),
+            cache.try_column(SetId::Split(7, a), &p1).is_none(),
             "sets get separate columns"
         );
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 3 });
+        cache.store_column(SetId::Split(7, a), &p1, Arc::new(vec![0.3]));
+        assert!(
+            cache.try_column(SetId::Split(7, b), &p1).is_none(),
+            "each combination's fold scans its own columns"
+        );
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 4 });
     }
 
     #[test]
@@ -452,7 +490,66 @@ mod tests {
                 });
             }
         });
-        // Every lookup counts once, whoever computed first.
-        assert_eq!(cache.stats().lookups(), 8 * 6);
+        // Each series' frames are computed once, whoever looks first;
+        // every other lookup is a hit.
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 7 * 6,
+                misses: 6
+            }
+        );
+    }
+
+    fn frames_memo() -> Memo<FramesKey, Arc<PaaFrames>> {
+        Memo::new(&rpm_obs::metrics().cache_frames)
+    }
+
+    #[test]
+    fn a_lookup_during_a_computation_waits_for_it_and_hits() {
+        let memo = frames_memo();
+        let data = series(1, 64);
+        let want = paa_frames(&data[0], 16, 4);
+        let key = (0, 16, 4);
+        let computations = AtomicUsize::new(0);
+        let (started, wait) = std::sync::mpsc::channel();
+        let compute = || {
+            computations.fetch_add(1, Ordering::Relaxed);
+            Arc::new(paa_frames(&data[0], 16, 4))
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                memo.get_or_insert_with(key, || {
+                    started.send(()).unwrap();
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    compute()
+                })
+            });
+            wait.recv().unwrap();
+            // A holds the key: B must neither compute nor miss.
+            let b = memo.get_or_insert_with(key, compute);
+            (a.join().unwrap(), b)
+        });
+        assert_eq!((*a == want, *b == want), (true, true));
+        assert_eq!(computations.load(Ordering::Relaxed), 1);
+        assert_eq!(memo.stats(), CacheStats { hits: 1, misses: 1 });
+    }
+
+    #[test]
+    fn a_computation_that_unwinds_leaves_the_key_empty() {
+        let memo = frames_memo();
+        let data = series(1, 64);
+        let key = (0, 16, 4);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo.get_or_insert_with(key, || panic!("injected"))
+        }));
+        assert!(unwound.is_err());
+        assert!(memo.lookup(&key).is_none(), "no value was stored");
+        let got = memo.get_or_insert_with(key, || Arc::new(paa_frames(&data[0], 16, 4)));
+        assert_eq!(*got, paa_frames(&data[0], 16, 4));
+        // The unwound lookup, the plain lookup and the recomputing one
+        // each missed.
+        assert_eq!(memo.stats(), CacheStats { hits: 0, misses: 3 });
+        assert_eq!(memo.get_or_insert_with(key, || unreachable!()), got);
     }
 }

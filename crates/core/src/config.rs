@@ -17,13 +17,19 @@ use std::time::Duration;
 /// instead of erroring. The default is unlimited.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrainBudget {
-    /// Wall-clock limit for the whole parameter search. Checked between
-    /// evaluations, so a slow evaluation can overshoot by its own
-    /// duration but nothing is ever half-applied.
+    /// Wall-clock limit for the whole parameter search. Checked when a
+    /// batch of combinations claims its evaluations (one DIRECT
+    /// iteration, or a whole grid) and again as each (combination ×
+    /// validation split) job starts: a job that starts past the deadline
+    /// does not run and leaves its combination unscored. So at most one
+    /// job per engine worker runs past the deadline, and nothing is ever
+    /// half-applied.
     pub wall_clock: Option<Duration>,
     /// Cap on *fresh* combination evaluations (cache hits and
     /// checkpoint-restored scores are free — resuming under the same
-    /// budget makes progress instead of re-spending it).
+    /// budget makes progress instead of re-spending it). Claims are made
+    /// in the search's own order, so the same combinations are scored at
+    /// any thread count.
     pub max_evals: Option<usize>,
 }
 
@@ -189,10 +195,12 @@ pub struct RpmConfig {
     pub validation_train_fraction: f64,
     /// Master RNG seed.
     pub seed: u64,
-    /// Worker threads for the training engine: `1` runs everything
-    /// inline (the reference serial path), `0` uses one worker per
-    /// available CPU, any other value spawns exactly that many workers.
-    /// Results are bit-identical across all settings (DESIGN.md §5).
+    /// Worker threads for the training engine: `0` (the default) uses
+    /// one worker per available CPU, `1` runs everything inline on the
+    /// caller's thread (the reference serial path), and any other value
+    /// uses exactly that many workers, the caller among them. Models and
+    /// work counters are bit-identical across all settings (DESIGN.md
+    /// §5).
     pub n_threads: usize,
     /// Resource budget for the parameter search; exhausting it degrades
     /// (best-so-far parameters) instead of erroring.
@@ -228,7 +236,7 @@ impl Default for RpmConfig {
             n_validation_splits: 3,
             validation_train_fraction: 0.7,
             seed: 0xC0FFEE,
-            n_threads: 1,
+            n_threads: 0,
             budget: TrainBudget::unlimited(),
             checkpoint: None,
         }
@@ -449,7 +457,7 @@ mod tests {
         assert!(!c.use_medoid);
         assert!(c.early_abandon);
         assert_eq!(c.kernel, MatchKernel::Batched, "batched kernel by default");
-        assert_eq!(c.n_threads, 1, "serial by default");
+        assert_eq!(c.n_threads, 0, "every available CPU by default");
     }
 
     #[test]

@@ -12,10 +12,15 @@
 //! * **No panicking joins.** A worker panic is caught and surfaced as an
 //!   [`EngineError`] instead of poisoning the process (the seed code
 //!   `expect`ed on crossbeam joins; that path is gone).
-//! * **Std-only.** Workers are `std::thread::scope` threads pulling job
+//! * **Std-only.** The caller and `std::thread::scope` threads pull job
 //!   indices from a shared atomic counter — dynamic (work-stealing-like)
 //!   scheduling without any external dependency, because the build
 //!   environment is offline.
+//! * **The caller is a worker.** A run with `n` workers spawns `n − 1`
+//!   threads and runs jobs on the calling thread as well, which would
+//!   otherwise only wait. Each spawned thread allocates from its own
+//!   malloc arena, so a thread not spawned is memory not held (DESIGN.md
+//!   §5 gives the peak-RSS measurement).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,11 +46,11 @@ impl std::error::Error for EngineError {}
 /// Handle configuring how much parallelism a training stage may use.
 ///
 /// The engine is a *policy*, not a persistent pool: each [`Engine::run`]
-/// call spawns scoped threads for its own job set and joins them before
-/// returning, so borrowed data flows into jobs freely. An engine with
-/// `n_threads <= 1` executes jobs inline (and is what nested stages
-/// receive, so parallelism is spent once, at the outermost stage that
-/// fans out).
+/// call runs jobs on the calling thread and on scoped threads it spawns
+/// for its own job set, and joins them before returning, so borrowed
+/// data flows into jobs freely. An engine with `n_threads <= 1` executes
+/// jobs inline (and is what nested stages receive, so parallelism is
+/// spent once, at the outermost stage that fans out).
 #[derive(Clone, Copy, Debug)]
 pub struct Engine {
     n_threads: usize,
@@ -83,10 +88,10 @@ impl Engine {
     /// Executes `job(0..n_jobs)` and returns the results in index order.
     ///
     /// With one worker (or fewer than two jobs) everything runs inline;
-    /// otherwise `min(n_threads, n_jobs)` scoped workers pull indices
-    /// from a shared counter. Either way a panicking job yields
-    /// `Err(EngineError::WorkerPanicked)` and the remaining jobs are
-    /// abandoned.
+    /// otherwise the caller and `min(n_threads, n_jobs) − 1` scoped
+    /// workers pull indices from a shared counter. Either way a panicking
+    /// job yields `Err(EngineError::WorkerPanicked)` and the remaining
+    /// jobs are abandoned.
     pub fn run<T, F>(&self, n_jobs: usize, job: F) -> Result<Vec<T>, EngineError>
     where
         T: Send,
@@ -100,21 +105,20 @@ impl Engine {
             rpm_obs::metrics().engine_runs.inc();
             rpm_obs::metrics().engine_jobs.add(n_jobs as u64);
         }
-        if self.n_threads <= 1 || n_jobs < 2 {
+        // Fault site `engine.job`: an injected failure lands inside the
+        // unwind boundary, so it surfaces as the same typed EngineError a
+        // real job panic would.
+        let guarded = |i: usize| {
+            catch_unwind(AssertUnwindSafe(|| {
+                rpm_obs::fault::fire("engine.job");
+                job(i)
+            }))
+            .map_err(panic_error)
+        };
+        let n_workers = self.n_threads.min(n_jobs);
+        if n_workers <= 1 {
             let t0 = obs.then(rpm_obs::now_ns);
-            let mut out = Vec::with_capacity(n_jobs);
-            for i in 0..n_jobs {
-                // Fault site `engine.job`: an injected failure lands
-                // inside the unwind boundary, so it surfaces as the same
-                // typed EngineError a real job panic would.
-                out.push(
-                    catch_unwind(AssertUnwindSafe(|| {
-                        rpm_obs::fault::fire("engine.job");
-                        job(i)
-                    }))
-                    .map_err(panic_error)?,
-                );
-            }
+            let out = (0..n_jobs).map(guarded).collect::<Result<Vec<T>, _>>()?;
             if let Some(t0) = t0 {
                 rpm_obs::metrics()
                     .engine_drain
@@ -123,56 +127,56 @@ impl Engine {
             return Ok(out);
         }
 
-        let n_workers = self.n_threads.min(n_jobs);
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
         let failure: Mutex<Option<EngineError>> = Mutex::new(None);
+        // One worker's loop; the caller runs it too.
+        let work = || {
+            let mut busy_ns = 0u64;
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n_jobs {
+                    break;
+                }
+                if failure.lock().is_ok_and(|f| f.is_some()) {
+                    break; // a sibling already failed; stop early
+                }
+                let job_t0 = obs.then(rpm_obs::now_ns);
+                let outcome = guarded(i);
+                if let Some(job_t0) = job_t0 {
+                    busy_ns += rpm_obs::now_ns().saturating_sub(job_t0);
+                }
+                match outcome {
+                    Ok(v) => {
+                        if let Ok(mut slot) = slots[i].lock() {
+                            *slot = Some(v);
+                        }
+                    }
+                    Err(e) => {
+                        if let Ok(mut f) = failure.lock() {
+                            f.get_or_insert(e);
+                        }
+                        break;
+                    }
+                }
+            }
+            if busy_ns > 0 {
+                rpm_obs::metrics().engine_busy_ns.add(busy_ns);
+            }
+        };
 
         let t0 = obs.then(rpm_obs::now_ns);
-        if obs {
-            rpm_obs::metrics()
-                .engine_workers_max
-                .record_max(n_workers as u64);
-        }
+        // Spawned workers continue the caller's open span path, so a
+        // job's stages land under the same paths wherever it runs.
+        let path = rpm_obs::span::open_path();
         std::thread::scope(|scope| {
-            for _ in 0..n_workers {
+            for _ in 1..n_workers {
                 scope.spawn(|| {
-                    let mut busy_ns = 0u64;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_jobs {
-                            break;
-                        }
-                        if failure.lock().is_ok_and(|f| f.is_some()) {
-                            break; // a sibling already failed; stop early
-                        }
-                        let job_t0 = obs.then(rpm_obs::now_ns);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            rpm_obs::fault::fire("engine.job");
-                            job(i)
-                        }));
-                        if let Some(job_t0) = job_t0 {
-                            busy_ns += rpm_obs::now_ns().saturating_sub(job_t0);
-                        }
-                        match outcome {
-                            Ok(v) => {
-                                if let Ok(mut slot) = slots[i].lock() {
-                                    *slot = Some(v);
-                                }
-                            }
-                            Err(p) => {
-                                if let Ok(mut f) = failure.lock() {
-                                    f.get_or_insert(panic_error(p));
-                                }
-                                break;
-                            }
-                        }
-                    }
-                    if busy_ns > 0 {
-                        rpm_obs::metrics().engine_busy_ns.add(busy_ns);
-                    }
+                    let _path = rpm_obs::span::adopt(&path);
+                    work();
                 });
             }
+            work();
         });
         if let Some(t0) = t0 {
             let drain_ns = rpm_obs::now_ns().saturating_sub(t0);
@@ -215,7 +219,31 @@ impl Engine {
     }
 }
 
-fn panic_error(payload: Box<dyn std::any::Any + Send>) -> EngineError {
+/// Hands the heap memory a parallel training freed back to the operating
+/// system. Each spawned engine thread allocates from its own malloc
+/// arena, and a chunk freed into one arena serves only that arena's
+/// later allocations, so over many trainings each arena held on to the
+/// most that any one training had put in it (chiefly memo entries):
+/// peak RSS grew by the sum of those maxima rather than by their
+/// largest. Call it once a training has dropped its memo. A no-op
+/// outside glibc.
+pub(crate) fn release_freed_memory() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+        }
+        // SAFETY: glibc's `malloc_trim` accepts any padding, is
+        // thread-safe, and releases only pages the allocator holds free,
+        // so no live allocation is touched.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
+/// A caught panic's payload as a typed error, keeping its message.
+pub(crate) fn panic_error(payload: Box<dyn std::any::Any + Send>) -> EngineError {
     let msg = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -241,6 +269,24 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    #[test]
+    fn the_caller_runs_jobs_too() {
+        // Each job holds its thread at a barrier until all three jobs
+        // run, so each of three workers runs exactly one: the caller and
+        // two spawned threads.
+        let barrier = std::sync::Barrier::new(3);
+        let caller = std::thread::current().id();
+        let ran_on = Engine::new(3)
+            .run(3, |_| {
+                barrier.wait();
+                std::thread::current().id()
+            })
+            .unwrap();
+        assert!(ran_on.contains(&caller), "{ran_on:?}");
+        let distinct: std::collections::HashSet<_> = ran_on.into_iter().collect();
+        assert_eq!(distinct.len(), 3);
     }
 
     #[test]

@@ -200,7 +200,7 @@ impl RpmClassifier {
                 // resumed trajectory is bit-identical to an uninterrupted
                 // one (eval scores are pure functions of their SaxConfig).
                 for (sax, value) in restored {
-                    cache.preload_eval(sax, value);
+                    cache.store_eval(sax, value);
                 }
                 Some(cp)
             }
@@ -231,6 +231,10 @@ impl RpmClassifier {
             };
         let mut model = Self::train_with_configs_ctx(train, config, &per_class_sax, &ctx)?;
         model.degraded = degraded;
+        if ctx.engine.is_parallel() {
+            drop(cache);
+            crate::engine::release_freed_memory();
+        }
         Ok(model)
     }
 
@@ -788,7 +792,11 @@ mod tests {
     fn parallel_training_matches_serial() {
         let train = two_class_dataset(10, 128, 40);
         let test = two_class_dataset(6, 128, 41);
-        let serial = RpmClassifier::train(&train, &fixed_config()).unwrap();
+        let serial_cfg = RpmConfig {
+            n_threads: 1,
+            ..fixed_config()
+        };
+        let serial = RpmClassifier::train(&train, &serial_cfg).unwrap();
         let parallel_cfg = RpmConfig {
             n_threads: 4,
             ..fixed_config()

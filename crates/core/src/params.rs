@@ -16,26 +16,28 @@
 //! `RpmClassifier::train_with_configs`). Shared mode optimizes one
 //! combination against the macro F-measure at a fraction of the cost.
 //!
-//! Every mode runs on the shared training engine with deterministic
-//! merges, so `n_threads > 1` returns bit-identical outcomes to serial:
-//! grid points evaluate in parallel but reduce serially in enumeration
-//! order; per-class DIRECT runs are independent and merge in class order;
-//! shared DIRECT batches its proposals inside the optimizer. Combination
-//! scores are memoized in the run's [`SaxCache`], so overlapping DIRECT
-//! probes pay for each distinct combination once.
+//! Every mode scores combinations in batches through one `Scorer`:
+//! shared DIRECT hands it each iteration's new points, per-class DIRECT
+//! runs its classes one after another on it, and grid search hands it
+//! every point at once. A batch's (combination × validation split) pairs
+//! are the jobs of one engine run, reduced per combination in split
+//! order, so `n_threads > 1` returns bit-identical outcomes to serial.
+//! Combination scores are memoized in the run's [`SaxCache`], so
+//! overlapping DIRECT probes pay for each distinct combination once, and
+//! only the searching thread looks them up: a budget is spent in the
+//! same order at any thread count.
 
 use crate::budget::BudgetState;
-use crate::cache::{Ctx, SaxCache, SetId};
+use crate::cache::{Ctx, EvalValue, SaxCache, SetId};
 use crate::config::{ParamSearch, RpmConfig};
-use crate::engine::{Engine, EngineError};
+use crate::engine::{panic_error, Engine};
 use crate::model::{RpmClassifier, TrainError};
 use rpm_ml::{macro_f1, per_class_f1, shuffled_stratified_split};
 use rpm_opt::{direct_minimize_integer, DirectParams};
 use rpm_sax::SaxConfig;
 use rpm_ts::{Dataset, Label};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::panic::catch_unwind;
 use std::time::Duration;
 
 /// One combination's validation score: per-class F-measures plus macro.
@@ -74,120 +76,200 @@ fn sax_from_point(p: &[i64]) -> SaxConfig {
     SaxConfig::new(window, paa, alpha)
 }
 
-/// Scores one parameter combination: mean F-measure over the validation
-/// splits, per class (map) plus macro. Returns `Ok(None)` when no split
-/// could train (no candidates / degenerate split); `Err` when a fold
-/// worker failed. Memoized per [`SaxConfig`] in the run's cache.
-fn evaluate_combination(
-    train: &Dataset,
-    config: &RpmConfig,
-    sax: &SaxConfig,
-    ctx: &Ctx<'_>,
-) -> Result<Option<CombinationScore>, TrainError> {
-    let mut failure: Option<TrainError> = None;
-    let value = ctx.cache.eval(sax, || {
-        // Only fresh evaluations spend budget; cache hits and
-        // checkpoint-restored scores short-circuit above this closure.
-        if let Some(budget) = ctx.budget {
-            if !budget.try_claim() {
-                return None; // unscored: the search degrades to best-so-far
+/// Scores batches of parameter combinations for one search: a
+/// combination's score is its mean F-measure over the validation
+/// splits, per class (map) plus macro, or `None` when no split could
+/// train (no candidates / degenerate split). Scores are memoized per
+/// [`SaxConfig`] in the run's cache. The first failure is kept for
+/// [`Scorer::finish`] and the failed combinations score `None`; the
+/// search goes on, so a checkpoint keeps every score it could compute.
+struct Scorer<'a> {
+    train: &'a Dataset,
+    config: &'a RpmConfig,
+    ctx: Ctx<'a>,
+    failure: Option<TrainError>,
+}
+
+impl<'a> Scorer<'a> {
+    fn new(train: &'a Dataset, config: &'a RpmConfig, ctx: &Ctx<'a>) -> Self {
+        Self {
+            train,
+            config,
+            ctx: *ctx,
+            failure: None,
+        }
+    }
+
+    /// The scores of `batch`, in order. A combination repeated within
+    /// the batch is scored once and answered from memory after, as it
+    /// would be point by point.
+    fn score(&mut self, batch: &[SaxConfig]) -> Vec<EvalValue> {
+        let mut firsts: Vec<SaxConfig> = Vec::with_capacity(batch.len());
+        for sax in batch {
+            if !firsts.contains(sax) {
+                firsts.push(*sax);
             }
         }
-        let t0 = rpm_obs::enabled().then(rpm_obs::now_ns);
-        // The unwind boundary makes a panicking evaluation — the
-        // `params.eval` fault site, or a genuine bug — a typed error on
-        // every search path, including shared DIRECT where the objective
-        // runs outside any engine job.
-        let out = match catch_unwind(AssertUnwindSafe(|| {
-            rpm_obs::fault::fire("params.eval");
-            evaluate_combination_uncached(train, config, sax, ctx)
-        })) {
-            Ok(Ok(v)) => v,
-            Ok(Err(e)) => {
-                failure = Some(e);
-                None
+        let mut scored = self.score_distinct(&firsts).into_iter();
+        batch
+            .iter()
+            .enumerate()
+            .map(|(i, sax)| match batch[..i].contains(sax) {
+                true => self.ctx.cache.lookup_eval(sax).flatten(),
+                false => scored.next().expect("one score per distinct combination"),
+            })
+            .collect()
+    }
+
+    /// [`score`](Self::score) for a batch without repeats.
+    fn score_distinct(&mut self, batch: &[SaxConfig]) -> Vec<EvalValue> {
+        let cache = self.ctx.cache;
+        // Claim, in combination order: a memo hit (checkpoint-restored
+        // scores included) is answered; a miss spends budget and passes
+        // the `params.eval` fault site, then joins this batch's jobs.
+        let mut out: Vec<EvalValue> = Vec::with_capacity(batch.len());
+        let mut fresh: Vec<usize> = Vec::new();
+        for (i, sax) in batch.iter().enumerate() {
+            if let Some(value) = cache.lookup_eval(sax) {
+                out.push(value);
+                continue;
             }
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".to_string());
-                failure = Some(TrainError::Engine(EngineError::WorkerPanicked(msg)));
-                None
+            let claimed = self.ctx.budget.is_none_or(BudgetState::try_claim);
+            // The unwind boundary makes the fault site — or a genuine
+            // bug — a typed error.
+            let passed = claimed
+                && match catch_unwind(|| rpm_obs::fault::fire("params.eval")) {
+                    Ok(()) => true,
+                    Err(payload) => {
+                        self.fail(TrainError::Engine(panic_error(payload)));
+                        false
+                    }
+                };
+            if passed {
+                fresh.push(i);
+            } else {
+                // Unscored or failed: the search reads it as its worst
+                // value and degrades to the best scored so far.
+                cache.store_eval(*sax, None);
             }
-        };
-        if let Some(t0) = t0 {
-            let m = rpm_obs::metrics();
-            m.params_evals.inc();
-            m.params_eval.observe(rpm_obs::now_ns().saturating_sub(t0));
+            out.push(None);
         }
-        if failure.is_none() {
-            if let Some(checkpoint) = ctx.checkpoint {
-                checkpoint.record(sax, &out);
+
+        if !fresh.is_empty() {
+            // Every (fresh combination × split) pair is one job of one
+            // engine run; each combination reduces its splits in order.
+            let n_splits = self.config.n_validation_splits.max(1);
+            let obs = rpm_obs::enabled();
+            let (train, config, ctx) = (self.train, self.config, self.ctx);
+            let folds = ctx.engine.run(fresh.len() * n_splits, |job| {
+                // A job that starts past the deadline does not run, so at
+                // most one job per worker runs past it.
+                if ctx.budget.is_some_and(BudgetState::past_deadline) {
+                    return None;
+                }
+                let t0 = obs.then(rpm_obs::now_ns);
+                let sax = &batch[fresh[job / n_splits]];
+                let fold = score_fold(train, config, sax, job % n_splits, &ctx);
+                Some((
+                    fold,
+                    t0.map_or(0, |t0| rpm_obs::now_ns().saturating_sub(t0)),
+                ))
+            });
+            let mut folds = match folds {
+                Ok(folds) => Some(folds.into_iter()),
+                Err(e) => {
+                    self.fail(TrainError::Engine(e));
+                    None
+                }
+            };
+            let classes = train.classes();
+            for &i in &fresh {
+                // A failed run, or a split skipped past the deadline,
+                // leaves its combination unscored and out of the
+                // checkpoint.
+                let value = folds.as_mut().and_then(|folds| {
+                    let splits: Vec<_> = folds.by_ref().take(n_splits).collect();
+                    let splits: Vec<_> = splits.into_iter().collect::<Option<_>>()?;
+                    if obs {
+                        let m = rpm_obs::metrics();
+                        m.params_evals.inc();
+                        m.params_eval.observe(splits.iter().map(|(_, ns)| ns).sum());
+                    }
+                    let value = mean_over_splits(&classes, splits.into_iter().map(|(f, _)| f));
+                    if let Some(checkpoint) = ctx.checkpoint {
+                        checkpoint.record(&batch[i], &value);
+                    }
+                    value
+                });
+                cache.store_eval(batch[i], value.clone());
+                out[i] = value;
             }
         }
         out
-    });
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(value),
+    }
+
+    fn fail(&mut self, e: TrainError) {
+        self.failure.get_or_insert(e);
+    }
+
+    /// The first failure of any batch scored, if one failed.
+    fn finish(self) -> Result<(), TrainError> {
+        self.failure.map_or(Ok(()), Err)
     }
 }
 
-fn evaluate_combination_uncached(
+/// One validation split of one combination: mine on the split's training
+/// part with `sax` for every class, select, fit, and score the held-out
+/// part. `None` when the split cannot train.
+fn score_fold(
     train: &Dataset,
     config: &RpmConfig,
     sax: &SaxConfig,
+    split_idx: usize,
     ctx: &Ctx<'_>,
-) -> Result<Option<CombinationScore>, TrainError> {
+) -> Option<CombinationScore> {
     let _span = rpm_obs::span!("eval");
-    let classes = train.classes();
-    let n_splits = config.n_validation_splits.max(1);
+    rpm_obs::metrics().params_folds.inc();
+    let split_seed = config.seed ^ (split_idx as u64).wrapping_mul(0x9E3779B97F4A7C15);
+    let (tr_idx, va_idx) =
+        shuffled_stratified_split(&train.labels, config.validation_train_fraction, split_seed);
+    if va_idx.is_empty() {
+        return None;
+    }
+    let sub_train = train.subset(&tr_idx);
+    let validate = train.subset(&va_idx);
+    if sub_train.n_classes() < 2 {
+        return None;
+    }
+    let per_class_sax: BTreeMap<Label, SaxConfig> =
+        sub_train.classes().iter().map(|&c| (c, *sax)).collect();
+    // Avoid nested parameter search: train with these explicit configs,
+    // serially (this fold is already one engine job). Transform columns
+    // are keyed by the split and the combination, so a fold reads only
+    // columns its own scan computed (frames are keyed by series, so
+    // every split shares them).
+    let fold_ctx = ctx.serial().with_set(SetId::Split(split_seed, *sax));
+    let model =
+        RpmClassifier::train_with_configs_ctx(&sub_train, config, &per_class_sax, &fold_ctx)
+            .ok()?; // pruning: abandon this combination's split
+    let preds = model.predict_batch(&validate.series);
+    Some((
+        per_class_f1(&validate.labels, &preds),
+        macro_f1(&validate.labels, &preds),
+    ))
+}
 
-    // Folds fan out on the engine (serial in practice when a grid point /
-    // DIRECT class already spent the budget); the reduction below walks
-    // them in split order, so the float sums match the serial loop.
-    let folds = ctx.engine.run(n_splits, |split_idx| {
-        rpm_obs::metrics().params_folds.inc();
-        let split_seed = config.seed ^ (split_idx as u64).wrapping_mul(0x9E3779B97F4A7C15);
-        let (tr_idx, va_idx) =
-            shuffled_stratified_split(&train.labels, config.validation_train_fraction, split_seed);
-        if va_idx.is_empty() {
-            return None;
-        }
-        let sub_train = train.subset(&tr_idx);
-        let validate = train.subset(&va_idx);
-        if sub_train.n_classes() < 2 {
-            return None;
-        }
-        let per_class_sax: BTreeMap<Label, SaxConfig> =
-            sub_train.classes().iter().map(|&c| (c, *sax)).collect();
-        // Avoid nested parameter search: train with these explicit
-        // configs. The fold context is keyed by the split's identity so
-        // cached transform columns never leak across different subsets
-        // (frames are keyed by series, so the split shares them).
-        let fold_ctx = ctx.serial().with_set(SetId::Split(split_seed));
-        let model = match RpmClassifier::train_with_configs_ctx(
-            &sub_train,
-            config,
-            &per_class_sax,
-            &fold_ctx,
-        ) {
-            Ok(m) => m,
-            Err(_) => return None, // pruning: abandon this combination's split
-        };
-        let preds = model.predict_batch(&validate.series);
-        Some((
-            per_class_f1(&validate.labels, &preds),
-            macro_f1(&validate.labels, &preds),
-        ))
-    })?;
-
+/// A combination's score from its splits' scores, summed in split order
+/// (so the float sums match the serial loop), with an entry for each of
+/// `classes`. `None` when no split scored.
+fn mean_over_splits(
+    classes: &[Label],
+    folds: impl Iterator<Item = Option<CombinationScore>>,
+) -> EvalValue {
     let mut f_sums: BTreeMap<Label, f64> = classes.iter().map(|&c| (c, 0.0)).collect();
     let mut macro_sum = 0.0;
     let mut scored_splits = 0usize;
-    for (f1s, macro_f) in folds.into_iter().flatten() {
+    for (f1s, macro_f) in folds.flatten() {
         for (c, f) in f1s {
             *f_sums.entry(c).or_insert(0.0) += f;
         }
@@ -195,13 +277,13 @@ fn evaluate_combination_uncached(
         scored_splits += 1;
     }
     if scored_splits == 0 {
-        return Ok(None);
+        return None;
     }
     let n = scored_splits as f64;
     for f in f_sums.values_mut() {
         *f /= n;
     }
-    Ok(Some((f_sums, macro_sum / n)))
+    Some((f_sums, macro_sum / n))
 }
 
 /// Runs the configured search and returns per-class configurations,
@@ -247,18 +329,13 @@ pub(crate) fn search_parameters_ctx(
     Ok(outcome)
 }
 
-fn direct_params_for(
-    max_evals: usize,
-    n_threads: usize,
-    wall_clock: Option<Duration>,
-) -> DirectParams {
+fn direct_params_for(max_evals: usize, wall_clock: Option<Duration>) -> DirectParams {
     DirectParams {
         // Raw proposals; distinct integer points are cached, and roughly
         // half the proposals round onto already-seen combinations.
         max_evals: max_evals * 2,
         max_iters: 40,
         eps: 1e-4,
-        n_threads,
         wall_clock,
     }
 }
@@ -272,90 +349,52 @@ fn direct_search(
 ) -> Result<SearchOutcome, TrainError> {
     let (lo, hi) = default_bounds(train);
     let classes = train.classes();
-
-    if per_class {
-        // One independent DIRECT run per class: classes fan out across
-        // the engine's workers, each run serial inside. The objective
-        // returns `f64`, so a fold failure is parked in a slot and
-        // re-raised once the optimizer returns.
-        let runs = ctx.engine.map(&classes, |_, &target| {
-            let sub = ctx.serial();
-            let failure: Mutex<Option<TrainError>> = Mutex::new(None);
-            let (point, _f, n) = direct_minimize_integer(
-                |p| {
-                    let sax = sax_from_point(p);
-                    match evaluate_combination(train, config, &sax, &sub) {
-                        Ok(Some((per_cls, _))) => {
-                            1.0 - per_cls.get(&target).copied().unwrap_or(0.0)
-                        }
-                        Ok(None) => 1.0,
-                        Err(e) => {
-                            if let Ok(mut slot) = failure.lock() {
-                                slot.get_or_insert(e);
-                            }
-                            1.0
-                        }
-                    }
-                },
-                &lo,
-                &hi,
-                &direct_params_for(max_evals, 1, ctx.budget.and_then(BudgetState::remaining)),
-            );
-            match failure.into_inner().ok().flatten() {
-                Some(e) => Err(e),
-                None => Ok((sax_from_point(&point), n)),
-            }
-        })?;
-        // Merge in ascending class order, exactly like the serial loop.
-        let mut evaluations = 0usize;
-        let mut per_class_out: BTreeMap<Label, SaxConfig> = BTreeMap::new();
-        for (&target, run) in classes.iter().zip(runs) {
-            let (sax, n) = run?;
-            evaluations += n;
-            per_class_out.insert(target, sax);
-        }
-        Ok(SearchOutcome {
-            per_class: per_class_out,
-            evaluations,
-            degraded: false,
-        })
-    } else {
-        // One shared run: parallelism lives inside the optimizer, which
-        // batch-evaluates its proposals over the engine's worker count.
-        let fold_ctx = ctx.serial();
-        let failure: Mutex<Option<TrainError>> = Mutex::new(None);
+    let mut scorer = Scorer::new(train, config, ctx);
+    // Shared mode runs DIRECT once against the macro F-measure; per-class
+    // mode runs it once per class, one class after another on the same
+    // scorer, against that class's F-measure. Each DIRECT iteration is
+    // one batch: its (combination × split) pairs fan out on the engine.
+    let targets: Vec<Option<Label>> = match per_class {
+        true => classes.iter().copied().map(Some).collect(),
+        false => vec![None],
+    };
+    let mut evaluations = 0usize;
+    let mut chosen: BTreeMap<Label, SaxConfig> = BTreeMap::new();
+    for target in targets {
         let (point, _f, n) = direct_minimize_integer(
-            |p| {
-                let sax = sax_from_point(p);
-                match evaluate_combination(train, config, &sax, &fold_ctx) {
-                    Ok(Some((_, macro_f))) => 1.0 - macro_f,
-                    Ok(None) => 1.0,
-                    Err(e) => {
-                        if let Ok(mut slot) = failure.lock() {
-                            slot.get_or_insert(e);
+            |batch| {
+                let saxes: Vec<SaxConfig> = batch.iter().map(|p| sax_from_point(p)).collect();
+                let scores = scorer.score(&saxes);
+                scores
+                    .into_iter()
+                    .map(|score| match (score, target) {
+                        (Some((per_cls, _)), Some(c)) => {
+                            1.0 - per_cls.get(&c).copied().unwrap_or(0.0)
                         }
-                        1.0
-                    }
-                }
+                        (Some((_, macro_f)), None) => 1.0 - macro_f,
+                        (None, _) => 1.0,
+                    })
+                    .collect()
             },
             &lo,
             &hi,
-            &direct_params_for(
-                max_evals,
-                ctx.engine.n_threads(),
-                ctx.budget.and_then(BudgetState::remaining),
-            ),
+            &direct_params_for(max_evals, ctx.budget.and_then(BudgetState::remaining)),
         );
-        if let Some(e) = failure.into_inner().ok().flatten() {
-            return Err(e);
-        }
+        evaluations += n;
         let sax = sax_from_point(&point);
-        Ok(SearchOutcome {
-            per_class: classes.iter().map(|&c| (c, sax)).collect(),
-            evaluations: n,
-            degraded: false,
-        })
+        match target {
+            Some(c) => {
+                chosen.insert(c, sax);
+            }
+            None => chosen.extend(classes.iter().map(|&c| (c, sax))),
+        }
     }
+    scorer.finish()?;
+    Ok(SearchOutcome {
+        per_class: chosen,
+        evaluations,
+        degraded: false,
+    })
 }
 
 fn grid_search(
@@ -382,18 +421,18 @@ fn grid_search(
         }
     }
 
-    // Every point evaluates in parallel; the reduction below is serial
-    // and walks enumeration order with strict `>` comparisons, so ties
-    // keep the earliest point — bit-identical to the serial search.
-    let scores = ctx.engine.map(&points, |_, sax| {
-        evaluate_combination(train, config, sax, &ctx.serial())
-    })?;
+    // Every point scores in one batch; the reduction below walks
+    // enumeration order with strict `>` comparisons, so ties keep the
+    // earliest point — bit-identical to the serial search.
+    let mut scorer = Scorer::new(train, config, ctx);
+    let scores = scorer.score(&points);
+    scorer.finish()?;
 
     let mut best: BTreeMap<Label, (f64, SaxConfig)> = BTreeMap::new();
     let mut best_shared: (f64, Option<SaxConfig>) = (-1.0, None);
     let mut evaluations = 0usize;
     for (sax, score) in points.iter().zip(scores) {
-        let Some((per_cls, macro_f)) = score? else {
+        let Some((per_cls, macro_f)) = score else {
             continue;
         };
         evaluations += 1;
@@ -449,10 +488,23 @@ mod tests {
         d
     }
 
-    fn eval(d: &Dataset, cfg: &RpmConfig, sax: &SaxConfig) -> Option<(BTreeMap<Label, f64>, f64)> {
+    /// Scores `batch` on a fresh cache with `engine`.
+    fn score_on(
+        engine: Engine,
+        d: &Dataset,
+        cfg: &RpmConfig,
+        batch: &[SaxConfig],
+    ) -> Vec<EvalValue> {
         let cache = SaxCache::default();
-        let ctx = Ctx::new(Engine::serial(), &cache);
-        evaluate_combination(d, cfg, sax, &ctx).unwrap()
+        let ctx = Ctx::new(engine, &cache);
+        let mut scorer = Scorer::new(d, cfg, &ctx);
+        let scores = scorer.score(batch);
+        scorer.finish().unwrap();
+        scores
+    }
+
+    fn eval(d: &Dataset, cfg: &RpmConfig, sax: &SaxConfig) -> EvalValue {
+        score_on(Engine::serial(), d, cfg, std::slice::from_ref(sax)).remove(0)
     }
 
     #[test]
@@ -502,14 +554,45 @@ mod tests {
         let sax = SaxConfig::new(20, 4, 4);
         let cache = SaxCache::default();
         let ctx = Ctx::new(Engine::serial(), &cache);
-        let first = evaluate_combination(&d, &cfg, &sax, &ctx).unwrap();
+        let mut scorer = Scorer::new(&d, &cfg, &ctx);
+        let first = scorer.score(&[sax]);
         let evals_after_first = cache.stats();
-        let second = evaluate_combination(&d, &cfg, &sax, &ctx).unwrap();
+        let second = scorer.score(&[sax]);
+        scorer.finish().unwrap();
         assert_eq!(first, second);
         assert_eq!(
             cache.stats().hits,
             evals_after_first.hits + 1,
             "second score answered from memory"
+        );
+    }
+
+    #[test]
+    fn a_repeat_within_a_batch_is_scored_once() {
+        let d = dataset(2);
+        let cfg = RpmConfig::default();
+        let (a, b) = (SaxConfig::new(20, 4, 4), SaxConfig::new(16, 4, 3));
+        let budget = BudgetState::new(&crate::config::TrainBudget {
+            max_evals: Some(2),
+            wall_clock: None,
+        });
+        let cache = SaxCache::default();
+        let ctx = Ctx::new(Engine::new(2), &cache).with_budget(&budget);
+        let mut scorer = Scorer::new(&d, &cfg, &ctx);
+        let scores = scorer.score(&[a, b, a, a]);
+        scorer.finish().unwrap();
+        assert_eq!(scores[0], scores[2]);
+        assert_eq!(scores[0], scores[3]);
+        assert!(scores[0].is_some() && scores[1].is_some());
+        assert!(!budget.exhausted(), "two fresh combinations, two claims");
+        assert_eq!(
+            scores,
+            vec![
+                eval(&d, &cfg, &a),
+                eval(&d, &cfg, &b),
+                eval(&d, &cfg, &a),
+                eval(&d, &cfg, &a)
+            ]
         );
     }
 
@@ -520,18 +603,20 @@ mod tests {
             n_validation_splits: 3,
             ..RpmConfig::default()
         };
-        let sax = SaxConfig::new(20, 4, 4);
-        let serial = eval(&d, &cfg, &sax);
-        let cache = SaxCache::default();
-        let ctx = Ctx::new(Engine::new(4), &cache);
-        let parallel = evaluate_combination(&d, &cfg, &sax, &ctx).unwrap();
-        let (s, p) = (serial.expect("scorable"), parallel.expect("scorable"));
-        assert_eq!(s.0, p.0);
-        assert_eq!(
-            s.1.to_bits(),
-            p.1.to_bits(),
-            "fold reduction order preserved"
-        );
+        let batch = [SaxConfig::new(20, 4, 4), SaxConfig::new(24, 6, 5)];
+        let serial = score_on(Engine::serial(), &d, &cfg, &batch);
+        for threads in [2, 4] {
+            let parallel = score_on(Engine::new(threads), &d, &cfg, &batch);
+            for (s, p) in serial.iter().zip(&parallel) {
+                let (s, p) = (s.as_ref().expect("scorable"), p.as_ref().expect("scorable"));
+                assert_eq!(s.0, p.0);
+                assert_eq!(
+                    s.1.to_bits(),
+                    p.1.to_bits(),
+                    "fold reduction order preserved"
+                );
+            }
+        }
     }
 
     #[test]
@@ -606,6 +691,7 @@ mod tests {
                 per_class: true,
             },
             n_validation_splits: 1,
+            n_threads: 1,
             ..RpmConfig::default()
         };
         let serial = search_parameters(&d, &base).unwrap();
@@ -630,6 +716,7 @@ mod tests {
                 per_class: true,
             },
             n_validation_splits: 1,
+            n_threads: 1,
             ..RpmConfig::default()
         };
         let serial = search_parameters(&d, &base).unwrap();
@@ -643,6 +730,34 @@ mod tests {
         .unwrap();
         assert_eq!(serial.per_class, parallel.per_class);
         assert_eq!(serial.evaluations, parallel.evaluations);
+    }
+
+    #[test]
+    fn a_deadline_stops_a_grid_search_part_way() {
+        let d = dataset(8);
+        for n_threads in [1, 2] {
+            let cfg = RpmConfig {
+                param_search: ParamSearch::Grid {
+                    windows: vec![16, 20, 24, 28],
+                    paas: vec![4],
+                    alphas: vec![3, 4],
+                    per_class: false,
+                },
+                n_validation_splits: 1,
+                n_threads,
+                budget: crate::config::TrainBudget {
+                    max_evals: None,
+                    wall_clock: Some(Duration::from_millis(1)),
+                },
+                ..RpmConfig::default()
+            };
+            // The grid is one batch whose 8 points claim their budget at
+            // once, but each (point × split) job checks the deadline as
+            // it starts, and the jobs that start after it do not run.
+            let out = search_parameters(&d, &cfg).unwrap();
+            assert!(out.degraded, "{n_threads} threads: the deadline tripped");
+            assert!(out.evaluations < 8, "{n_threads} threads");
+        }
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! * **counters** (jobs, candidates, survivors, …) are deterministic —
 //!   any drift beyond the tolerance, or a counter missing from either
 //!   side, is a regression;
-//! * **cache totals** compare *lookups* only: the hit/miss split
-//!   legitimately varies with thread scheduling, the lookup total does
-//!   not;
+//! * **cache totals** compare *lookups*, the work a run asked of its
+//!   memos;
 //! * **wall/stage times** are noisy on shared runners, so they only
 //!   count as regressions when `DiffOptions::time_gate` is set (the CI
-//!   default leaves them informational).
+//!   default leaves them informational). A counter named `*_ns`
+//!   (`engine.busy_ns`) holds a time, so it diffs as one.
 
 use crate::report::ReportSummary;
 use std::fmt::Write as _;
@@ -93,7 +93,8 @@ impl DiffReport {
 
 /// Compares `current` against `baseline`. Counters (including cache
 /// lookup totals) regress when they drift beyond `opts.tolerance` or
-/// disappear; times regress only under `opts.time_gate`. New counters,
+/// disappear; times — stage totals, wall time and `*_ns` counters —
+/// regress only under `opts.time_gate`, or when they disappear. New counters,
 /// cache families and stages (present only in `current`) are reported
 /// as `(new)` but never gate — adding instrumentation must not fail CI.
 pub fn diff_reports(
@@ -115,19 +116,26 @@ pub fn diff_reports(
             .collect()
     };
     let mut lines = Vec::new();
+    // A counter named `*_ns` holds a time, which no two runs repeat.
     compare(
         &mut lines,
         |name| format!("counter {name}"),
         &baseline.counters,
         &current.counters,
-        |b, a| a.is_none_or(|a| drifts(b, a)),
+        |name, b, a| {
+            if name.ends_with("_ns") {
+                a.is_none_or(|a| slower(b, a))
+            } else {
+                a.is_none_or(|a| drifts(b, a))
+            }
+        },
     );
     compare(
         &mut lines,
         |family| format!("cache {family} lookups"),
         &baseline.caches,
         &current.caches,
-        |b, a| a.map_or(b > 0, |a| drifts(b, a)),
+        |_, b, a| a.map_or(b > 0, |a| drifts(b, a)),
     );
     lines.push(DiffLine {
         what: "wall_ns".to_string(),
@@ -141,7 +149,7 @@ pub fn diff_reports(
         |path| format!("stage {path} total_ns"),
         &stages(baseline),
         &stages(current),
-        |b, a| a.is_none_or(|a| slower(b, a)),
+        |_, b, a| a.is_none_or(|a| slower(b, a)),
     );
     lines.sort_by_key(|l| !l.regression);
     let regressions = lines.iter().filter(|l| l.regression).count();
@@ -149,14 +157,15 @@ pub fn diff_reports(
 }
 
 /// Compares one family of named values: each baseline entry against the
-/// run's (`regresses` gets `None` when the run lacks it), then what only
-/// the run has, as `(new)` lines that never gate.
+/// run's (`regresses` gets the name, the baseline value, and `None` when
+/// the run lacks it), then what only the run has, as `(new)` lines that
+/// never gate.
 fn compare(
     lines: &mut Vec<DiffLine>,
     label: impl Fn(&str) -> String,
     before: &[(String, u64)],
     after: &[(String, u64)],
-    regresses: impl Fn(u64, Option<u64>) -> bool,
+    regresses: impl Fn(&str, u64, Option<u64>) -> bool,
 ) {
     let find =
         |list: &[(String, u64)], name: &str| list.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
@@ -166,7 +175,7 @@ fn compare(
             what: label(name),
             before: Some(*b),
             after: a,
-            regression: regresses(*b, a),
+            regression: regresses(name, *b, a),
         });
     }
     for (name, a) in after {
@@ -273,6 +282,29 @@ mod tests {
             time_gate: true,
         };
         assert!(diff_reports(&base, &slow, &gated).regressions >= 1);
+    }
+
+    #[test]
+    fn ns_counters_diff_as_times() {
+        let base = summary(&[("engine.jobs", 10), ("engine.busy_ns", 0)], 1000);
+        let cur = summary(&[("engine.jobs", 10), ("engine.busy_ns", 400_000)], 1000);
+        let exact = DiffOptions::default();
+        let d = diff_reports(&base, &cur, &exact);
+        assert_eq!(d.regressions, 0, "{}", d.render());
+        assert!(
+            d.render().contains("counter engine.busy_ns"),
+            "{}",
+            d.render()
+        );
+        assert!(!d.render().contains("(new)"), "{}", d.render());
+        let gated = DiffOptions {
+            time_gate: true,
+            ..exact
+        };
+        assert_eq!(diff_reports(&base, &cur, &gated).regressions, 1);
+        // Like a stage, a time counter that disappears is structural.
+        let gone = summary(&[("engine.jobs", 10)], 1000);
+        assert_eq!(diff_reports(&base, &gone, &exact).regressions, 1);
     }
 
     #[test]

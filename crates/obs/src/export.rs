@@ -7,8 +7,8 @@
 //! * every metric is prefixed `rpm_` and dots become underscores;
 //! * counters gain the conventional `_total` suffix
 //!   (`engine.jobs` → `rpm_engine_jobs_total`);
-//! * gauges keep their flattened name (`engine.workers.max` →
-//!   `rpm_engine_workers_max`);
+//! * gauges keep their flattened name (`serve.queue_depth` →
+//!   `rpm_serve_queue_depth`);
 //! * cache families collapse into three labeled counters
 //!   (`rpm_cache_hits_total{family="frames"}`, …misses…, …evictions…);
 //! * dynamic labeled counters split their trailing `key=value` segment
@@ -245,7 +245,7 @@ mod tests {
                 ("mine.rules", 0),
                 ("cfs.survivors", 13),
             ],
-            gauges: vec![("engine.workers.max", 4)],
+            gauges: vec![("serve.queue_depth", 4)],
             cache: vec![("words", 7, 3, 0), ("grammar", 0, 0, 0)],
             histograms: vec![(
                 "predict.latency_ns",
@@ -273,7 +273,7 @@ mod tests {
         // Zero counters and idle cache families are skipped.
         assert!(!text.contains("mine_rules"), "{text}");
         assert!(!text.contains("family=\"grammar\""), "{text}");
-        assert!(text.contains("rpm_engine_workers_max 4"), "{text}");
+        assert!(text.contains("rpm_serve_queue_depth 4"), "{text}");
         assert!(
             text.contains("rpm_cache_hits_total{family=\"words\"} 7"),
             "{text}"

@@ -241,7 +241,8 @@ impl<'a> Parser<'a> {
         Ok(&rest[..len])
     }
 
-    /// Reads one string, decoding its escapes.
+    /// Reads one string, decoding its escapes. A raw control character
+    /// (U+0000–U+001F) is refused: it must be written escaped.
     pub fn parse_string(&mut self) -> Result<String, String> {
         self.expect('"')?;
         let mut out = String::new();
@@ -261,6 +262,10 @@ impl<'a> Parser<'a> {
                     Some(c) => return Err(format!("unsupported escape \\{c}")),
                     None => return Err("unterminated string escape".to_string()),
                 },
+                // RFC 8259 §7: U+0000–U+001F must be escaped in a string.
+                Some(c) if c < '\u{20}' => {
+                    return Err(format!("unescaped control character {c:?} in a string"))
+                }
                 Some(c) => out.push(c),
                 None => return Err("unterminated string".to_string()),
             }
@@ -406,6 +411,21 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn raw_control_characters_are_refused() {
+        let parse = |src: &str| Parser::new(src).parse_string();
+        for c in (0u8..0x20).map(char::from) {
+            let err = parse(&format!("\"a{c}b\"")).unwrap_err();
+            assert_eq!(
+                err,
+                format!("unescaped control character {c:?} in a string")
+            );
+        }
+        // Escaped, the same characters read back; U+007F needs no escape.
+        assert_eq!(parse(r#""a\tb""#), Ok("a\tb".into()));
+        assert_eq!(parse("\"a\u{7f}b\""), Ok("a\u{7f}b".into()));
     }
 
     #[test]

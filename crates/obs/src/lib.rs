@@ -9,7 +9,7 @@
 //!   feeds back into the computation, so instrumented runs stay
 //!   bit-identical to uninstrumented ones.
 //! * **Metrics** ([`metrics`](mod@metrics)) — a static registry of atomic
-//!   counters, gauges, and log₂-bucket histograms fed by the training
+//!   counters, log₂-bucket histograms and cache families fed by the training
 //!   engine, the memoization caches, the candidate/CFS pipeline, and the
 //!   optimizers, declared once as one table.
 //! * **Sinks** ([`report`]) — a human-readable end-of-run stage tree
@@ -65,9 +65,7 @@ pub use http::{
     ServeLimits, ServingModel,
 };
 pub use logger::LogEvent;
-pub use metrics::{
-    metrics, CacheFamilyMetrics, Counter, Gauge, Histogram, MetricsSnapshot, ServeMetrics,
-};
+pub use metrics::{metrics, CacheFamilyMetrics, Counter, Histogram, MetricsSnapshot, ServeMetrics};
 pub use report::{finish, snapshot, validate_jsonl, ReportSummary, RunReport, StageAgg};
 pub use span::{enter, SpanGuard, SpanRecord};
 pub use trace::{

@@ -1,4 +1,4 @@
-//! The metrics registry: atomic counters, gauges, and histograms.
+//! The metrics registry: atomic counters, histograms and cache families.
 //!
 //! Every metric is a field of the global [`Metrics`] registry, or of the
 //! [`ServeMetrics`] each classify server owns, so an increment is one
@@ -15,9 +15,10 @@
 //!
 //! Metrics observe; they never influence scheduling or results, so
 //! counter totals are reproducible wherever the underlying quantity is
-//! deterministic (jobs executed, lookups issued, rectangles split). Only
-//! the hit/miss *split* of a racing cache double-compute can vary — the
-//! lookup total never does.
+//! deterministic (jobs executed, lookups issued, rectangles split). A
+//! memo computes each key once and counts every other lookup of it as a
+//! hit, so the hit/miss split repeats at any thread count too. Counters
+//! named `*_ns` hold times, which never repeat.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,39 +65,6 @@ impl Counter {
 impl Default for Counter {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// An atomic high-water-mark gauge.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub const fn new() -> Self {
-        Self {
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// Raises the gauge to `v` if larger (no-op while observability is
-    /// off).
-    #[inline]
-    pub fn record_max(&self, v: u64) {
-        if crate::enabled() {
-            self.value.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -300,7 +268,6 @@ impl CacheFamilyMetrics {
 #[derive(Clone, Copy)]
 enum Metric<'a> {
     Counter(&'a Counter),
-    Gauge(&'a Gauge),
     Histogram(&'a Histogram),
     CacheFamilyMetrics(&'a CacheFamilyMetrics),
 }
@@ -351,8 +318,6 @@ metric_table! {
         /// Summed `workers × wall` of parallel engine runs; `busy_ns / span_ns`
         /// is the worker utilization.
         engine_span_ns: Counter = "engine.span_ns",
-        /// Widest parallel fan-out seen.
-        engine_workers_max: Gauge = "engine.workers.max",
         /// Queue drain (fan-out wall) time distribution.
         engine_drain: Histogram = "engine.drain_ns",
         /// Distinct SAX combinations scored.
@@ -360,7 +325,9 @@ metric_table! {
         /// Validation folds evaluated (Algorithm 3's inner loop, fed from the
         /// fold runner in `rpm-core::params`).
         params_folds: Counter = "params.folds",
-        /// Per-combination scoring time distribution.
+        /// Per-combination scoring time distribution: the durations of the
+        /// combination's validation folds, summed over whichever threads
+        /// ran them.
         params_eval: Histogram = "params.eval_ns",
         /// Grammar rules inspected by Algorithm 1.
         mine_rules: Counter = "mine.rules",
@@ -534,7 +501,8 @@ pub fn labeled_add(name: &str, n: u64) {
 pub struct MetricsSnapshot {
     /// Static counters as `(name, value)`, report order.
     pub counters: Vec<(&'static str, u64)>,
-    /// Gauges as `(name, value)`.
+    /// Gauges as `(name, value)`. The registry declares none; a classify
+    /// server adds its own generation and queue depth for `/metrics`.
     pub gauges: Vec<(&'static str, u64)>,
     /// Cache families as `(family, hits, misses, evictions)`.
     pub cache: Vec<(&'static str, u64, u64, u64)>,
@@ -577,7 +545,6 @@ fn push_entries<'a>(
     for (name, metric) in entries {
         match metric {
             Metric::Counter(c) => snap.counters.push((name, c.get())),
-            Metric::Gauge(g) => snap.gauges.push((name, g.get())),
             Metric::Histogram(h) => snap.histograms.push((name, h.snapshot())),
             Metric::CacheFamilyMetrics(f) => {
                 snap.cache
@@ -603,7 +570,6 @@ pub fn reset() {
     for (_, metric) in metrics().entries() {
         match metric {
             Metric::Counter(c) => c.reset(),
-            Metric::Gauge(g) => g.reset(),
             Metric::Histogram(h) => h.reset(),
             Metric::CacheFamilyMetrics(f) => f.reset(),
         }
@@ -747,7 +713,6 @@ mod tests {
             rows += 1;
             match metric {
                 Metric::Counter(c) => c.inc(),
-                Metric::Gauge(g) => g.record_max(1),
                 Metric::Histogram(h) => h.observe(1),
                 Metric::CacheFamilyMetrics(f) => {
                     f.hits.inc();

@@ -9,7 +9,7 @@
 //! | `meta`      | `version`, `wall_ns`, `level`                                       |
 //! | `span`      | `path`, `name`, `depth`, `thread`, `start_ns`, `dur_ns`             |
 //! | `stage`     | `path`, `calls`, `total_ns` (aggregated over same-path spans)       |
-//! | `counter`   | `name`, `value` (includes gauges and labeled counters)              |
+//! | `counter`   | `name`, `value` (includes labeled counters)                         |
 //! | `cache`     | `family`, `hits`, `misses`, `evictions`, `lookups`, `hit_rate`      |
 //! | `histogram` | `name`, `count`, `sum_ns`, `mean_ns`, `p50`, `p90`, `p99`, `buckets` (`[upper, n]` pairs) |
 //! | `log`       | `t_ns`, `level`, `target`, `message`, optional `trace`              |
@@ -228,7 +228,6 @@ impl RunReport {
             .counters
             .iter()
             .map(|(n, v)| (n.to_string(), *v))
-            .chain(self.metrics.gauges.iter().map(|(n, v)| (n.to_string(), *v)))
             .chain(self.metrics.labeled.iter().cloned());
         for (name, value) in named {
             out.push_str("{\"type\":\"counter\",\"name\":");
@@ -472,7 +471,7 @@ pub struct ReportSummary {
     pub spans: usize,
     /// Stage aggregates in file order (tree order).
     pub stages: Vec<StageSummary>,
-    /// Counters (static + gauges + labeled) as `(name, value)`.
+    /// Counters (static + labeled) as `(name, value)`.
     pub counters: Vec<(String, u64)>,
     /// Cache families as `(family, lookups)`, each verified
     /// `hits + misses == lookups`.
@@ -499,7 +498,8 @@ impl ReportSummary {
 
     /// Renders the summary as a human-readable table (the `obs summary`
     /// output): stage tree with times, then histograms with quantiles,
-    /// then non-zero counters.
+    /// then non-zero counters. Names print with their control characters
+    /// escaped, so a name never splits a row.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -509,15 +509,10 @@ impl ReportSummary {
             self.level
         );
         if !self.stages.is_empty() {
-            let name_width = self
-                .stages
-                .iter()
-                .map(|s| s.path.len())
-                .max()
-                .unwrap_or(0)
-                .max(12);
+            let paths: Vec<String> = self.stages.iter().map(|s| printable(&s.path)).collect();
+            let name_width = paths.iter().map(String::len).max().unwrap_or(0).max(12);
             let _ = writeln!(out, "stages:");
-            for s in &self.stages {
+            for (s, path) in self.stages.iter().zip(&paths) {
                 let pct = if self.wall_ns > 0 {
                     100.0 * s.total_ns as f64 / self.wall_ns as f64
                 } else {
@@ -526,7 +521,7 @@ impl ReportSummary {
                 let _ = writeln!(
                     out,
                     "  {:name_width$}  {:>9}  {:5.1}%  {:>6}×",
-                    s.path,
+                    path,
                     fmt_ns(s.total_ns),
                     pct,
                     s.calls
@@ -539,7 +534,11 @@ impl ReportSummary {
                 let _ = writeln!(
                     out,
                     "  {}: {} obs, p50 {:.0}, p90 {:.0}, p99 {:.0}",
-                    h.name, h.count, h.p50, h.p90, h.p99
+                    printable(&h.name),
+                    h.count,
+                    h.p50,
+                    h.p90,
+                    h.p99
                 );
             }
         }
@@ -547,16 +546,30 @@ impl ReportSummary {
         if !nonzero.is_empty() {
             let _ = writeln!(out, "counters:");
             for (name, value) in nonzero {
-                let _ = writeln!(out, "  {name} = {value}");
+                let _ = writeln!(out, "  {} = {value}", printable(name));
             }
         }
         for (family, lookups) in &self.caches {
             if *lookups > 0 {
-                let _ = writeln!(out, "cache {family}: {lookups} lookups");
+                let _ = writeln!(out, "cache {}: {lookups} lookups", printable(family));
             }
         }
         out
     }
+}
+
+/// `name` with each control character escaped (`\n`, `\t`,
+/// `\u{1b}`), for one row of a text table.
+fn printable(name: &str) -> String {
+    let mut out = String::with_capacity(name.len());
+    for c in name.chars() {
+        if c.is_control() {
+            out.extend(c.escape_debug());
+        } else {
+            out.push(c);
+        }
+    }
+    out
 }
 
 /// Reads a JSONL run report back, the one reader every consumer uses
@@ -1161,6 +1174,41 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn raw_control_characters_in_names_are_refused_by_line() {
+        let meta = "{\"type\":\"meta\",\"version\":4,\"wall_ns\":100,\"level\":\"summary\"}\n";
+        let raw_tab = format!("{meta}{{\"type\":\"counter\",\"name\":\"a\tb\",\"value\":1}}\n");
+        let err = read_report(raw_tab.as_bytes()).unwrap_err();
+        assert_eq!(err, "line 2: unescaped control character '\\t' in a string");
+        // Escaped, the same name reads back.
+        let escaped = format!("{meta}{{\"type\":\"counter\",\"name\":\"a\\tb\",\"value\":1}}\n");
+        let summary = read_report(escaped.as_bytes()).expect("escaped tab is valid");
+        assert_eq!(summary.counter("a\tb"), Some(1));
+    }
+
+    #[test]
+    fn summary_escapes_control_characters_in_names() {
+        let summary = ReportSummary {
+            wall_ns: 100,
+            level: "spans".to_string(),
+            stages: vec![StageSummary {
+                path: "train/a\nb".to_string(),
+                calls: 1,
+                total_ns: 50,
+            }],
+            counters: vec![("c\nd".to_string(), 3)],
+            caches: vec![("e\u{1b}f".to_string(), 4)],
+            ..ReportSummary::default()
+        };
+        let text = summary.render();
+        for row in ["train/a\\nb", "c\\nd = 3", "cache e\\u{1b}f: 4 lookups"] {
+            assert!(text.contains(row), "{row} in:\n{text}");
+        }
+        // One row per stage, counter and cache family, plus the header
+        // and two section titles.
+        assert_eq!(text.lines().count(), 6, "{text}");
     }
 
     #[test]

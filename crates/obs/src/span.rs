@@ -6,11 +6,14 @@
 //! stage records the path `outer/inner`. Finished records accumulate in a
 //! per-thread buffer and are flushed to the global collector whenever the
 //! thread's stack unwinds to empty — one lock acquisition per top-level
-//! stage, never one per span. The report layer merges records *by path*,
-//! which is commutative, so the aggregated stage tree is identical no
-//! matter how the scoped worker threads interleave. Spans only observe;
-//! they never feed back into the computation, so instrumented training
-//! runs stay bit-identical to uninstrumented ones.
+//! stage, never one per span. A worker thread that runs jobs on behalf of
+//! another thread [`adopt`]s that thread's [`open_path`], so its spans
+//! land under the same paths as the jobs the caller runs itself. The
+//! report layer merges records *by path*, which is commutative, so the
+//! aggregated stage tree is identical no matter how the scoped worker
+//! threads interleave. Spans only observe; they never feed back into the
+//! computation, so instrumented training runs stay bit-identical to
+//! uninstrumented ones.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -164,6 +167,50 @@ impl Drop for SpanGuard {
     }
 }
 
+/// The calling thread's open span names, outermost first (empty while
+/// span recording is off). Hand it to [`adopt`] on a worker thread.
+pub fn open_path() -> Vec<&'static str> {
+    if !crate::spans_enabled() {
+        return Vec::new();
+    }
+    STATE.with(|s| s.borrow().stack.clone())
+}
+
+/// Continues `path` — another thread's [`open_path`] — on this thread:
+/// while the guard lives, spans opened here record under `path`, at the
+/// depth they would have on the thread that owns it. The adopted entries
+/// themselves record nothing, since their owner records them. Dropping
+/// the guard removes them and flushes this thread's finished records, so
+/// they reach the collector before a scoped worker is joined.
+pub fn adopt(path: &[&'static str]) -> AdoptGuard {
+    let base = STATE.with(|s| {
+        let mut st = s.borrow_mut();
+        let base = st.stack.len();
+        st.stack.extend_from_slice(path);
+        base
+    });
+    AdoptGuard { base }
+}
+
+/// Guard returned by [`adopt`]; drop it on the thread that adopted.
+#[must_use = "the adopted path lasts as long as the guard"]
+pub struct AdoptGuard {
+    base: usize,
+}
+
+impl Drop for AdoptGuard {
+    fn drop(&mut self) {
+        STATE.with(|s| {
+            let mut st = s.borrow_mut();
+            st.stack.truncate(self.base);
+            if st.stack.is_empty() && !st.done.is_empty() {
+                let mut drained = std::mem::take(&mut st.done);
+                flush(&mut drained);
+            }
+        });
+    }
+}
+
 /// Copies every recorded span without draining (used by
 /// `report::snapshot`).
 pub fn peek_records() -> Vec<SpanRecord> {
@@ -280,6 +327,42 @@ mod tests {
             .map(|r| r.thread)
             .collect();
         assert_eq!(threads.len(), 4);
+    }
+
+    #[test]
+    fn adopted_paths_nest_worker_spans_under_the_caller() {
+        let records = with_spans_on(|| {
+            let _root = enter("root");
+            let _stage = enter("stage");
+            let path = open_path();
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        let _adopted = adopt(&path);
+                        let _j = enter("job");
+                    });
+                }
+            });
+            {
+                let _j = enter("job");
+            }
+            drop(_stage);
+            drop(_root);
+            take_records()
+        });
+        let paths: Vec<&str> = records.iter().map(|r| r.path.as_str()).collect();
+        assert_eq!(
+            paths.iter().filter(|p| **p == "root/stage/job").count(),
+            3,
+            "{paths:?}"
+        );
+        assert!(records.iter().all(|r| r.path != "job"), "{paths:?}");
+        // The adopted entries record nothing: one root, one stage.
+        assert_eq!(paths.iter().filter(|p| **p == "root").count(), 1);
+        assert_eq!(paths.iter().filter(|p| **p == "root/stage").count(), 1);
+        for r in records.iter().filter(|r| r.name == "job") {
+            assert_eq!(r.depth, 2, "{r:?}");
+        }
     }
 
     #[test]

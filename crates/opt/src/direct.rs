@@ -7,15 +7,15 @@
 //! classic ε-improvement condition. It is deterministic and converges to a
 //! global optimum of a continuous objective as iterations → ∞ (§4.2).
 //!
-//! With `DirectParams::n_threads > 1` the sample points of each division
-//! step are evaluated as one batch on scoped worker threads. The batch is
-//! precomputed to match the serial evaluation budget exactly and its
-//! results are consumed in point order, so the search trajectory — every
-//! division, every level update, the final result — is bit-identical to
-//! the serial run. This requires the objective to be `Fn + Sync`.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! The objective scores a batch of points. Each iteration first plans the
+//! samples of every selected rectangle, then scores them all in one call,
+//! then divides the rectangles in selection order. A rectangle's samples
+//! depend only on its own centre, its levels and the evaluation count,
+//! never on values scored in the same iteration, so the trajectory —
+//! every division, every level update, the final result — is the one a
+//! loop scoring point by point would follow. The optimizer starts no
+//! thread: how a batch is scored is the caller's choice (RPM's parameter
+//! search runs each batch on its training engine).
 
 /// Knobs for the DIRECT runs.
 #[derive(Clone, Copy, Debug)]
@@ -26,8 +26,6 @@ pub struct DirectParams {
     pub max_iters: usize,
     /// The Jones ε in the potential-optimality test (typical: 1e-4).
     pub eps: f64,
-    /// Worker threads for batch objective evaluation (`<= 1` = serial).
-    pub n_threads: usize,
     /// Wall-clock deadline for the whole run (`None` = unbounded).
     /// Checked between iterations, so the optimizer stops at a division
     /// boundary with the best point found so far — a deadline never
@@ -43,7 +41,6 @@ impl Default for DirectParams {
             max_evals: 200,
             max_iters: 50,
             eps: 1e-4,
-            n_threads: 1,
             wall_clock: None,
         }
     }
@@ -80,48 +77,35 @@ impl Rect {
             .sum();
         0.5 * s.sqrt()
     }
-}
 
-/// Evaluates `f` at every point, on `n_threads` scoped workers when
-/// requested. Results come back in point order regardless of scheduling;
-/// a worker panic propagates once every worker has joined.
-fn batch_eval<F: Fn(&[f64]) -> f64 + Sync>(
-    points: &[Vec<f64>],
-    n_threads: usize,
-    f: &F,
-) -> Vec<f64> {
-    if n_threads <= 1 || points.len() < 2 {
-        return points.iter().map(|p| f(p)).collect();
+    /// The dimensions this rectangle divides along: its longest sides
+    /// (minimal trisection level), with the sampling offset δ.
+    fn long_dims(&self) -> (Vec<usize>, f64) {
+        let min_level = *self.levels.iter().min().expect("at least one dimension");
+        let dims = (0..self.levels.len())
+            .filter(|&d| self.levels[d] == min_level)
+            .collect();
+        (dims, 3f64.powi(-(min_level as i32)) / 3.0)
     }
-    let n_workers = n_threads.min(points.len());
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<f64>>> = points.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..n_workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= points.len() {
-                    break;
-                }
-                let v = f(&points[i]);
-                if let Ok(mut slot) = slots[i].lock() {
-                    *slot = Some(v);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().ok().flatten().expect("every slot is filled"))
-        .collect()
 }
 
-/// Minimizes `f` over the box `lo[i] ..= hi[i]`.
+/// The two scored samples `c ± δ e_d` of one division direction `d`.
+struct DimSample {
+    d: usize,
+    plus: Vec<f64>,
+    minus: Vec<f64>,
+    f_plus: f64,
+    f_minus: f64,
+}
+
+/// Minimizes `f` over the box `lo[i] ..= hi[i]`. `f` scores a batch of
+/// points and returns one value per point, in order.
 ///
 /// # Panics
-/// Panics when the bounds are empty, mismatched, or inverted.
+/// Panics when the bounds are empty, mismatched, or inverted, or when
+/// `f` returns a different number of values than it was given points.
 pub fn direct_minimize(
-    f: impl Fn(&[f64]) -> f64 + Sync,
+    mut f: impl FnMut(&[Vec<f64>]) -> Vec<f64>,
     lo: &[f64],
     hi: &[f64],
     params: &DirectParams,
@@ -129,22 +113,29 @@ pub fn direct_minimize(
     assert!(!lo.is_empty(), "DIRECT needs at least one dimension");
     assert_eq!(lo.len(), hi.len(), "bound length mismatch");
     assert!(lo.iter().zip(hi).all(|(a, b)| a <= b), "inverted bounds");
-    let dim = lo.len();
     let denorm = |u: &[f64]| -> Vec<f64> {
         u.iter()
             .zip(lo.iter().zip(hi))
             .map(|(v, (a, b))| a + v * (b - a))
             .collect()
     };
+    let mut score = |points: &[Vec<f64>]| -> Vec<f64> {
+        let denormed: Vec<Vec<f64>> = points.iter().map(|u| denorm(u)).collect();
+        let values = f(&denormed);
+        assert_eq!(
+            values.len(),
+            points.len(),
+            "the objective must score every point of its batch"
+        );
+        values
+    };
 
-    let mut evals = 0usize;
-
-    let center = vec![0.5; dim];
-    evals += 1;
-    let f0 = f(&denorm(&center));
+    let center = vec![0.5; lo.len()];
+    let f0 = score(std::slice::from_ref(&center))[0];
+    let mut evals = 1usize;
     let mut rects = vec![Rect {
         center,
-        levels: vec![0; dim],
+        levels: vec![0; lo.len()],
         f: f0,
     }];
     let mut best_idx = 0usize;
@@ -153,8 +144,8 @@ pub fn direct_minimize(
         .wall_clock
         .and_then(|d| std::time::Instant::now().checked_add(d));
     for _ in 0..params.max_iters {
-        if evals >= params.max_evals {
-            break;
+        if params.max_evals.saturating_sub(evals) < 2 {
+            break; // not even one more pair of samples fits the budget
         }
         if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
             break; // deadline: return the best division completed so far
@@ -163,24 +154,20 @@ pub fn direct_minimize(
         if selected.is_empty() {
             break;
         }
-        let mut new_rects: Vec<Rect> = Vec::new();
+
+        // Plan: sample c ± δ e_d along each long dimension of every
+        // selected rectangle, in selection order, while pairs fit the
+        // remaining budget.
+        let mut plans: Vec<(usize, Vec<usize>)> = Vec::new();
+        let mut points: Vec<Vec<f64>> = Vec::new();
         for &ri in &selected {
-            if evals >= params.max_evals {
+            let planned = evals + points.len();
+            if planned >= params.max_evals {
                 break;
             }
-            // Longest dimensions = minimal trisection level.
-            let min_level = *rects[ri].levels.iter().min().unwrap();
-            let long_dims: Vec<usize> = (0..dim)
-                .filter(|&d| rects[ri].levels[d] == min_level)
-                .collect();
-            let delta = 3f64.powi(-(min_level as i32)) / 3.0;
-
-            // Sample c ± δ e_d for each long dimension within the
-            // remaining budget — the same pairs the serial loop would
-            // evaluate one by one — then score the whole batch at once.
-            let n_pairs = long_dims.len().min((params.max_evals - evals) / 2);
-            let mut points: Vec<Vec<f64>> = Vec::with_capacity(2 * n_pairs);
-            for &d in &long_dims[..n_pairs] {
+            let (mut dims, delta) = rects[ri].long_dims();
+            dims.truncate((params.max_evals - planned) / 2);
+            for &d in &dims {
                 let mut plus = rects[ri].center.clone();
                 plus[d] = (plus[d] + delta).min(1.0);
                 let mut minus = rects[ri].center.clone();
@@ -188,37 +175,40 @@ pub fn direct_minimize(
                 points.push(plus);
                 points.push(minus);
             }
-            let denormed: Vec<Vec<f64>> = points.iter().map(|u| denorm(u)).collect();
-            let fvals = batch_eval(&denormed, params.n_threads, &f);
-            evals += points.len();
-            rpm_obs::metrics().opt_direct_evals.add(points.len() as u64);
+            plans.push((ri, dims));
+        }
+        if points.is_empty() {
+            break;
+        }
 
-            struct DimSample {
-                d: usize,
-                plus: Vec<f64>,
-                minus: Vec<f64>,
-                f_plus: f64,
-                f_minus: f64,
-            }
-            let mut point_iter = points.into_iter();
-            let mut samples: Vec<DimSample> = Vec::with_capacity(n_pairs);
-            for (k, &d) in long_dims[..n_pairs].iter().enumerate() {
-                let plus = point_iter.next().unwrap();
-                let minus = point_iter.next().unwrap();
-                samples.push(DimSample {
-                    d,
-                    plus,
-                    minus,
-                    f_plus: fvals[2 * k],
-                    f_minus: fvals[2 * k + 1],
-                });
-            }
-            if samples.is_empty() {
+        // Score: the whole iteration in one call.
+        let fvals = score(&points);
+        evals += points.len();
+        rpm_obs::metrics().opt_direct_evals.add(points.len() as u64);
+
+        // Divide, in the order the rectangles were planned.
+        let mut scored = points.into_iter().zip(fvals);
+        let mut next = || scored.next().expect("one value per planned point");
+        let mut new_rects: Vec<Rect> = Vec::new();
+        for (ri, dims) in plans {
+            if dims.is_empty() {
                 continue;
             }
-            rpm_obs::metrics()
-                .opt_direct_splits
-                .add(samples.len() as u64);
+            rpm_obs::metrics().opt_direct_splits.add(dims.len() as u64);
+            let mut samples: Vec<DimSample> = dims
+                .into_iter()
+                .map(|d| {
+                    let (plus, f_plus) = next();
+                    let (minus, f_minus) = next();
+                    DimSample {
+                        d,
+                        plus,
+                        minus,
+                        f_plus,
+                        f_minus,
+                    }
+                })
+                .collect();
             // Divide in ascending order of the better child value so the
             // best-looking dimension keeps the largest children.
             samples.sort_by(|a, b| a.f_plus.min(a.f_minus).total_cmp(&b.f_plus.min(b.f_minus)));
@@ -317,21 +307,20 @@ fn potentially_optimal(rects: &[Rect], f_min: f64, eps: f64) -> Vec<usize> {
 /// Integer-rounded DIRECT (§4.2): every proposal is rounded to the nearest
 /// integer vector and the objective is memoized on those integer points, so
 /// the expensive cross-validation objective runs once per distinct integer
-/// combination. The returned count is the *distinct* integer evaluations —
-/// the `R` of the paper's complexity analysis. Concurrent batch proposals
-/// rounding onto the same point may both compute (the value is identical);
-/// the distinct count only advances on first insertion, so it matches the
-/// serial count for any thread count.
+/// combination. Each batch `f` receives holds only points new to the run,
+/// each once, in the order DIRECT proposed them; a batch whose points were
+/// all scored before never reaches `f`, so `f` never sees an empty batch.
+/// The returned count is the *distinct* integer evaluations — the `R` of
+/// the paper's complexity analysis.
 pub fn direct_minimize_integer(
-    f: impl Fn(&[i64]) -> f64 + Sync,
+    mut f: impl FnMut(&[Vec<i64>]) -> Vec<f64>,
     lo: &[i64],
     hi: &[i64],
     params: &DirectParams,
 ) -> (Vec<i64>, f64, usize) {
     use std::collections::HashMap;
 
-    let cache: Mutex<HashMap<Vec<i64>, f64>> = Mutex::new(HashMap::new());
-    let distinct = AtomicUsize::new(0);
+    let mut scored: HashMap<Vec<i64>, f64> = HashMap::new();
     let lo_f: Vec<f64> = lo.iter().map(|&v| v as f64).collect();
     let hi_f: Vec<f64> = hi.iter().map(|&v| v as f64).collect();
     let round = |x: &[f64]| -> Vec<i64> {
@@ -341,41 +330,130 @@ pub fn direct_minimize_integer(
             .collect()
     };
     let result = direct_minimize(
-        |x| {
-            let xi = round(x);
-            if let Some(v) = cache.lock().ok().and_then(|c| c.get(&xi).copied()) {
-                return v;
-            }
-            let v = f(&xi);
-            if let Ok(mut c) = cache.lock() {
-                if c.insert(xi, v).is_none() {
-                    distinct.fetch_add(1, Ordering::Relaxed);
+        |batch| {
+            let rounded: Vec<Vec<i64>> = batch.iter().map(|x| round(x)).collect();
+            let mut fresh: Vec<Vec<i64>> = Vec::new();
+            for xi in &rounded {
+                if !scored.contains_key(xi) && !fresh.contains(xi) {
+                    fresh.push(xi.clone());
                 }
             }
-            v
+            if !fresh.is_empty() {
+                let values = f(&fresh);
+                assert_eq!(
+                    values.len(),
+                    fresh.len(),
+                    "the objective must score every point of its batch"
+                );
+                scored.extend(fresh.into_iter().zip(values));
+            }
+            rounded.iter().map(|xi| scored[xi]).collect()
         },
         &lo_f,
         &hi_f,
         params,
     );
     let xi = round(&result.x);
-    let best_f = cache
-        .lock()
-        .ok()
-        .and_then(|c| c.get(&xi).copied())
-        .unwrap_or(result.f);
-    (xi, best_f, distinct.load(Ordering::Relaxed))
+    let best_f = scored.get(&xi).copied().unwrap_or(result.f);
+    (xi, best_f, scored.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A batch objective scoring `g` point by point.
+    fn each(g: impl Fn(&[f64]) -> f64) -> impl FnMut(&[Vec<f64>]) -> Vec<f64> {
+        move |batch| batch.iter().map(|x| g(x)).collect()
+    }
+
+    /// DIRECT as a loop that scores one point at a time and divides each
+    /// rectangle as soon as its samples are scored — the reference the
+    /// batched iteration must follow bit for bit. Returns the result and
+    /// every point scored, in order.
+    fn point_at_a_time(
+        g: impl Fn(&[f64]) -> f64,
+        lo: &[f64],
+        hi: &[f64],
+        params: &DirectParams,
+    ) -> (DirectResult, Vec<Vec<f64>>) {
+        let mut seen = Vec::new();
+        let denorm = |u: &[f64]| -> Vec<f64> {
+            u.iter()
+                .zip(lo.iter().zip(hi))
+                .map(|(v, (a, b))| a + v * (b - a))
+                .collect()
+        };
+        let mut score = |u: &[f64]| {
+            let x = denorm(u);
+            let v = g(&x);
+            seen.push(x);
+            v
+        };
+        let center = vec![0.5; lo.len()];
+        let f0 = score(&center);
+        let mut evals = 1;
+        let mut rects = vec![Rect {
+            center,
+            levels: vec![0; lo.len()],
+            f: f0,
+        }];
+        let mut best_idx = 0;
+        for _ in 0..params.max_iters {
+            if evals >= params.max_evals {
+                break;
+            }
+            let selected = potentially_optimal(&rects, rects[best_idx].f, params.eps);
+            let mut new_rects = Vec::new();
+            for &ri in &selected {
+                if evals >= params.max_evals {
+                    break;
+                }
+                let (mut dims, delta) = rects[ri].long_dims();
+                dims.truncate((params.max_evals - evals) / 2);
+                let mut pairs = Vec::new();
+                for &d in &dims {
+                    let mut plus = rects[ri].center.clone();
+                    plus[d] = (plus[d] + delta).min(1.0);
+                    let mut minus = rects[ri].center.clone();
+                    minus[d] = (minus[d] - delta).max(0.0);
+                    let (f_plus, f_minus) = (score(&plus), score(&minus));
+                    evals += 2;
+                    pairs.push((d, plus, f_plus, minus, f_minus));
+                }
+                pairs.sort_by(|a, b| a.2.min(a.4).total_cmp(&b.2.min(b.4)));
+                let mut levels = rects[ri].levels.clone();
+                for (d, plus, f_plus, minus, f_minus) in pairs {
+                    levels[d] += 1;
+                    for (center, f) in [(plus, f_plus), (minus, f_minus)] {
+                        new_rects.push(Rect {
+                            center,
+                            levels: levels.clone(),
+                            f,
+                        });
+                    }
+                }
+                rects[ri].levels = levels;
+            }
+            rects.extend(new_rects);
+            best_idx = (0..rects.len())
+                .min_by(|&a, &b| rects[a].f.total_cmp(&rects[b].f))
+                .unwrap();
+        }
+        let best = &rects[best_idx];
+        let result = DirectResult {
+            x: denorm(&best.center),
+            f: best.f,
+            evaluations: evals,
+        };
+        (result, seen)
+    }
+
     #[test]
     fn minimizes_shifted_sphere() {
         let target = [0.3, -0.7];
         let r = direct_minimize(
-            |x| x.iter().zip(&target).map(|(a, b)| (a - b) * (a - b)).sum(),
+            each(|x| x.iter().zip(&target).map(|(a, b)| (a - b) * (a - b)).sum()),
             &[-2.0, -2.0],
             &[2.0, 2.0],
             &DirectParams {
@@ -392,7 +470,7 @@ mod tests {
     #[test]
     fn minimizes_1d_absolute_value() {
         let r = direct_minimize(
-            |x| (x[0] - 1.5).abs(),
+            each(|x| (x[0] - 1.5).abs()),
             &[0.0],
             &[10.0],
             &DirectParams::default(),
@@ -402,12 +480,12 @@ mod tests {
 
     #[test]
     fn respects_evaluation_budget() {
-        let count = AtomicUsize::new(0);
         let budget = 37;
-        let _ = direct_minimize(
-            |x| {
-                count.fetch_add(1, Ordering::Relaxed);
-                x[0] * x[0] + x[1] * x[1]
+        let mut spent = 0;
+        let r = direct_minimize(
+            |batch| {
+                spent += batch.len();
+                batch.iter().map(|x| x[0] * x[0] + x[1] * x[1]).collect()
             },
             &[-1.0, -1.0],
             &[1.0, 1.0],
@@ -417,58 +495,66 @@ mod tests {
                 ..DirectParams::default()
             },
         );
-        let spent = count.load(Ordering::Relaxed);
         assert!(spent <= budget, "spent {spent} > {budget}");
+        assert_eq!(r.evaluations, spent);
     }
 
     #[test]
     fn deterministic() {
         let obj = |x: &[f64]| (x[0] - 0.2).powi(2) + (x[1] + 0.4).powi(2);
         let p = DirectParams::default();
-        let a = direct_minimize(obj, &[-1.0, -1.0], &[1.0, 1.0], &p);
-        let b = direct_minimize(obj, &[-1.0, -1.0], &[1.0, 1.0], &p);
+        let a = direct_minimize(each(obj), &[-1.0, -1.0], &[1.0, 1.0], &p);
+        let b = direct_minimize(each(obj), &[-1.0, -1.0], &[1.0, 1.0], &p);
         assert_eq!(a.x, b.x);
         assert_eq!(a.f, b.f);
         assert_eq!(a.evaluations, b.evaluations);
     }
 
     #[test]
-    fn parallel_run_is_bit_identical_to_serial() {
+    fn batched_iterations_follow_the_point_at_a_time_trajectory() {
         let obj = |x: &[f64]| (x[0] - 0.37).powi(2) + (x[1] + 0.81).powi(2) + (x[0] * x[1]).sin();
-        let serial = direct_minimize(
-            obj,
-            &[-2.0, -2.0],
-            &[2.0, 2.0],
-            &DirectParams {
-                max_evals: 500,
+        let obj3 = |x: &[f64]| (x[0] - 1.1).abs() + (x[1] * x[2]).cos() + 0.1 * x[2];
+        for (g, dim, max_evals) in [
+            (&obj as &dyn Fn(&[f64]) -> f64, 2, 500),
+            (&obj, 2, 37),
+            (&obj3, 3, 301),
+            (&obj3, 3, 48),
+        ] {
+            let (lo, hi) = (vec![-2.0; dim], vec![2.0; dim]);
+            let params = DirectParams {
+                max_evals,
                 max_iters: 80,
                 ..DirectParams::default()
-            },
-        );
-        for threads in [2usize, 4, 8] {
-            let parallel = direct_minimize(
-                obj,
-                &[-2.0, -2.0],
-                &[2.0, 2.0],
-                &DirectParams {
-                    max_evals: 500,
-                    max_iters: 80,
-                    eps: 1e-4,
-                    n_threads: threads,
-                    wall_clock: None,
+            };
+            let (reference, order) = point_at_a_time(g, &lo, &hi, &params);
+            let mut batches: Vec<Vec<Vec<f64>>> = Vec::new();
+            let batched = direct_minimize(
+                |batch| {
+                    batches.push(batch.to_vec());
+                    batch.iter().map(|x| g(x)).collect()
                 },
+                &lo,
+                &hi,
+                &params,
             );
-            assert_eq!(serial.x, parallel.x, "threads = {threads}");
-            assert_eq!(serial.f.to_bits(), parallel.f.to_bits());
-            assert_eq!(serial.evaluations, parallel.evaluations);
+            let flat: Vec<Vec<f64>> = batches.iter().flatten().cloned().collect();
+            assert_eq!(flat, order, "same points in the same order ({max_evals})");
+            assert!(batches.len() > 2, "iterations score in batches");
+            assert_eq!(reference.x, batched.x);
+            assert_eq!(reference.f.to_bits(), batched.f.to_bits());
+            assert_eq!(reference.evaluations, batched.evaluations);
         }
     }
 
     #[test]
-    fn parallel_integer_run_matches_serial() {
+    fn integer_batches_are_new_distinct_and_never_empty() {
         let obj = |xi: &[i64]| ((xi[0] - 11) * (xi[0] - 11) + (xi[1] - 5) * (xi[1] - 5)) as f64;
-        let serial = direct_minimize_integer(
-            obj,
+        let mut batches: Vec<Vec<Vec<i64>>> = Vec::new();
+        let (x, f, distinct) = direct_minimize_integer(
+            |batch| {
+                batches.push(batch.to_vec());
+                batch.iter().map(|xi| obj(xi)).collect()
+            },
             &[0, 0],
             &[30, 30],
             &DirectParams {
@@ -477,21 +563,36 @@ mod tests {
                 ..DirectParams::default()
             },
         );
-        let parallel = direct_minimize_integer(
-            obj,
+        assert!(batches.iter().all(|b| !b.is_empty()), "an empty batch");
+        let all: Vec<&Vec<i64>> = batches.iter().flatten().collect();
+        let unique: std::collections::HashSet<&Vec<i64>> = all.iter().copied().collect();
+        assert_eq!(unique.len(), all.len(), "a point was passed twice");
+        assert_eq!(distinct, all.len());
+        assert_eq!((x, f), (vec![11, 5], 0.0));
+
+        // Point by point, the same search scores the same points in the
+        // same order.
+        let mut order: Vec<Vec<i64>> = Vec::new();
+        let again = direct_minimize_integer(
+            |batch| {
+                batch
+                    .iter()
+                    .map(|xi| {
+                        order.push(xi.clone());
+                        obj(xi)
+                    })
+                    .collect()
+            },
             &[0, 0],
             &[30, 30],
             &DirectParams {
                 max_evals: 300,
                 max_iters: 50,
-                eps: 1e-4,
-                n_threads: 4,
-                wall_clock: None,
+                ..DirectParams::default()
             },
         );
-        assert_eq!(serial.0, parallel.0);
-        assert_eq!(serial.1.to_bits(), parallel.1.to_bits());
-        assert_eq!(serial.2, parallel.2, "distinct counts must agree");
+        assert_eq!(order, all.into_iter().cloned().collect::<Vec<_>>());
+        assert_eq!(again, (vec![11, 5], 0.0, distinct));
     }
 
     #[test]
@@ -505,7 +606,7 @@ mod tests {
             a.min(b)
         };
         let r = direct_minimize(
-            obj,
+            each(obj),
             &[-1.0],
             &[1.0],
             &DirectParams {
@@ -520,10 +621,10 @@ mod tests {
     #[test]
     fn stays_inside_bounds() {
         let r = direct_minimize(
-            |x| {
+            each(|x| {
                 assert!((-3.0..=5.0).contains(&x[0]), "x out of bounds: {}", x[0]);
                 -x[0]
-            },
+            }),
             &[-3.0],
             &[5.0],
             &DirectParams::default(),
@@ -537,11 +638,14 @@ mod tests {
 
     #[test]
     fn integer_variant_caches_roundings() {
-        let evals = AtomicUsize::new(0);
+        let mut evals = 0;
         let (x, f, distinct) = direct_minimize_integer(
-            |xi| {
-                evals.fetch_add(1, Ordering::Relaxed);
-                ((xi[0] - 7) * (xi[0] - 7) + (xi[1] - 3) * (xi[1] - 3)) as f64
+            |batch| {
+                evals += batch.len();
+                batch
+                    .iter()
+                    .map(|xi| ((xi[0] - 7) * (xi[0] - 7) + (xi[1] - 3) * (xi[1] - 3)) as f64)
+                    .collect()
             },
             &[0, 0],
             &[20, 20],
@@ -551,11 +655,7 @@ mod tests {
                 ..DirectParams::default()
             },
         );
-        assert_eq!(
-            evals.load(Ordering::Relaxed),
-            distinct,
-            "objective must only see distinct points"
-        );
+        assert_eq!(evals, distinct, "objective must only see distinct points");
         assert!(distinct < 400, "cache must dedupe roundings: {distinct}");
         assert_eq!(f, 0.0, "best = {x:?}");
         assert_eq!(x, vec![7, 3]);
@@ -563,22 +663,40 @@ mod tests {
 
     #[test]
     fn integer_variant_single_point_domain() {
-        let (x, f, distinct) =
-            direct_minimize_integer(|xi| xi[0] as f64, &[4], &[4], &DirectParams::default());
+        let mut calls = 0;
+        let (x, f, distinct) = direct_minimize_integer(
+            |batch| {
+                calls += 1;
+                batch.iter().map(|xi| xi[0] as f64).collect()
+            },
+            &[4],
+            &[4],
+            &DirectParams::default(),
+        );
         assert_eq!(x, vec![4]);
         assert_eq!(f, 4.0);
         assert_eq!(distinct, 1);
+        assert_eq!(
+            calls, 1,
+            "every later proposal rounds onto the scored point"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "score every point")]
+    fn a_short_batch_answer_panics() {
+        direct_minimize(|_| Vec::new(), &[0.0], &[1.0], &DirectParams::default());
     }
 
     #[test]
     #[should_panic(expected = "inverted bounds")]
     fn inverted_bounds_panic() {
-        direct_minimize(|_| 0.0, &[1.0], &[0.0], &DirectParams::default());
+        direct_minimize(each(|_| 0.0), &[1.0], &[0.0], &DirectParams::default());
     }
 
     #[test]
     #[should_panic(expected = "at least one dimension")]
     fn empty_bounds_panic() {
-        direct_minimize(|_| 0.0, &[], &[], &DirectParams::default());
+        direct_minimize(each(|_| 0.0), &[], &[], &DirectParams::default());
     }
 }

@@ -10,6 +10,11 @@
 //!   proposals are rounded to integer grid points and cached so repeated
 //!   roundings never re-pay the (expensive, cross-validated) objective,
 //! * [`grid_points`] — the exhaustive integer grid of Algorithm 3.
+//!
+//! Both DIRECT entry points take a *batch* objective: each iteration's
+//! samples arrive in one call, in the order a point-at-a-time loop would
+//! score them, and the caller decides how to score them — serially, or
+//! fanned out as RPM's parameter search does. The crate starts no thread.
 
 pub mod direct;
 pub mod grid;

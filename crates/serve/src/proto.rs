@@ -198,6 +198,12 @@ mod tests {
             let e = parse_body(&body).unwrap_err();
             assert_eq!(e, "line 3: not UTF-8");
         }
+        // RFC 8259 wants control characters escaped: a raw tab in an id
+        // is refused, an escaped one is read.
+        let e = parse_body(b"[1]\n{\"id\": \"a\tb\", \"series\": [2]}\n").unwrap_err();
+        assert_eq!(e, "line 2: unescaped control character '\\t' in a string");
+        let ok = parse_body(b"{\"id\": \"a\\tb\", \"series\": [2]}\n").unwrap();
+        assert_eq!(ok[0].id.as_deref(), Some("a\tb"));
         assert!(parse_line("[1, 2,]").is_err());
         assert!(parse_line("[]").is_err(), "empty series");
         assert!(parse_line("[1] trailing").is_err());

@@ -28,10 +28,6 @@ fn reset() {
     ObsConfig::default().install();
 }
 
-/// One run's comparison key: model bytes, predictions, counter totals,
-/// and the cache-lookup total.
-type RunFingerprint = (Vec<u8>, Vec<usize>, Vec<(String, u64)>, u64);
-
 fn small_cbf() -> (Dataset, Dataset) {
     let mut spec = spec_by_name("CBF").unwrap();
     spec.train = 15;
@@ -39,76 +35,134 @@ fn small_cbf() -> (Dataset, Dataset) {
     generate(&spec, 2016)
 }
 
-/// Training with observability on at 1/4/8 threads: identical serialized
-/// model bytes and predictions, and identical totals for every
-/// scheduling-independent counter (engine jobs, cache lookups, candidate
-/// counts). Only the hit/miss split within a cache family may vary with
-/// scheduling; the lookup total may not.
+/// What one instrumented training run must repeat at any thread count.
+#[derive(Debug, PartialEq)]
+struct RunFingerprint {
+    bytes: Vec<u8>,
+    preds: Vec<usize>,
+    /// Every counter but the times (`*_ns`): engine runs and jobs,
+    /// search, mining, selection, transform, prediction, kernel, ML and
+    /// DIRECT counts.
+    counters: Vec<(String, u64)>,
+    /// `(family, hits, misses)` of each memo family.
+    caches: Vec<(&'static str, u64, u64)>,
+    /// `(path, calls)` of each stage, in tree order.
+    stages: Vec<(String, u64)>,
+}
+
+fn instrumented_run(train: &Dataset, test: &Dataset, config: &RpmConfig) -> RunFingerprint {
+    ObsConfig {
+        level: ObsLevel::Spans,
+        json_path: None,
+        http_addr: None,
+    }
+    .install();
+    let model = RpmClassifier::train(train, config).unwrap();
+    let preds = model.predict_batch(&test.series);
+    let mut bytes = Vec::new();
+    model.save(&mut bytes).unwrap();
+    let report = rpm::obs::finish().expect("observability is on");
+    ObsConfig::default().install();
+
+    let counters: Vec<(String, u64)> = report
+        .metrics
+        .counters
+        .iter()
+        .map(|(n, v)| (n.to_string(), *v))
+        .chain(report.metrics.labeled.iter().cloned())
+        .filter(|(n, _)| !n.ends_with("_ns"))
+        .collect();
+    for watched in [
+        "transform.columns",
+        "predict.series",
+        "ml.svm_trains",
+        "ml.cfs_runs",
+    ] {
+        assert!(
+            counters.iter().any(|(n, v)| n == watched && *v > 0),
+            "{watched} must be recorded"
+        );
+    }
+    assert!(
+        report.metrics.counter("engine.jobs").unwrap_or(0) > 0,
+        "engine jobs must be recorded"
+    );
+    RunFingerprint {
+        bytes,
+        preds,
+        counters,
+        caches: report
+            .metrics
+            .cache
+            .iter()
+            .map(|&(family, hits, misses, _)| (family, hits, misses))
+            .collect(),
+        stages: report
+            .stages
+            .iter()
+            .map(|s| (s.path.clone(), s.calls))
+            .collect(),
+    }
+}
+
+/// Training with observability on at 1/2/4/8 threads, under the default
+/// shared DIRECT search, a per-class DIRECT search and a fixed
+/// configuration: identical model bytes and predictions, identical
+/// counters (times aside), identical hits and misses in each memo
+/// family, and identical stage paths with identical call counts. A memo
+/// computes each key once and a split's transform columns are keyed by
+/// combination, so nothing here follows scheduling.
 #[test]
 fn instrumented_training_is_deterministic_across_thread_counts() {
     let _g = gate();
     reset();
     let (train, test) = small_cbf();
-
-    let mut baseline: Option<RunFingerprint> = None;
-    for threads in [1usize, 4, 8] {
-        ObsConfig {
-            level: ObsLevel::Spans,
-            json_path: None,
-            http_addr: None,
-        }
-        .install();
-        let config = RpmConfig {
-            n_threads: threads,
-            ..RpmConfig::fixed(SaxConfig::new(32, 4, 4))
-        };
-        let model = RpmClassifier::train(&train, &config).unwrap();
-        let preds = model.predict_batch(&test.series);
-        let mut bytes = Vec::new();
-        model.save(&mut bytes).unwrap();
-
-        let report = rpm::obs::finish().expect("observability is on");
-        ObsConfig::default().install();
-
-        let watched = [
-            "engine.runs",
-            "engine.jobs",
-            "mine.rules",
-            "mine.candidates",
-            "prune.pool_in",
-            "prune.kept",
-            "cfs.features_in",
-            "cfs.survivors",
-            "transform.columns",
-            "predict.series",
-            "ml.svm_trains",
-            "ml.cfs_runs",
-        ];
-        let counters: Vec<(String, u64)> = watched
-            .iter()
-            .map(|&name| (name.to_string(), report.metrics.counter(name).unwrap_or(0)))
-            .collect();
-        let (lookups, hits) = report.metrics.cache_totals();
-        assert!(hits <= lookups);
-        assert!(
-            report.metrics.counter("engine.jobs").unwrap_or(0) > 0,
-            "engine jobs must be recorded"
+    let searches = [
+        ("shared DIRECT", RpmConfig::default()),
+        (
+            "per-class DIRECT",
+            RpmConfig {
+                param_search: ParamSearch::Direct {
+                    max_evals: 12,
+                    per_class: true,
+                },
+                ..RpmConfig::default()
+            },
+        ),
+        ("fixed", RpmConfig::fixed(SaxConfig::new(32, 4, 4))),
+    ];
+    for (search, config) in searches {
+        let serial = instrumented_run(
+            &train,
+            &test,
+            &RpmConfig {
+                n_threads: 1,
+                ..config.clone()
+            },
         );
-
-        match &baseline {
-            None => baseline = Some((bytes, preds, counters, lookups)),
-            Some((b_bytes, b_preds, b_counters, b_lookups)) => {
-                assert_eq!(b_bytes, &bytes, "model bytes differ at {threads} threads");
-                assert_eq!(b_preds, &preds, "predictions differ at {threads} threads");
-                assert_eq!(
-                    b_counters, &counters,
-                    "counter totals differ at {threads} threads"
-                );
-                assert_eq!(
-                    *b_lookups, lookups,
-                    "cache lookup totals differ at {threads} threads"
-                );
-            }
+        let searched = !matches!(config.param_search, ParamSearch::Fixed(_));
+        assert_eq!(
+            serial.stages.iter().any(|(p, _)| p == "train/params/eval"),
+            searched,
+            "{search}: a search scores folds under train/params/eval"
+        );
+        for threads in [2usize, 4, 8] {
+            let run = instrumented_run(
+                &train,
+                &test,
+                &RpmConfig {
+                    n_threads: threads,
+                    ..config.clone()
+                },
+            );
+            assert_eq!(
+                run.bytes, serial.bytes,
+                "{search}: bytes at {threads} threads"
+            );
+            assert_eq!(run.preds, serial.preds, "{search}: predictions");
+            assert_eq!(run.counters, serial.counters, "{search}: work counters");
+            assert_eq!(run.caches, serial.caches, "{search}: memo hits and misses");
+            assert_eq!(run.stages, serial.stages, "{search}: stage paths and calls");
         }
     }
 }

@@ -128,6 +128,42 @@ fn exhausted_budget_degrades_instead_of_erroring() {
     assert!(loaded.is_degraded());
 }
 
+/// An evaluation budget is claimed by the searching thread in the
+/// search's own order, so a budgeted search scores the same combinations
+/// — and saves the same model — at any thread count, under shared and
+/// per-class DIRECT alike.
+#[test]
+fn eval_budget_saves_the_same_model_at_any_thread_count() {
+    let _g = gate();
+    disarm();
+    let train = small_cbf();
+    for per_class in [false, true] {
+        let budgeted = |n_threads: usize| RpmConfig {
+            param_search: ParamSearch::Direct {
+                max_evals: 12,
+                per_class,
+            },
+            budget: TrainBudget {
+                max_evals: Some(5),
+                wall_clock: None,
+            },
+            n_threads,
+            ..search_config()
+        };
+        let serial = RpmClassifier::train(&train, &budgeted(1)).expect("serial train");
+        assert!(
+            serial.is_degraded(),
+            "per_class={per_class}: 5 evals run out"
+        );
+        let parallel = RpmClassifier::train(&train, &budgeted(4)).expect("parallel train");
+        assert_eq!(
+            model_bytes(&parallel),
+            model_bytes(&serial),
+            "per_class={per_class}"
+        );
+    }
+}
+
 #[test]
 fn zero_wall_clock_budget_still_returns_a_model() {
     let _g = gate();

@@ -340,6 +340,33 @@ fn armed_request_fault_degrades_to_an_error_response_not_a_crash() {
     server.shutdown();
 }
 
+/// A `/classify` id holding a raw control character is not JSON (RFC
+/// 8259 §7): the body is refused with a `400` naming the line, and the
+/// same id written escaped classifies.
+#[test]
+fn a_raw_tab_in_an_id_is_a_bad_request_naming_its_line() {
+    let _g = shared();
+    let (model, test) = trained();
+    let mut server = Server::start(Arc::clone(&model), &test_config()).expect("start");
+    let addr = server.local_addr();
+    let series = jsonl_body(&test.series[0]);
+    let series = series.trim_end();
+
+    let raw = format!("{series}\n{{\"id\":\"a\tb\",\"series\":{series}}}\n");
+    let response = post(addr, &raw);
+    assert!(response.starts_with("HTTP/1.0 400"), "{response}");
+    assert!(
+        response.contains("line 2: unescaped control character"),
+        "{response}"
+    );
+
+    let escaped = format!("{{\"id\":\"a\\tb\",\"series\":{series}}}\n");
+    let response = post(addr, &escaped);
+    assert!(response.starts_with("HTTP/1.0 200"), "{response}");
+    assert!(response.contains("\"id\":\"a\\tb\""), "{response}");
+    server.shutdown();
+}
+
 /// The server's own `requests` counts every classify request on entry,
 /// and each exit but a `200` lands in one outcome counter: of a 200, a
 /// 400 and a 500, the 400 counts in `bad_requests` and the 500 in
